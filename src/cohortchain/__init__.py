@@ -9,14 +9,10 @@ __version__ = "0.1.0"
 
 from .bootstrap import BootstrapConfig, EstimateSummary, bootstrap, kde, percentile_ci
 from .estimate import (
-    EstimatorKind,
     MarkovFullEstimator,
     MarkovReducedEstimator,
     TraditionalEstimator,
     persistence_rates,
-    sygr_markov_full,
-    sygr_markov_reduced,
-    sygr_traditional,
 )
 from .markov import (
     TransitionCounts,
@@ -53,7 +49,6 @@ __all__ = [
     "AcademicState",
     "BootstrapConfig",
     "EstimateSummary",
-    "EstimatorKind",
     "GeneratorSpec",
     "LaGroup",
     "MarkovFullEstimator",
@@ -83,8 +78,5 @@ __all__ = [
     "random_transition_matrix",
     "round_trip_counts",
     "sygr_markov",
-    "sygr_markov_full",
-    "sygr_markov_reduced",
-    "sygr_traditional",
     "validate_structure",
 ]

@@ -66,10 +66,20 @@ def _write_metadata(out_dir, args, extra=()):
     _write(Path(out_dir) / "metadata.txt", "\n".join(lines) + "\n")
 
 
+def _read(path, load):
+    """load(path), with an unreadable file reported as a data error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise CohortChainError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CohortChainError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_inputs(paths):
     records = []
     for path in paths:
-        records.extend(load_records(path))
+        records.extend(_read(path, load_records))
     return records
 
 
@@ -83,11 +93,14 @@ def _subgroup_spec(args):
 
 
 def _bootstrap_cfg(args, seed=None):
-    return BootstrapConfig(
-        seed=args.seed if seed is None else seed,
-        replicates=args.replicates,
-        ci_level=args.ci,
-    )
+    try:
+        return BootstrapConfig(
+            seed=args.seed if seed is None else seed,
+            replicates=args.replicates,
+            ci_level=args.ci,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _estimator_for(method, args):
@@ -142,6 +155,7 @@ def cmd_estimate(args):
         raise UsageError("estimate requires at least one --input")
     if args.horizon is None:
         raise UsageError("estimate requires --horizon")
+    cfg = _bootstrap_cfg(args)
     records = filter_subgroup(_load_inputs(args.input), _subgroup_spec(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,7 +165,6 @@ def cmd_estimate(args):
         raise UsageError("--cohort is required for traditional and markov-reduced")
 
     rows = []
-    cfg = _bootstrap_cfg(args)
     for method in methods:
         estimator = _estimator_for(method, args)
         summary = bootstrap(records, estimator, cfg)
@@ -174,12 +187,12 @@ def cmd_validate(args):
         raise UsageError("validate requires at least one --input")
     if args.horizon is None:
         raise UsageError("validate requires --horizon")
+    cfg = _bootstrap_cfg(args)
     records = _load_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cohorts = sorted({r.cohort_year for r in records})
-    cfg = _bootstrap_cfg(args)
     lines = [
         "cohort,status,traditional,markov_reduced,abs_diff,trad_ci_width,markov_ci_width"
     ]
@@ -195,8 +208,6 @@ def cmd_validate(args):
         s_trad = bootstrap(records, trad, cfg)
         s_red = bootstrap(records, reduced, cfg)
         diff = abs(s_trad.point - s_red.point)
-        # test hook: lets the FAIL path be exercised deliberately
-        diff += args.inject_error
         ok = diff <= POSITIVE_CONTROL_TOL
         any_checked = True
         any_fail = any_fail or not ok
@@ -276,6 +287,7 @@ def cmd_compare(args):
         raise UsageError("compare requires at least one --input")
     if args.horizon is None:
         raise UsageError("compare requires --horizon")
+    _bootstrap_cfg(args)  # reject bad bootstrap flags before reading input
     records = _load_inputs(args.input)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -355,7 +367,7 @@ def cmd_compare(args):
 def cmd_synth(args):
     if args.spec is None:
         raise UsageError("synth requires --spec")
-    spec = load_generator_spec(args.spec)
+    spec = _read(args.spec, load_generator_spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records = generate_panel(spec)
@@ -379,10 +391,17 @@ def _read_ensemble_csv(path):
         if header != "replicate,estimate":
             raise CohortChainError(f"{path}: expected header 'replicate,estimate'")
         values = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                values.append(float(line.split(",")[1]))
+            if not line:
+                continue
+            try:
+                _replicate, value = line.split(",")
+                values.append(float(value))
+            except ValueError:
+                raise CohortChainError(
+                    f"{path}: line {line_no}: expected 'replicate,estimate' values"
+                ) from None
     return np.array(values)
 
 
@@ -396,7 +415,7 @@ def cmd_plot(args):
     markers = []
     for path in args.input:
         label = Path(path).stem
-        values = _read_ensemble_csv(path)
+        values = _read(path, _read_ensemble_csv)
         try:
             xs, dens = kde(values, args.bandwidth)
         except DegenerateEnsemble:
@@ -456,8 +475,6 @@ def build_parser():
 
     p = sub.add_parser("validate", help="positive control: reduced chain vs traditional")
     common(p)
-    p.add_argument("--inject-error", dest="inject_error", type=float, default=0.0,
-                   help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("compare", help="LA-exposed vs unexposed group comparison")
@@ -483,59 +500,53 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Resolve --config into parser defaults so flags win over the file."""
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{line_no}: expected key = value")
-            key, _, value = stripped.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key == "input":
-                overrides.setdefault("input", []).append(value)
-            elif key == "method":
-                overrides.setdefault("method", []).append(value)
-            else:
-                overrides[key] = value
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        known = {a.dest for a in action._actions}  # noqa: SLF001
-        action.set_defaults(
-            **{
-                k: _coerce_config_value(action, k, v)
-                for k, v in overrides.items()
-                if k in known
-            }
-        )
-
-
-def _coerce_config_value(subparser, dest, value):
-    for action in subparser._actions:  # noqa: SLF001
-        if action.dest != dest:
+def _config_items(path):
+    """(key, value) pairs of a `key = value` config file, in file order."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path}: not UTF-8 text (byte {exc.start})") from None
+    items = []
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
-        if isinstance(value, list):
-            return value
-        if isinstance(action, (argparse._StoreTrueAction,)):  # noqa: SLF001
-            return value.lower() in ("1", "true", "yes")
-        if action.type is not None:
-            return action.type(value)
-        return value
-    return value
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{line_no}: expected key = value")
+        key, _, value = stripped.partition("=")
+        items.append((key.strip().replace("-", "_"), value.strip()))
+    return items
+
+
+def _parse_args(parser, argv):
+    """Parse argv; with --config, parse again with the file's settings
+    inserted as flags right after the command name. Explicit flags come
+    later and so win, and repeatable flags (--input, --method) collect the
+    file's values first. Keys the command does not take are ignored."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    tokens = []
+    for key, value in _config_items(args.config):
+        if not hasattr(args, key):
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):  # an on/off switch
+            if value.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
+        else:
+            tokens += [flag, value]
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if not getattr(args, "func", None):
             parser.print_help()
             return 1

@@ -2,129 +2,106 @@
 
 Three estimators: the traditional cohort ratio, the reduced-form chain
 restricted to one complete cohort (the positive control), and the full
-pooled chain that also absorbs partial-cohort evidence. Each comes in a
-plain-function form and as an estimator object exposing per-record count
-contributions, which lets the bootstrap re-aggregate resamples without
-re-deriving transitions.
+pooled chain that also absorbs partial-cohort evidence.
+
+All three read their estimate off pooled integer tallies. A record's tally
+depends only on its trajectory type, (cohort_year, outcome, outcome_year,
+la_year), so `contributions` derives one tally row per distinct type (by
+the reference rules, `derive_transitions` and `la_truncate`) plus a type id
+per record. Any resample's pooled tally is then `bincount(type_id[idx]) @
+table`, exactly the sum of its records' tallies, and the bootstrap
+re-aggregates resamples without re-deriving anything.
 """
-
-
-from enum import Enum
 
 import numpy as np
 
 from .errors import EmptyCohort, HorizonTooEarly, NoRecords
 from .markov import TransitionCounts, build_matrix, sygr_markov
-from .records import Outcome, cohort_slice, derive_transitions, la_truncate
+from .records import Outcome, derive_transitions, la_truncate
 from .states import ALLOWED_CELLS, N_STATES, AcademicState
 
 _CELL_INDEX = {cell: i for i, cell in enumerate(ALLOWED_CELLS)}
 _N_CELLS = len(ALLOWED_CELLS)
+_CELL_ROWS, _CELL_COLS = np.array(ALLOWED_CELLS).T
 
 
-class EstimatorKind(Enum):
-    TRADITIONAL = "traditional"
-    MARKOV_REDUCED = "markov-reduced"
-    MARKOV_FULL = "markov-full"
+def _tally(contrib, idx=slice(None)):
+    """Pooled tally of the records at idx (default: all of them)."""
+    type_id, table = contrib
+    return np.bincount(type_id[idx], minlength=len(table)) @ table
 
 
-def counts_from_transitions(transitions):
-    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    for t in transitions:
-        grid[int(t.frm), int(t.to)] += 1
-    return TransitionCounts(grid)
-
-
-def _record_transitions(r, horizon_year, from_la_year):
+def _chain_cells(r, horizon_year, from_la_year=False):
+    """One record's observable steps, counted per ALLOWED_CELLS entry."""
     steps = derive_transitions(r, horizon_year)
     if from_la_year:
         steps = la_truncate(r, steps)
-    return steps
+    row = [0] * _N_CELLS
+    for t in steps:
+        row[_CELL_INDEX[t.frm, t.to]] += 1
+    return row
 
 
-def _record_cells(r, horizon_year, from_la_year):
-    """Indices into ALLOWED_CELLS for one record's observable steps."""
-    return [
-        _CELL_INDEX[(int(t.frm), int(t.to))]
-        for t in _record_transitions(r, horizon_year, from_la_year)
-    ]
-
-
-def _cells_to_counts(cells):
+def _chain_matrix(cells):
     grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    for (i, j), n in zip(ALLOWED_CELLS, cells):
-        grid[i, j] = int(n)
-    return TransitionCounts(grid)
-
-
-def _sygr_from_counts(counts):
-    return sygr_markov(build_matrix(counts, allow_unreachable=True))
-
-
-def sygr_traditional(records, cohort_year, horizon_year):
-    """Graduated-within-six-years fraction of one fully observed cohort."""
-    if horizon_year < cohort_year + 6:
-        raise HorizonTooEarly(cohort_year, horizon_year)
-    cohort = cohort_slice(records, cohort_year)
-    if not cohort:
-        raise EmptyCohort(cohort_year)
-    n_deg = sum(
-        1 for r in cohort if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
-    )
-    return n_deg / len(cohort)
-
-
-def sygr_markov_reduced(records, cohort_year, horizon_year):
-    """Chain estimate restricted to exactly the data the traditional
-    estimate uses; agrees with it to floating-point precision on complete
-    cohorts (the path probabilities telescope)."""
-    if horizon_year < cohort_year + 6:
-        raise HorizonTooEarly(cohort_year, horizon_year)
-    cohort = cohort_slice(records, cohort_year)
-    if not cohort:
-        raise EmptyCohort(cohort_year)
-    transitions = [t for r in cohort for t in derive_transitions(r, horizon_year)]
-    return _sygr_from_counts(counts_from_transitions(transitions))
-
-
-def sygr_markov_full(records, horizon_year, target_cohort=None, *, from_la_year=False):
-    """Pooled chain estimate over all records observable at the horizon.
-
-    Partial cohorts contribute only their completed transitions. The
-    target_cohort argument is a report label; the pooled matrix itself is
-    cohort-agnostic.
-    """
-    if not records:
-        raise NoRecords()
-    transitions = [
-        t for r in records for t in _record_transitions(r, horizon_year, from_la_year)
-    ]
-    return _sygr_from_counts(counts_from_transitions(transitions))
-
-
-def pooled_matrix(records, horizon_year, *, from_la_year=False):
-    if not records:
-        raise NoRecords()
-    transitions = [
-        t for r in records for t in _record_transitions(r, horizon_year, from_la_year)
-    ]
-    return build_matrix(counts_from_transitions(transitions), allow_unreachable=True)
+    grid[_CELL_ROWS, _CELL_COLS] = cells
+    return build_matrix(TransitionCounts(grid), allow_unreachable=True)
 
 
 def persistence_rates(records, horizon_year, *, from_la_year=False):
     """Year-to-year persistence probabilities from the pooled matrix, keyed
     by starting year of study (1..5). Full precision; rounding is a
     reporting concern."""
-    p = pooled_matrix(records, horizon_year, from_la_year=from_la_year)
+    estimator = MarkovFullEstimator(horizon_year, from_la_year=from_la_year)
+    estimator._check(records)
+    p = _chain_matrix(_tally(estimator.contributions(records)))
     return {
         k: p[AcademicState.year(k), AcademicState.year(k + 1)] for k in range(1, 6)
     }
 
 
-class TraditionalEstimator:
-    """Resamplable form of sygr_traditional."""
+class _Estimator:
+    """point / contributions / from_indices over trajectory-type tallies.
 
-    kind = EstimatorKind.TRADITIONAL
+    Subclasses supply `_row`, one record's integer tally of `_width`
+    entries, and may override `_rate` (pooled tally to estimate; by default
+    the chain readout of ALLOWED_CELLS counts) and `_check`.
+    """
+
+    _width = _N_CELLS
+
+    def _check(self, records):
+        """Raise if the estimate is undefined on these (original) records."""
+
+    def _rate(self, cells):
+        return sygr_markov(_chain_matrix(cells))
+
+    def point(self, records):
+        self._check(records)
+        return self._rate(_tally(self.contributions(records)))
+
+    def contributions(self, records):
+        """(type_id, table): each record's trajectory-type id and one
+        integer tally row per type."""
+        index = {}
+        rows = []
+        ids = []
+        for r in records:
+            key = (r.cohort_year, r.outcome, r.outcome_year, r.la_year)
+            t = index.get(key)
+            if t is None:
+                t = index[key] = len(rows)
+                rows.append(self._row(r))
+            ids.append(t)
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), self._width)
+        return np.array(ids, dtype=np.intp), table
+
+    def from_indices(self, contrib, idx):
+        return self._rate(_tally(contrib, idx))
+
+
+class _CohortEstimator(_Estimator):
+    """An estimator of one cohort, which must be six years old at the horizon."""
 
     def __init__(self, cohort_year, horizon_year):
         if horizon_year < cohort_year + 6:
@@ -132,66 +109,55 @@ class TraditionalEstimator:
         self.cohort_year = cohort_year
         self.horizon_year = horizon_year
 
-    def point(self, records):
-        return sygr_traditional(records, self.cohort_year, self.horizon_year)
+    def _check(self, records):
+        if not any(r.cohort_year == self.cohort_year for r in records):
+            raise EmptyCohort(self.cohort_year)
 
-    def contributions(self, records):
-        out = np.zeros((len(records), 2), dtype=np.int64)
-        for i, r in enumerate(records):
-            if r.cohort_year == self.cohort_year:
-                out[i, 0] = 1
-                if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6:
-                    out[i, 1] = 1
-        return out
 
-    def from_indices(self, contrib, idx):
-        n_start, n_deg = contrib[idx].sum(axis=0)
+class TraditionalEstimator(_CohortEstimator):
+    """Graduated-within-six-years fraction of one fully observed cohort.
+    Tally: (starters, graduates)."""
+
+    _width = 2
+
+    def _row(self, r):
+        start = r.cohort_year == self.cohort_year
+        deg = start and r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
+        return [int(start), int(deg)]
+
+    def _rate(self, tally):
+        n_start, n_deg = tally
         if n_start == 0:
             raise EmptyCohort(self.cohort_year)
         return n_deg / n_start
 
 
-class _ChainEstimator:
-    """Shared resampling plumbing for the chain-based estimators."""
+class MarkovReducedEstimator(_CohortEstimator):
+    """Chain estimate restricted to exactly the data the traditional
+    estimate uses; agrees with it to floating-point precision on complete
+    cohorts (the path probabilities telescope)."""
 
-    def contributions(self, records):
-        out = np.zeros((len(records), _N_CELLS), dtype=np.int64)
-        for i, r in enumerate(records):
-            for cell in self._cells(r):
-                out[i, cell] += 1
-        return out
-
-    def from_indices(self, contrib, idx):
-        return _sygr_from_counts(_cells_to_counts(contrib[idx].sum(axis=0)))
-
-
-class MarkovReducedEstimator(_ChainEstimator):
-    kind = EstimatorKind.MARKOV_REDUCED
-
-    def __init__(self, cohort_year, horizon_year):
-        if horizon_year < cohort_year + 6:
-            raise HorizonTooEarly(cohort_year, horizon_year)
-        self.cohort_year = cohort_year
-        self.horizon_year = horizon_year
-
-    def point(self, records):
-        return sygr_markov_reduced(records, self.cohort_year, self.horizon_year)
-
-    def _cells(self, r):
+    def _row(self, r):
         if r.cohort_year != self.cohort_year:
-            return []
-        return _record_cells(r, self.horizon_year, False)
+            return [0] * _N_CELLS
+        return _chain_cells(r, self.horizon_year)
 
 
-class MarkovFullEstimator(_ChainEstimator):
-    kind = EstimatorKind.MARKOV_FULL
+class MarkovFullEstimator(_Estimator):
+    """Pooled chain estimate over all records observable at the horizon.
+
+    Partial cohorts contribute only their completed transitions. With
+    from_la_year, each record contributes only the steps from its first
+    LA-supported year onward.
+    """
 
     def __init__(self, horizon_year, *, from_la_year=False):
         self.horizon_year = horizon_year
         self.from_la_year = from_la_year
 
-    def point(self, records):
-        return sygr_markov_full(records, self.horizon_year, from_la_year=self.from_la_year)
+    def _check(self, records):
+        if not records:
+            raise NoRecords()
 
-    def _cells(self, r):
-        return _record_cells(r, self.horizon_year, self.from_la_year)
+    def _row(self, r):
+        return _chain_cells(r, self.horizon_year, self.from_la_year)

@@ -156,6 +156,16 @@ def _walk_cohort(spec, cohort_year, n, rng):
     }
 
 
+def _students(spec):
+    """(cohort_year, student_id, walk, i) for every simulated student."""
+    for cohort_year in sorted(spec.cohort_sizes):
+        n = spec.cohort_sizes[cohort_year]
+        rng = np.random.default_rng([spec.seed, cohort_year])
+        walk = _walk_cohort(spec, cohort_year, n, rng)
+        for i in range(n):
+            yield cohort_year, f"s{cohort_year}_{i}", walk, i
+
+
 def _encode_student(spec, cohort_year, sid, walk, i):
     obs = spec.horizon_year - cohort_year
     a = int(walk["absorb_year"][i])
@@ -179,7 +189,7 @@ def _encode_student(spec, cohort_year, sid, walk, i):
         if ly <= enrolled_years and ly <= outcome_year + slack:
             la_year = ly
 
-    record = StudentRecord(
+    return StudentRecord(
         student_id=sid,
         cohort_year=cohort_year,
         aalana=bool(walk["aalana"][i]),
@@ -190,9 +200,14 @@ def _encode_student(spec, cohort_year, sid, walk, i):
         outcome_year=outcome_year,
     )
 
-    # Observable walk steps, written out directly from the trajectory (not
-    # via the record), so the record round trip has something independent
-    # to agree with.
+
+def _observed_steps(spec, cohort_year, sid, walk, i):
+    """Observable walk steps, written out directly from the trajectory (not
+    via the record), so the record round trip has something independent to
+    agree with."""
+    obs = spec.horizon_year - cohort_year
+    a = int(walk["absorb_year"][i])
+    survivor = a == 0
     steps = []
     last_persist = 5 if survivor else a - 1
     for k in range(1, last_persist + 1):
@@ -206,28 +221,21 @@ def _encode_student(spec, cohort_year, sid, walk, i):
     elif a <= obs:
         to = AcademicState.GRADUATED if walk["graduated"][i] else AcademicState.DROP_OUT
         steps.append(Transition(sid, AcademicState.year(a), to, a))
-    return record, steps
+    return steps
 
 
 def generate_panel_with_log(spec):
     """Generate records plus the generator's own observable-step log."""
     records = []
     log = []
-    for cohort_year in sorted(spec.cohort_sizes):
-        n = spec.cohort_sizes[cohort_year]
-        rng = np.random.default_rng([spec.seed, cohort_year])
-        walk = _walk_cohort(spec, cohort_year, n, rng)
-        for i in range(n):
-            sid = f"s{cohort_year}_{i}"
-            record, steps = _encode_student(spec, cohort_year, sid, walk, i)
-            records.append(record)
-            log.extend(steps)
+    for student in _students(spec):
+        records.append(_encode_student(spec, *student))
+        log.extend(_observed_steps(spec, *student))
     return records, log
 
 
 def generate_panel(spec):
-    records, _ = generate_panel_with_log(spec)
-    return records
+    return [_encode_student(spec, *student) for student in _students(spec)]
 
 
 def round_trip_counts(records, horizon_year):

@@ -18,6 +18,7 @@ from cohortchain import (
     BootstrapConfig,
     GeneratorSpec,
     MarkovFullEstimator,
+    MarkovReducedEstimator,
     SubgroupSpec,
     TraditionalEstimator,
     bootstrap,
@@ -27,9 +28,6 @@ from cohortchain import (
     generate_panel_with_log,
     random_transition_matrix,
     sygr_markov,
-    sygr_markov_full,
-    sygr_markov_reduced,
-    sygr_traditional,
 )
 from cohortchain.cli import main, run_comparison
 from cohortchain.synth import format_generator_spec, log_multiset
@@ -75,8 +73,8 @@ def test_complete_cohort_identity():
         )
         records = generate_panel(spec)
         gap = abs(
-            sygr_markov_reduced(records, 2013, 2019)
-            - sygr_traditional(records, 2013, 2019)
+            MarkovReducedEstimator(2013, 2019).point(records)
+            - TraditionalEstimator(2013, 2019).point(records)
         )
         worst = max(worst, gap)
     elapsed = time.perf_counter() - start
@@ -124,7 +122,7 @@ def test_pooled_estimator_consistency():
         seed=77,
     )
     records = generate_panel(spec)
-    est = sygr_markov_full(records, 2021)
+    est = MarkovFullEstimator(2021).point(records)
     elapsed = time.perf_counter() - start
     report(
         "pooled estimator consistency",

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cohortchain import cli
 from cohortchain.cli import main, round_pct
 
 GEN_SPEC = """\
@@ -152,11 +153,12 @@ class TestValidate:
         assert statuses["2013"] == "PASS"
         assert statuses["2019"] == "SKIP"
 
-    def test_injected_error_fails_with_exit_3(self, panel, tmp_path, capsys):
+    def test_injected_error_fails_with_exit_3(self, panel, tmp_path, capsys, monkeypatch):
+        # a negative tolerance fails even an exact agreement
+        monkeypatch.setattr(cli, "POSITIVE_CONTROL_TOL", -1.0)
         code = main([
             "validate", "--input", str(panel), "--out", str(tmp_path),
             "--horizon", "2021", "--seed", "3", "--replicates", "120",
-            "--inject-error", "0.5",
         ])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
@@ -252,3 +254,46 @@ def test_no_command_prints_help(capsys):
 
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["estimate", "--nope"]) == 1
+
+
+def _error_cases(panel, tmp):
+    """(case, argv, exit code); every argv but the first ends in an error."""
+    cfg = tmp / "run.cfg"
+    cfg.write_text(
+        f"input = {panel}\nhorizon = 2021\ncohort = 2013\nreplicates = 20\n"
+        "method = traditional\n"
+    )
+    latin1 = tmp / "latin1.csv"
+    latin1.write_bytes(panel.read_bytes().replace(b"SCI", b"SCI\xe9", 1))
+    bad_ensemble = tmp / "bad.csv"
+    bad_ensemble.write_text("replicate,estimate\n1,0.5\n2;0.6\n")
+    estimate = ["estimate", "--input", str(panel), "--out", str(tmp / "out"),
+                "--horizon", "2021", "--cohort", "2013"]
+    return [
+        ("config_equals_form", ["estimate", f"--config={cfg}", "--out", str(tmp / "eq")], 0),
+        ("config_last_argument", [*estimate, "--config"], 1),
+        ("config_missing", [*estimate, "--config", str(tmp / "missing.cfg")], 1),
+        ("replicates_1", [*estimate, "--replicates", "1"], 1),
+        ("ci_1_5", [*estimate, "--ci", "1.5"], 1),
+        ("seed_negative", [*estimate, "--seed", "-1"], 1),
+        ("compare_seed_negative", ["compare", "--input", str(panel), "--out", str(tmp / "cmp"),
+                                   "--horizon", "2021", "--seed", "-1"], 1),
+        ("input_missing", ["estimate", "--input", str(tmp / "missing.csv"),
+                           *estimate[3:]], 2),
+        ("input_not_utf8", ["estimate", "--input", str(latin1), *estimate[3:]], 2),
+        ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
+                                     "--out", str(tmp / "plot")], 2),
+    ]
+
+
+def test_error_contract(panel, tmp_path, capsys):
+    """Each failure exits with its documented code and one stderr line."""
+    for case, argv, expected in _error_cases(panel, tmp_path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == expected, (case, err)
+        if expected == 0:
+            assert err == "", case
+        else:
+            prefix = "usage error: " if expected == 1 else "error: "
+            assert err.startswith(prefix) and err.count("\n") == 1, (case, err)

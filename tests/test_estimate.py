@@ -1,20 +1,26 @@
 
+import numpy as np
 import pytest
 from conftest import make_record, path_enumeration_sygr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohortchain import (
     AcademicState,
     GeneratorSpec,
+    MarkovFullEstimator,
+    MarkovReducedEstimator,
     Outcome,
+    TraditionalEstimator,
+    derive_transitions,
     generate_panel,
+    la_truncate,
     persistence_rates,
     random_transition_matrix,
     sygr_markov,
-    sygr_markov_full,
-    sygr_markov_reduced,
-    sygr_traditional,
 )
 from cohortchain.errors import EmptyCohort, HorizonTooEarly, NoRecords
+from cohortchain.states import ALLOWED_CELLS, N_STATES
 
 S = AcademicState
 
@@ -35,30 +41,30 @@ def cohort_of(n_grad, n_drop, cohort_year=2013, grad_year=4, drop_year=1):
 
 class TestTraditional:
     def test_hand_count(self):
-        assert sygr_traditional(cohort_of(7, 3), 2013, 2021) == 0.7
+        assert TraditionalEstimator(2013, 2021).point(cohort_of(7, 3)) == 0.7
 
     def test_everyone_graduates(self):
-        assert sygr_traditional(cohort_of(5, 0), 2013, 2021) == 1.0
+        assert TraditionalEstimator(2013, 2021).point(cohort_of(5, 0)) == 1.0
 
     def test_horizon_too_early(self):
         with pytest.raises(HorizonTooEarly):
-            sygr_traditional(cohort_of(5, 0, cohort_year=2016), 2016, 2021)
+            TraditionalEstimator(2016, 2021).point(cohort_of(5, 0, cohort_year=2016))
 
     def test_empty_cohort(self):
         with pytest.raises(EmptyCohort):
-            sygr_traditional(cohort_of(5, 0), 1999, 2021)
+            TraditionalEstimator(1999, 2021).point(cohort_of(5, 0))
 
     def test_late_graduation_not_counted(self):
         records = cohort_of(1, 0, grad_year=7) + cohort_of(0, 1)
-        assert sygr_traditional(records, 2013, 2021) == 0.0
+        assert TraditionalEstimator(2013, 2021).point(records) == 0.0
 
 
 class TestMarkovReduced:
     def test_everyone_drops_first_year(self):
-        assert sygr_markov_reduced(cohort_of(0, 10), 2013, 2021) == 0.0
+        assert MarkovReducedEstimator(2013, 2021).point(cohort_of(0, 10)) == 0.0
 
     def test_hand_counted_cohort(self):
-        assert sygr_markov_reduced(cohort_of(7, 3), 2013, 2021) == pytest.approx(
+        assert MarkovReducedEstimator(2013, 2021).point(cohort_of(7, 3)) == pytest.approx(
             0.7, abs=1e-12
         )
 
@@ -73,20 +79,20 @@ class TestMarkovReduced:
                 seed=int(rng.integers(2**32)),
             )
             records = generate_panel(spec)
-            trad = sygr_traditional(records, 2013, 2019)
-            red = sygr_markov_reduced(records, 2013, 2019)
+            trad = TraditionalEstimator(2013, 2019).point(records)
+            red = MarkovReducedEstimator(2013, 2019).point(records)
             assert abs(trad - red) <= 1e-12
 
     def test_horizon_too_early(self):
         with pytest.raises(HorizonTooEarly):
-            sygr_markov_reduced(cohort_of(7, 3), 2013, 2018)
+            MarkovReducedEstimator(2013, 2018).point(cohort_of(7, 3))
 
 
 class TestMarkovFull:
     def test_single_complete_cohort_equals_reduced(self):
         records = cohort_of(7, 3)
-        assert sygr_markov_full(records, 2021) == pytest.approx(
-            sygr_markov_reduced(records, 2013, 2021), abs=1e-12
+        assert MarkovFullEstimator(2021).point(records) == pytest.approx(
+            MarkovReducedEstimator(2013, 2021).point(records), abs=1e-12
         )
 
     def test_partial_cohort_evidence_shifts_estimate(self):
@@ -103,30 +109,31 @@ class TestMarkovFull:
             make_record(sid=f"cd1{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1)
             for i in range(2)
         ]
-        alone = sygr_markov_full(complete, 2021)
+        alone = MarkovFullEstimator(2021).point(complete)
         # partial cohort adds pure persistence evidence for year 1
         partial = [
             make_record(sid=f"p{i}", cohort_year=2019, outcome=Outcome.ENROLLED,
                         outcome_year=2)
             for i in range(10)
         ]
-        combined = sygr_markov_full(complete + partial, 2021)
+        combined = MarkovFullEstimator(2021).point(complete + partial)
         assert combined > alone
 
     def test_no_records(self):
         with pytest.raises(NoRecords):
-            sygr_markov_full([], 2021)
+            MarkovFullEstimator(2021).point([])
 
     def test_permutation_invariance(self, rng):
         records = cohort_of(7, 3) + cohort_of(4, 6, cohort_year=2014)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert sygr_markov_full(shuffled, 2021) == sygr_markov_full(records, 2021)
+        full = MarkovFullEstimator(2021)
+        assert full.point(shuffled) == full.point(records)
 
     def test_duplication_invariance(self):
         records = cohort_of(7, 3)
-        assert sygr_markov_full(records * 2, 2021) == pytest.approx(
-            sygr_markov_full(records, 2021), abs=1e-12
+        assert MarkovFullEstimator(2021).point(records * 2) == pytest.approx(
+            MarkovFullEstimator(2021).point(records), abs=1e-12
         )
 
     def test_consistency_against_generator_truth(self, rng):
@@ -139,7 +146,7 @@ class TestMarkovFull:
         )
         records = generate_panel(spec)
         truth = path_enumeration_sygr(true)
-        assert sygr_markov_full(records, 2021) == pytest.approx(truth, abs=0.03)
+        assert MarkovFullEstimator(2021).point(records) == pytest.approx(truth, abs=0.03)
 
 
 def test_raising_first_year_persistence_never_lowers_sygr(rng):
@@ -192,3 +199,85 @@ class TestPersistence:
         ]
         rates = persistence_rates(records, 2021, from_la_year=True)
         assert rates[2] == pytest.approx(5 / 6, abs=1e-12)
+
+
+@st.composite
+def panels(draw):
+    """Valid records from few enough trajectory types that records share
+    types, plus a from_la_year flag (all records exposed when set) and a
+    resample's indices."""
+    from_la_year = draw(st.booleans())
+    n = draw(st.integers(1, 30))
+    records = []
+    for i in range(n):
+        outcome = draw(st.sampled_from(Outcome))
+        outcome_year = draw(st.integers(1, 7))
+        slack = 1 if outcome is Outcome.ENROLLED else 0
+        la_year = st.integers(1, min(6, outcome_year + slack))
+        records.append(make_record(
+            sid=f"s{i}",
+            cohort_year=draw(st.integers(2013, 2016)),
+            la_year=draw(la_year if from_la_year else st.none() | la_year),
+            outcome=outcome,
+            outcome_year=outcome_year,
+        ))
+    idx = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return records, from_la_year, np.array(idx, dtype=np.int64)
+
+
+def per_record_grid(records, horizon_year, from_la_year=False, cohort_year=None):
+    """Reference tally: every record's derived steps, summed one by one."""
+    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
+    for r in records:
+        if cohort_year is not None and r.cohort_year != cohort_year:
+            continue
+        steps = derive_transitions(r, horizon_year)
+        if from_la_year:
+            steps = la_truncate(r, steps)
+        for t in steps:
+            grid[int(t.frm), int(t.to)] += 1
+    return grid
+
+
+def type_tally(estimator, records, idx):
+    type_id, table = estimator.contributions(records)
+    return np.bincount(type_id[idx], minlength=len(table)) @ table
+
+
+def as_grid(cells):
+    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
+    for (i, j), n in zip(ALLOWED_CELLS, cells):
+        grid[i, j] = n
+    return grid
+
+
+@given(
+    panel=panels(),
+    horizon=st.integers(2013, 2024),
+    cohort=st.integers(2013, 2016),
+    lag=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
+    """The trajectory-type tally of a resample, and of all records, equals
+    the per-record reference summed over the same records."""
+    records, from_la_year, idx = panel
+    cohort_horizon = cohort + 6 + lag
+    full = MarkovFullEstimator(horizon, from_la_year=from_la_year)
+    reduced = MarkovReducedEstimator(cohort, cohort_horizon)
+    trad = TraditionalEstimator(cohort, cohort_horizon)
+    for rows in (idx, np.arange(len(records))):
+        chosen = [records[i] for i in rows]
+        assert (
+            as_grid(type_tally(full, records, rows))
+            == per_record_grid(chosen, horizon, from_la_year)
+        ).all()
+        assert (
+            as_grid(type_tally(reduced, records, rows))
+            == per_record_grid(chosen, cohort_horizon, cohort_year=cohort)
+        ).all()
+        starters = [r for r in chosen if r.cohort_year == cohort]
+        graduates = [
+            r for r in starters if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
+        ]
+        assert list(type_tally(trad, records, rows)) == [len(starters), len(graduates)]
