@@ -47,6 +47,14 @@ def round_pct(rate):
     return int(math.floor(rate * 100.0 + 0.5))
 
 
+def _fmt_rate(v):
+    return "n/a" if v is None else _fmt(v)
+
+
+def _pct(rate):
+    return "n/a" if rate is None else round_pct(rate)
+
+
 def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -333,12 +341,18 @@ def cmd_compare(args):
         per = res["persistence"]
         for k in range(1, 6):
             un, ex = per["unexposed"][k], per["exposed"][k]
+            # a year no one in the group reached has no persistence estimate
+            if un is None or ex is None:
+                csv_diff = txt_diff = "n/a"
+            else:
+                csv_diff = _fmt(ex - un)
+                txt_diff = f"{round_pct(ex) - round_pct(un):+d}"
             lines.append(
-                f"{res['stratum']},Y{k}->Y{k + 1},{_fmt(un)},{_fmt(ex)},{_fmt(ex - un)}"
+                f"{res['stratum']},Y{k}->Y{k + 1},{_fmt_rate(un)},{_fmt_rate(ex)},{csv_diff}"
             )
             txt.append(
-                f"{res['stratum']:<11} Y{k}->Y{k + 1:<6} {round_pct(un):>5} "
-                f"{round_pct(ex):>3} {round_pct(ex) - round_pct(un):+d}"
+                f"{res['stratum']:<11} Y{k}->Y{k + 1:<6} {_pct(un):>5} "
+                f"{_pct(ex):>3} {txt_diff}"
             )
     _write(out_dir / "persistence.csv", "\n".join(lines) + "\n")
     _write(out_dir / "persistence.txt", "\n".join(txt) + "\n")

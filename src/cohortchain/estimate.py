@@ -10,13 +10,16 @@ la_year), so `contributions` derives one tally row per distinct type (by
 the reference rules, `derive_transitions` and `la_truncate`) plus a type id
 per record. Any resample's pooled tally is then `bincount(type_id[idx]) @
 table`, exactly the sum of its records' tallies, and the bootstrap
-re-aggregates resamples without re-deriving anything.
+re-aggregates resamples without re-deriving anything. `rates` reads a
+whole stack of such tallies at once; `point` reads one through the
+single-matrix path (`build_matrix`, `sygr_markov`), which stays the
+reference the stacked readout is tested against.
 """
 
 import numpy as np
 
 from .errors import EmptyCohort, HorizonTooEarly, NoRecords
-from .markov import TransitionCounts, build_matrix, sygr_markov
+from .markov import TransitionCounts, build_matrix, sygr_markov, sygr_markov_stack
 from .records import Outcome, derive_transitions, la_truncate
 from .states import ALLOWED_CELLS, N_STATES, AcademicState
 
@@ -25,10 +28,10 @@ _N_CELLS = len(ALLOWED_CELLS)
 _CELL_ROWS, _CELL_COLS = np.array(ALLOWED_CELLS).T
 
 
-def _tally(contrib, idx=slice(None)):
-    """Pooled tally of the records at idx (default: all of them)."""
+def _tally(contrib):
+    """Pooled tally of all records."""
     type_id, table = contrib
-    return np.bincount(type_id[idx], minlength=len(table)) @ table
+    return np.bincount(type_id, minlength=len(table)) @ table
 
 
 def _chain_cells(r, horizon_year, from_la_year=False):
@@ -42,30 +45,43 @@ def _chain_cells(r, horizon_year, from_la_year=False):
     return row
 
 
+def _chain_grids(cells):
+    """(..., 8, 8) count grids from (..., ALLOWED_CELLS) tallies."""
+    cells = np.asarray(cells)
+    grids = np.zeros(cells.shape[:-1] + (N_STATES, N_STATES), dtype=np.int64)
+    grids[..., _CELL_ROWS, _CELL_COLS] = cells
+    return grids
+
+
 def _chain_matrix(cells):
-    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    grid[_CELL_ROWS, _CELL_COLS] = cells
-    return build_matrix(TransitionCounts(grid), allow_unreachable=True)
+    return build_matrix(TransitionCounts(_chain_grids(cells)), allow_unreachable=True)
 
 
 def persistence_rates(records, horizon_year, *, from_la_year=False):
     """Year-to-year persistence probabilities from the pooled matrix, keyed
     by starting year of study (1..5). Full precision; rounding is a
-    reporting concern."""
+    reporting concern. A year with no observed steps maps to None: the
+    matrix imputes drop-out for it, which is no estimate of persistence."""
     estimator = MarkovFullEstimator(horizon_year, from_la_year=from_la_year)
     estimator._check(records)
-    p = _chain_matrix(_tally(estimator.contributions(records)))
+    counts = TransitionCounts(_chain_grids(_tally(estimator.contributions(records))))
+    p = build_matrix(counts, allow_unreachable=True)
     return {
-        k: p[AcademicState.year(k), AcademicState.year(k + 1)] for k in range(1, 6)
+        k: p[AcademicState.year(k), AcademicState.year(k + 1)]
+        if counts.row_total(AcademicState.year(k))
+        else None
+        for k in range(1, 6)
     }
 
 
 class _Estimator:
-    """point / contributions / from_indices over trajectory-type tallies.
+    """point / fit / contributions / rates over trajectory-type tallies.
 
     Subclasses supply `_row`, one record's integer tally of `_width`
-    entries, and may override `_rate` (pooled tally to estimate; by default
-    the chain readout of ALLOWED_CELLS counts) and `_check`.
+    entries, and may override `_check` and, together, `_rate` (one pooled
+    tally to its estimate, raising where it is undefined) and `rates` (the
+    same over a stack of tallies). By default both are the chain readout of
+    ALLOWED_CELLS counts.
     """
 
     _width = _N_CELLS
@@ -76,9 +92,21 @@ class _Estimator:
     def _rate(self, cells):
         return sygr_markov(_chain_matrix(cells))
 
+    def rates(self, tallies):
+        """(values, ok) for a (b, _width) stack of pooled tallies: ok[k] is
+        False exactly where _rate(tallies[k]) raises, and values[k] equals
+        _rate(tallies[k]) elsewhere."""
+        return sygr_markov_stack(_chain_grids(tallies))
+
     def point(self, records):
+        return self.fit(records)[0]
+
+    def fit(self, records):
+        """(point estimate, contributions) on the original records; raises
+        where the estimate is undefined on them."""
         self._check(records)
-        return self._rate(_tally(self.contributions(records)))
+        contrib = self.contributions(records)
+        return self._rate(_tally(contrib)), contrib
 
     def contributions(self, records):
         """(type_id, table): each record's trajectory-type id and one
@@ -95,9 +123,6 @@ class _Estimator:
             ids.append(t)
         table = np.array(rows, dtype=np.int64).reshape(len(rows), self._width)
         return np.array(ids, dtype=np.intp), table
-
-    def from_indices(self, contrib, idx):
-        return self._rate(_tally(contrib, idx))
 
 
 class _CohortEstimator(_Estimator):
@@ -130,6 +155,11 @@ class TraditionalEstimator(_CohortEstimator):
         if n_start == 0:
             raise EmptyCohort(self.cohort_year)
         return n_deg / n_start
+
+    def rates(self, tallies):
+        n_start, n_deg = np.asarray(tallies).T
+        ok = n_start > 0
+        return np.divide(n_deg, n_start, out=np.zeros(len(ok)), where=ok), ok
 
 
 class MarkovReducedEstimator(_CohortEstimator):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData
-from .states import ABSORBING, ALLOWED_SET, N_STATES, TRANSIENT, AcademicState
+from .states import ABSORBING, ALLOWED_CELLS, N_STATES, TRANSIENT, AcademicState
 
 ROW_SUM_TOL = 1e-12
 
@@ -42,11 +42,33 @@ class EntryOutOfRange:
         return f"entry ({self.frm.name}, {self.to.name}) = {self.value!r} outside [0, 1]"
 
 
+# Cells that may hold counts, and cells that may hold probabilities (the
+# same plus the absorbing self-loops).
+_COUNT_PATTERN = np.zeros((N_STATES, N_STATES), dtype=bool)
+_COUNT_PATTERN[tuple(np.array(ALLOWED_CELLS).T)] = True
+_PATTERN = _COUNT_PATTERN | np.diag([s in ABSORBING for s in AcademicState])
+
+_Y1 = int(AcademicState.Y1)
+_DROP_OUT = int(AcademicState.DROP_OUT)
+_GRADUATED = int(AcademicState.GRADUATED)
+_N_TRANSIENT = len(TRANSIENT)
+
+
 def _as_grid(p):
     a = np.asarray(p, dtype=float)
     if a.shape != (N_STATES, N_STATES):
         raise ValueError(f"expected an {N_STATES}x{N_STATES} grid, got shape {a.shape}")
     return a
+
+
+def _violation_masks(a):
+    """The three structural checks over a (..., 8, 8) stack of probability
+    grids: (entries outside [0, 1], nonzero entries outside the pattern,
+    rows whose sum is off 1 by more than ROW_SUM_TOL, the row sums)."""
+    totals = a.sum(axis=-1)
+    out_of_range = ~((a >= 0.0) & (a <= 1.0))
+    forbidden = (a != 0.0) & ~_PATTERN
+    return out_of_range, forbidden, np.abs(totals - 1.0) > ROW_SUM_TOL, totals
 
 
 def validate_structure(p):
@@ -59,20 +81,26 @@ def validate_structure(p):
         a = p.p
     else:
         a = _as_grid(p)
+    out_of_range, forbidden, bad_sum, totals = _violation_masks(a)
     violations = []
-    for i in range(N_STATES):
-        for j in range(N_STATES):
-            v = a[i, j]
-            frm, to = AcademicState(i), AcademicState(j)
-            if not 0.0 <= v <= 1.0:
-                violations.append(EntryOutOfRange(frm, to, float(v)))
-            allowed = (i, j) in ALLOWED_SET or (frm.is_absorbing and i == j)
-            if v != 0.0 and not allowed:
+    for i in np.flatnonzero(out_of_range.any(axis=1) | forbidden.any(axis=1) | bad_sum):
+        frm = AcademicState(i)
+        for j in np.flatnonzero(out_of_range[i] | forbidden[i]):
+            to = AcademicState(j)
+            if out_of_range[i, j]:
+                violations.append(EntryOutOfRange(frm, to, float(a[i, j])))
+            if forbidden[i, j]:
                 violations.append(ForbiddenTransition(frm, to))
-        total = float(a[i].sum())
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            violations.append(RowSumViolation(AcademicState(i), total))
+        if bad_sum[i]:
+            violations.append(RowSumViolation(frm, float(totals[i])))
     return violations
+
+
+def _require_valid(a):
+    violations = validate_structure(a)
+    if violations:
+        detail = "; ".join(str(v) for v in violations)
+        raise ValueError(f"invalid transition matrix: {detail}")
 
 
 @dataclass(frozen=True)
@@ -91,13 +119,13 @@ class TransitionCounts:
             raise ValueError(f"counts must be {N_STATES}x{N_STATES}, got {a.shape}")
         if (a < 0).any():
             raise ValueError("counts must be non-negative")
-        for i in range(N_STATES):
-            for j in range(N_STATES):
-                if a[i, j] != 0 and (i, j) not in ALLOWED_SET:
-                    raise ValueError(
-                        f"count at ({AcademicState(i).name}, {AcademicState(j).name}) "
-                        "is outside the allowed transition pattern"
-                    )
+        outside = (a != 0) & ~_COUNT_PATTERN
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise ValueError(
+                f"count at ({AcademicState(i).name}, {AcademicState(j).name}) "
+                "is outside the allowed transition pattern"
+            )
         a.flags.writeable = False
         object.__setattr__(self, "counts", a)
 
@@ -136,10 +164,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         a = _as_grid(self.p).copy()
-        violations = validate_structure(a)
-        if violations:
-            detail = "; ".join(str(v) for v in violations)
-            raise ValueError(f"invalid transition matrix: {detail}")
+        _require_valid(a)
         a.flags.writeable = False
         object.__setattr__(self, "p", a)
 
@@ -219,3 +244,37 @@ def sygr_markov(p):
     """Six-year graduation rate read off the chain: the probability of
     reaching the graduated state within six steps of starting in year 1."""
     return float(matrix_power(p, 6)[int(AcademicState.Y1), int(AcademicState.GRADUATED)])
+
+
+def sygr_markov_stack(counts):
+    """The six-year graduation rate of every grid in a (b, 8, 8) stack of
+    integer counts, read in one stacked pass.
+
+    Returns (values, ok). ok[k] is False exactly where
+    build_matrix(counts[k], allow_unreachable=True) raises InsufficientData,
+    a reachable transient row without observations, and values[k] is then
+    meaningless. Elsewhere values[k] equals sygr_markov of that matrix bit
+    for bit (the tests check it): the rows are the same divisions,
+    unreachable empty rows get the same unit drop-out entry, the stacked
+    matrix power multiplies each slice as the single one does, and every
+    stacked matrix must pass the checks TransitionMatrix makes.
+    """
+    counts = np.asarray(counts)
+    transient = counts[:, :_N_TRANSIENT]
+    totals = transient.sum(axis=2)
+    empty = totals == 0
+    reachable = counts.sum(axis=1)[:, :_N_TRANSIENT] > 0
+    reachable[:, _Y1] = True
+    ok = ~(empty & reachable).any(axis=1)
+
+    p = np.zeros(counts.shape)
+    np.divide(transient, totals[:, :, None], out=p[:, :_N_TRANSIENT], where=~empty[:, :, None])
+    p[:, :_N_TRANSIENT, _DROP_OUT][empty & ~reachable] = 1.0
+    for s in ABSORBING:
+        p[:, int(s), int(s)] = 1.0
+
+    out_of_range, forbidden, bad_sum, _totals = _violation_masks(p)
+    invalid = ok & (out_of_range.any(axis=(1, 2)) | forbidden.any(axis=(1, 2)) | bad_sum.any(axis=1))
+    if invalid.any():
+        _require_valid(p[np.argmax(invalid)])
+    return np.linalg.matrix_power(p, 6)[:, _Y1, _GRADUATED], ok

@@ -18,14 +18,6 @@ class AcademicState(IntEnum):
     DROP_OUT = 6
     GRADUATED = 7
 
-    @property
-    def is_absorbing(self):
-        return self in (AcademicState.DROP_OUT, AcademicState.GRADUATED)
-
-    @property
-    def is_transient(self):
-        return not self.is_absorbing
-
     @classmethod
     def year(cls, k):
         """The transient state for year of study k (1..6)."""

@@ -13,10 +13,11 @@ from cohortchain import (
     kde,
     percentile_ci,
 )
-from cohortchain.bootstrap import silverman_bandwidth
+from cohortchain.bootstrap import resample_indices, silverman_bandwidth
 from cohortchain.errors import (
     DegenerateEnsemble,
     EnsembleTooSmall,
+    EstimationError,
     EstimatorFailedOnOriginal,
     TooManyFailedReplicates,
 )
@@ -62,6 +63,20 @@ class TestPercentileCi:
         shuffled = list(values)
         np.random.default_rng(seed).shuffle(shuffled)
         assert percentile_ci(values, 0.9) == percentile_ci(shuffled, 0.9)
+
+
+def reference_bootstrap(records, estimator, cfg):
+    """One replicate at a time: the estimate of each resample's records,
+    re-derived from its records; (ensemble, replicate ids, failures)."""
+    values, ids = [], []
+    for b in range(1, cfg.replicates + 1):
+        idx = resample_indices(cfg.seed, b, len(records))
+        try:
+            values.append(estimator.point([records[i] for i in idx]))
+        except EstimationError:
+            continue
+        ids.append(b)
+    return np.array(values), np.array(ids), cfg.replicates - len(ids)
 
 
 def identical_graduates(n=30):
@@ -116,6 +131,36 @@ class TestBootstrap:
                 TraditionalEstimator(1999, 2021),
                 BootstrapConfig(seed=1),
             )
+
+    def test_some_failed_replicates_match_reference_loop(self):
+        # the 2014 cohort is the only source of year-2 outcomes: a resample
+        # losing all three of its records fails, about 4% of replicates
+        # (the chain only while it keeps a partial cohort's Y1 -> Y2 step)
+        records = [
+            make_record(sid=f"g{i}", outcome=Outcome.GRADUATED, outcome_year=1)
+            for i in range(10)
+        ]
+        records += [
+            make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1)
+            for i in range(5)
+        ]
+        records += [
+            make_record(sid=f"y{i}", cohort_year=2014, outcome=Outcome.GRADUATED,
+                        outcome_year=2)
+            for i in range(3)
+        ]
+        records += [
+            make_record(sid=f"p{i}", cohort_year=2019, outcome=Outcome.ENROLLED, outcome_year=2)
+            for i in range(2)
+        ]
+        cfg = BootstrapConfig(seed=0, replicates=600)
+        for estimator in (MarkovFullEstimator(2021), TraditionalEstimator(2014, 2021)):
+            s = bootstrap(records, estimator, cfg)
+            ensemble, ids, failed = reference_bootstrap(records, estimator, cfg)
+            assert 0 < s.n_failed <= 0.1 * cfg.replicates
+            assert s.n_failed == failed
+            assert (s.replicate_ids == ids).all()
+            assert (s.ensemble == ensemble).all()
 
     def test_too_many_failed_replicates(self):
         # resamples that drop the only source of year-2 outcomes leave a

@@ -193,6 +193,38 @@ class TestCompare:
         strata = {r["stratum"] for r in read_csv(tmp_path / "comparison.csv")}
         assert strata == {"all", "aalana", "first_gen"}
 
+    def test_unobserved_year_reported_as_na(self, tmp_path):
+        # under the effect matrix every exposed student leaves by year 4, so
+        # the exposed chain never visits Y5 and its Y5 row is imputed
+        effect = GEN_SPEC.split("effect_matrix =")[0] + (
+            "effect_matrix =\n"
+            "0 0.95 0 0 0 0 0.03 0.02\n"
+            "0 0 0.95 0 0 0 0.03 0.02\n"
+            "0 0 0 0.95 0 0 0.02 0.03\n"
+            "0 0 0 0 0 0 0.10 0.90\n"
+            "0 0 0 0 0 0 1 0\n"
+            "0 0 0 0 0 0 1 0\n"
+            "0 0 0 0 0 0 1 0\n"
+            "0 0 0 0 0 0 0 1\n"
+        )
+        spec_path = tmp_path / "gen.spec"
+        spec_path.write_text(effect.replace("la_year_dist = 1:0.7 2:0.3", "la_year_dist = 1:1"))
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "cmp"
+        code = main([
+            "compare", "--input", str(tmp_path / "panel.csv"), "--out", str(out),
+            "--horizon", "2021", "--seed", "3", "--replicates", "100",
+        ])
+        assert code == 0
+        rows = {r["transition"]: r for r in read_csv(out / "persistence.csv")}
+        assert rows["Y4->Y5"]["exposed"] == "0"
+        assert float(rows["Y5->Y6"]["unexposed"]) > 0
+        assert rows["Y5->Y6"]["exposed"] == "n/a"
+        assert rows["Y5->Y6"]["difference"] == "n/a"
+        txt = (out / "persistence.txt").read_text().splitlines()
+        assert txt[4].split()[:2] == ["all", "Y4->Y5"] and txt[4].split()[3] == "0"
+        assert txt[5].split()[:2] == ["all", "Y5->Y6"] and txt[5].split()[3:] == ["n/a", "n/a"]
+
 
 class TestPlot:
     @pytest.fixture()

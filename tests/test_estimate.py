@@ -19,8 +19,10 @@ from cohortchain import (
     random_transition_matrix,
     sygr_markov,
 )
-from cohortchain.errors import EmptyCohort, HorizonTooEarly, NoRecords
+from cohortchain.errors import EmptyCohort, EstimationError, HorizonTooEarly, NoRecords
 from cohortchain.states import ALLOWED_CELLS, N_STATES
+
+N_CELLS = len(ALLOWED_CELLS)
 
 S = AcademicState
 
@@ -281,3 +283,53 @@ def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
             r for r in starters if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
         ]
         assert list(type_tally(trad, records, rows)) == [len(starters), len(graduates)]
+
+
+def reference_rates(estimator, tallies):
+    """Each row read alone by the single-matrix path (`_chain_matrix` and
+    `sygr_markov`, or graduates / starters): (values, ok), with ok False
+    where it raises."""
+    values, ok = [], []
+    for tally in tallies:
+        try:
+            values.append(estimator._rate(tally))
+            ok.append(True)
+        except EstimationError:
+            values.append(None)
+            ok.append(False)
+    return values, np.array(ok, dtype=bool)
+
+
+@given(
+    panel=panels(),
+    resamples=st.lists(st.lists(st.integers(0, 29), max_size=40), min_size=1, max_size=8),
+    raw=st.lists(st.lists(st.integers(0, 2), min_size=N_CELLS, max_size=N_CELLS), max_size=4),
+    horizon=st.integers(2013, 2024),
+    cohort=st.integers(2013, 2016),
+)
+@settings(max_examples=300, deadline=None)
+def test_stacked_rates_equal_single_matrix_readout(panel, resamples, raw, horizon, cohort):
+    """The stacked readout of resample tallies (and of raw tallies, many of
+    them with a reachable empty row) equals the single-matrix readout row by
+    row: the same floats where that succeeds, ok False exactly where it
+    raises."""
+    records, from_la_year, _idx = panel
+    n = len(records)
+    cohort_horizon = max(horizon, cohort + 6)
+    estimators = (
+        MarkovFullEstimator(horizon, from_la_year=from_la_year),
+        MarkovReducedEstimator(cohort, cohort_horizon),
+        TraditionalEstimator(cohort, cohort_horizon),
+    )
+    for estimator in estimators:
+        tallies = [type_tally(estimator, records, np.array(r, dtype=np.int64) % n)
+                   for r in resamples]
+        if isinstance(estimator, TraditionalEstimator):
+            tallies += [[sum(r), r[0]] for r in raw]
+        else:
+            tallies += raw
+        tallies = np.array(tallies, dtype=np.int64)
+        values, ok = estimator.rates(tallies)
+        ref_values, ref_ok = reference_rates(estimator, tallies)
+        assert (ok == ref_ok).all()
+        assert [v for v, k in zip(values, ok) if k] == [v for v in ref_values if v is not None]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import chain_09, grad_in_year, matrix_from_rows, path_enumeration_sygr
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohortchain import (
     AcademicState,
@@ -13,7 +15,14 @@ from cohortchain import (
     validate_structure,
 )
 from cohortchain.errors import InsufficientData
-from cohortchain.markov import ForbiddenTransition, RowSumViolation
+from cohortchain.markov import (
+    ROW_SUM_TOL,
+    EntryOutOfRange,
+    ForbiddenTransition,
+    RowSumViolation,
+    sygr_markov_stack,
+)
+from cohortchain.states import ABSORBING, ALLOWED_SET
 
 S = AcademicState
 
@@ -212,6 +221,46 @@ class TestValidateStructure:
             from cohortchain import TransitionMatrix
 
             TransitionMatrix(a)
+
+
+def per_cell_violations(a):
+    """Reference for validate_structure: every cell and row checked one by
+    one, in row order."""
+    violations = []
+    for i in range(8):
+        for j in range(8):
+            v = a[i, j]
+            frm, to = S(i), S(j)
+            if not 0.0 <= v <= 1.0:
+                violations.append(EntryOutOfRange(frm, to, float(v)))
+            allowed = (i, j) in ALLOWED_SET or (frm in ABSORBING and i == j)
+            if v != 0.0 and not allowed:
+                violations.append(ForbiddenTransition(frm, to))
+        total = float(a[i].sum())
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            violations.append(RowSumViolation(S(i), total))
+    return violations
+
+
+@given(
+    cells=st.lists(
+        st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, -0.5, 1.5, float("nan"), float("inf")]),
+        min_size=64,
+        max_size=64,
+    )
+)
+def test_violations_match_per_cell_reference(cells):
+    a = np.array(cells).reshape(8, 8)
+    # str, not ==: a NaN entry never equals itself
+    assert [str(v) for v in validate_structure(a)] == [str(v) for v in per_cell_violations(a)]
+
+
+def test_stacked_readout_rejects_invalid_matrix():
+    counts = np.zeros((2, 8, 8), dtype=np.int64)
+    counts[:, int(S.Y1), int(S.GRADUATED)] = 2
+    counts[1, int(S.Y1), int(S.DROP_OUT)] = -1
+    with pytest.raises(ValueError, match=r"entry \(Y1, DROP_OUT\) = -1.0 outside \[0, 1\]"):
+        sygr_markov_stack(counts)
 
 
 class TestTransitionCounts:
