@@ -1,8 +1,12 @@
 """Bootstrap resampling, percentile confidence intervals, and KDE summaries.
 
-Each replicate draws its indices from an RNG stream seeded by (seed,
-replicate index), so the ensemble is reproducible bit-for-bit regardless
-of execution order. A replicate is kept only as its records' trajectory-type
+Replicate b draws its indices from the stream of
+`np.random.default_rng([seed, b])`, so the ensemble is reproducible
+bit-for-bit regardless of execution order. `bootstrap` computes the PCG64
+seed words of a whole block of replicates in one vectorised pass of
+SeedSequence's algorithm (`_seed_words`) instead of hashing each replicate's
+`SeedSequence([seed, b])` in Python; `resample_indices` is the per-replicate
+reference. A replicate is kept only as its records' trajectory-type
 counts; the estimator reads the pooled tallies of a block of replicates in
 one stacked pass (`rates`), so no replicate builds a matrix of its own.
 Replicates whose estimate is undefined (e.g. a resample of a tiny subgroup
@@ -11,6 +15,7 @@ failure ceiling.
 """
 
 from dataclasses import dataclass, field
+from itertools import cycle
 
 import numpy as np
 
@@ -29,6 +34,84 @@ FAILURE_CEILING = 0.10
 REPLICATE_BLOCK = 128
 KDE_GRID_POINTS = 256
 
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx), whose algorithm NumPy
+# keeps fixed so that seeded streams reproduce: a pool of four 32-bit words,
+# and hash constants that are multiplied on every use and so depend only on
+# how many hash steps came before, never on the data.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, steps):
+    """(xor, multiplier) of each successive hash step: step k xors the
+    running constant and multiplies by its next value."""
+    consts = []
+    for _ in range(steps):
+        following = init * mult & _MASK32
+        consts.append((init, following))
+        init = following
+    return tuple(consts)
+
+
+# mix_entropy hashes once per pool word and once per ordered pair of
+# distinct pool words; generate_state(4, uint64) hashes once per 32-bit word.
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2)
+_STATE_HASHES = _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hash(words, xor, mult):
+    words = (words ^ xor) * mult
+    return words ^ words >> 16
+
+
+def _seed_words(seed, replicate_ids):
+    """PCG64 seed words of many replicates in one vectorised pass.
+
+    Row k equals `SeedSequence([seed, replicate_ids[k]]).generate_state(4,
+    np.uint64)`, the state `default_rng([seed, replicate_ids[k]])` seeds
+    PCG64 with. Takes 0 <= seed < 2**64 (one or two entropy words) and
+    replicate ids below 2**32 (one word each). uint32 array arithmetic wraps
+    exactly as SeedSequence's C arithmetic does.
+    """
+    seed = int(seed)
+    ids = np.asarray(replicate_ids, dtype=np.uint32)
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    entropy = [np.full_like(ids, w) for w in seed_words] + [ids]
+    entropy += [np.zeros_like(ids)] * (_POOL_SIZE - len(entropy))
+
+    hashes = iter(_POOL_HASHES)
+    pool = [_hash(word, *next(hashes)) for word in entropy]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hash(pool[src], *next(hashes))
+                pool[dst] = mixed ^ mixed >> 16
+
+    state = [_hash(word, *consts) for word, consts in zip(cycle(pool), _STATE_HASHES)]
+    lo = np.stack(state[0::2], axis=1).astype(np.uint64)
+    hi = np.stack(state[1::2], axis=1).astype(np.uint64)
+    return lo | hi << np.uint64(32)
+
+
+class _SeedWords:
+    """A seed sequence that hands PCG64 precomputed state words; PCG64 asks
+    only for `generate_state(4, np.uint64)`.
+
+    Registered as numpy's `ISeedSequence` inside `bootstrap`, so that
+    importing this module does not import `numpy.random`.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -37,6 +120,11 @@ class BootstrapConfig:
     ci_level: float = 0.95
 
     def __post_init__(self):
+        for name in ("seed", "replicates"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is not a seed anyone meant
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.replicates < 2:
             raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         if not 0.0 < self.ci_level < 1.0:
@@ -97,14 +185,21 @@ def bootstrap(records, estimator, cfg):
     except EstimationError as exc:
         raise EstimatorFailedOnOriginal(str(exc)) from exc
 
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_SeedWords)
     n = len(records)
     values = np.empty(cfg.replicates)
     ok = np.empty(cfg.replicates, dtype=bool)
     for start in range(0, cfg.replicates, REPLICATE_BLOCK):
         block = slice(start, min(start + REPLICATE_BLOCK, cfg.replicates))
+        # the same streams as resample_indices(cfg.seed, b, n) for b = 1..replicates
+        words = _seed_words(cfg.seed, np.arange(block.start + 1, block.stop + 1))
         type_counts = np.array(
-            [np.bincount(type_id[resample_indices(cfg.seed, b + 1, n)], minlength=len(table))
-             for b in range(block.start, block.stop)]
+            [np.bincount(type_id[Generator(PCG64(_SeedWords(w))).integers(0, n, size=n)],
+                         minlength=len(table))
+             for w in words]
         )
         values[block], ok[block] = estimator.rates(type_counts @ table)
     failed = int(np.count_nonzero(~ok))

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import make_record
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohortchain
 from cohortchain import (
     BootstrapConfig,
     MarkovFullEstimator,
@@ -13,7 +18,7 @@ from cohortchain import (
     kde,
     percentile_ci,
 )
-from cohortchain.bootstrap import resample_indices, silverman_bandwidth
+from cohortchain.bootstrap import _seed_words, resample_indices, silverman_bandwidth
 from cohortchain.errors import (
     DegenerateEnsemble,
     EnsembleTooSmall,
@@ -177,6 +182,64 @@ class TestBootstrap:
                 BootstrapConfig(seed=7, replicates=200),
             )
 
+    @pytest.mark.parametrize("n", [1, 20])
+    @pytest.mark.parametrize("replicates", [2, 127, 128, 129, 300])
+    def test_block_seeding_matches_resample_indices(self, replicates, n, monkeypatch):
+        # blocks of REPLICATE_BLOCK = 128: one short block, one exact, one
+        # spilling by a replicate, and a partial third block
+        records = (identical_graduates(n // 2) + [
+            make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1 + i % 5)
+            for i in range(n - n // 2)
+        ])[:n]
+        estimator = MarkovFullEstimator(2021)
+        tallies = []
+        rates = estimator.rates
+        monkeypatch.setattr(
+            estimator, "rates", lambda block: (tallies.append(block), rates(block))[1]
+        )
+        cfg = BootstrapConfig(seed=2**40 + 3, replicates=replicates)
+        s = bootstrap(records, estimator, cfg)
+
+        _, (type_id, table) = estimator.fit(records)
+        expected = [
+            np.bincount(type_id[resample_indices(cfg.seed, b, n)], minlength=len(table)) @ table
+            for b in range(1, replicates + 1)
+        ]
+        np.testing.assert_array_equal(np.concatenate(tallies), expected)
+        ensemble, ids, failed = reference_bootstrap(records, estimator, cfg)
+        assert s.n_failed == failed == 0
+        np.testing.assert_array_equal(s.replicate_ids, ids)
+        np.testing.assert_array_equal(s.ensemble, ensemble)
+
+
+class TestSeedWords:
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
+            st.integers(0, 2**64 - 1),
+        ),
+        replicate_ids=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20),
+    )
+    @settings(max_examples=200)
+    def test_equal_seed_sequence_state(self, seed, replicate_ids):
+        words = _seed_words(seed, replicate_ids)
+        expected = [
+            np.random.SeedSequence([seed, b]).generate_state(4, np.uint64) for b in replicate_ids
+        ]
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, expected)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # the bootstrap imports numpy.random when it runs; importing it with
+        # the package would add about 6 MB to every process
+        code = "import sys, cohortchain, cohortchain.cli; print('numpy.random' in sys.modules)"
+        src = str(Path(cohortchain.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src}, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestKde:
     def test_bimodal_clusters(self, rng):
@@ -227,3 +290,24 @@ class TestBootstrapConfig:
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):
             BootstrapConfig(seed=1, ci_level=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"seed": 2.0},
+            {"seed": True},
+            {"seed": np.float64(3)},
+            {"seed": "3"},
+            {"seed": None},
+            {"seed": 3, "replicates": 2.5},
+            {"seed": 3, "replicates": 100.0},
+            {"seed": 3, "replicates": True},
+        ],
+    )
+    def test_rejects_non_integers(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            BootstrapConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = BootstrapConfig(seed=np.uint64(2**64 - 1), replicates=np.int32(50))
+        assert (cfg.seed, cfg.replicates) == (2**64 - 1, 50)
