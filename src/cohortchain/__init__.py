@@ -19,7 +19,6 @@ from .markov import (
     TransitionMatrix,
     build_matrix,
     matrix_power,
-    pool_counts,
     sygr_markov,
     validate_structure,
 )
@@ -42,7 +41,6 @@ from .synth import (
     generate_panel,
     generate_panel_with_log,
     random_transition_matrix,
-    round_trip_counts,
 )
 
 __all__ = [
@@ -74,9 +72,7 @@ __all__ = [
     "parse_records",
     "percentile_ci",
     "persistence_rates",
-    "pool_counts",
     "random_transition_matrix",
-    "round_trip_counts",
     "sygr_markov",
     "validate_structure",
 ]

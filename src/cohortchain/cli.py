@@ -411,24 +411,36 @@ def _read_ensemble_csv(path):
                 continue
             try:
                 _replicate, value = line.split(",")
-                values.append(float(value))
+                value = float(value)
+                if not math.isfinite(value):
+                    raise ValueError(value)
             except ValueError:
                 raise CohortChainError(
-                    f"{path}: line {line_no}: expected 'replicate,estimate' values"
+                    f"{path}: line {line_no}: expected 'replicate,estimate' "
+                    "with a finite estimate"
                 ) from None
+            values.append(value)
     return np.array(values)
 
 
 def cmd_plot(args):
     if not args.input:
         raise UsageError("plot requires at least one --input ensemble CSV")
+    if args.bandwidth is not None and not (math.isfinite(args.bandwidth) and args.bandwidth > 0):
+        raise UsageError(f"--bandwidth must be a positive number, got {args.bandwidth}")
+    labels = [Path(path).stem for path in args.input]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise UsageError(
+                f"two --input files share the stem {label!r}, which names "
+                "a density file and a legend entry"
+            )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     curves = []
     markers = []
-    for path in args.input:
-        label = Path(path).stem
+    for path, label in zip(args.input, labels):
         values = _read(path, _read_ensemble_csv)
         try:
             xs, dens = kde(values, args.bandwidth)

@@ -11,9 +11,10 @@ the reference rules, `derive_transitions` and `la_truncate`) plus a type id
 per record. Any resample's pooled tally is then `bincount(type_id[idx]) @
 table`, exactly the sum of its records' tallies, and the bootstrap
 re-aggregates resamples without re-deriving anything. `rates` reads a
-whole stack of such tallies at once; `point` reads one through the
-single-matrix path (`build_matrix`, `sygr_markov`), which stays the
-reference the stacked readout is tested against.
+whole stack of such tallies at once (`sygr_markov_stack`); `point` reads
+one through `build_matrix` and `sygr_markov`, which name the state that
+failed. Both normalise counts by markov's one rule, so they agree bit for
+bit, and the tests hold both to a per-row reference.
 """
 
 import numpy as np
@@ -54,7 +55,7 @@ def _chain_grids(cells):
 
 
 def _chain_matrix(cells):
-    return build_matrix(TransitionCounts(_chain_grids(cells)), allow_unreachable=True)
+    return build_matrix(TransitionCounts(_chain_grids(cells)))
 
 
 def persistence_rates(records, horizon_year, *, from_la_year=False):
@@ -65,7 +66,7 @@ def persistence_rates(records, horizon_year, *, from_la_year=False):
     estimator = MarkovFullEstimator(horizon_year, from_la_year=from_la_year)
     estimator._check(records)
     counts = TransitionCounts(_chain_grids(_tally(estimator.contributions(records))))
-    p = build_matrix(counts, allow_unreachable=True)
+    p = build_matrix(counts)
     return {
         k: p[AcademicState.year(k), AcademicState.year(k + 1)]
         if counts.row_total(AcademicState.year(k))

@@ -1,7 +1,11 @@
 """Transition counts, row-stochastic matrices, and the chain readout.
 
-Counts stay exact integers; probabilities appear only once a matrix is
-built, so pooling cohorts never loses precision.
+Counts stay exact integers, so pooling cohorts never loses precision.
+`_normalise` is the one rule that turns counts into probabilities, on one
+grid (`build_matrix`) or on a stack of bootstrap replicates
+(`sygr_markov_stack`): a transient row without observations is filled with
+drop-out when the chain cannot reach it, and makes the estimate undefined
+when it can.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +107,7 @@ def _require_valid(a):
         raise ValueError(f"invalid transition matrix: {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionCounts:
     """Observed year-to-year transition tallies (8x8, integer).
 
@@ -129,28 +133,8 @@ class TransitionCounts:
         a.flags.writeable = False
         object.__setattr__(self, "counts", a)
 
-    @classmethod
-    def zero(cls):
-        return cls(np.zeros((N_STATES, N_STATES), dtype=np.int64))
-
-    @classmethod
-    def from_cells(cls, cells):
-        """Build from a {(from_state, to_state): count} mapping."""
-        a = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-        for (frm, to), n in cells.items():
-            a[int(frm), int(to)] = n
-        return cls(a)
-
     def row_total(self, state):
         return int(self.counts[int(state)].sum())
-
-    def __add__(self, other):
-        return TransitionCounts(self.counts + other.counts)
-
-    def __eq__(self, other):
-        if not isinstance(other, TransitionCounts):
-            return NotImplemented
-        return bool((self.counts == other.counts).all())
 
 
 @dataclass(frozen=True)
@@ -190,47 +174,43 @@ class TransitionMatrix:
         return bool((self.p == other.p).all())
 
 
-def pool_counts(parts):
-    """Element-wise sum of transition counts across cohorts.
+def _normalise(counts):
+    """Row-normalise a (..., 8, 8) stack of integer counts into probability
+    grids; the one place counts become probabilities.
 
-    Pooling before normalizing is exactly the combined-cohort estimate:
-    the pooled probability is (sum of destination tallies) / (sum of row
-    totals).
+    Returns (p, gaps). gaps[..., i] is True where transient row i has no
+    observations although the chain can reach it (it is Y1, or some count
+    leads into it): the estimate is undefined there, and p's row is left
+    empty. An empty row the chain can never reach gets a unit drop-out
+    entry, which no quantity read off the chain from Y1 can see. Absorbing
+    rows get their self-loop.
     """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("pool_counts requires at least one TransitionCounts")
-    total = parts[0].counts.copy()
-    for part in parts[1:]:
-        total += part.counts
-    return TransitionCounts(total)
+    counts = np.asarray(counts)
+    transient = counts[..., :_N_TRANSIENT, :]
+    totals = transient.sum(axis=-1)
+    empty = totals == 0
+    reachable = counts.sum(axis=-2)[..., :_N_TRANSIENT] > 0
+    reachable[..., _Y1] = True
 
-
-def build_matrix(counts, *, allow_unreachable=False):
-    """Normalize counts row-wise into a TransitionMatrix.
-
-    A transient row with no observations raises InsufficientData rather
-    than being imputed. With allow_unreachable=True, an empty row whose
-    state has no incoming counts either (so the chain can never visit it)
-    is filled with a unit drop-out entry; this cannot affect any quantity
-    read off the chain from Y1, but keeps matrix powers well defined for
-    pooled partial-cohort data.
-    """
-    a = np.zeros((N_STATES, N_STATES))
-    grid = counts.counts
-    for s in TRANSIENT:
-        i = int(s)
-        total = grid[i].sum()
-        if total == 0:
-            reachable = s is AcademicState.Y1 or grid[:, i].sum() > 0
-            if allow_unreachable and not reachable:
-                a[i, int(AcademicState.DROP_OUT)] = 1.0
-                continue
-            raise InsufficientData(s)
-        a[i] = grid[i] / total
+    p = np.zeros(counts.shape)
+    np.divide(transient, totals[..., None], out=p[..., :_N_TRANSIENT, :], where=~empty[..., None])
+    p[..., :_N_TRANSIENT, _DROP_OUT][empty & ~reachable] = 1.0
     for s in ABSORBING:
-        a[int(s), int(s)] = 1.0
-    return TransitionMatrix(a)
+        p[..., int(s), int(s)] = 1.0
+    return p, empty & reachable
+
+
+def build_matrix(counts):
+    """Normalise counts row-wise into a TransitionMatrix.
+
+    Raises InsufficientData for the first transient row with no
+    observations that the chain can reach; an unreachable empty row is
+    filled with drop-out (see _normalise).
+    """
+    p, gaps = _normalise(counts.counts)
+    if gaps.any():
+        raise InsufficientData(AcademicState(int(np.argmax(gaps))))
+    return TransitionMatrix(p)
 
 
 def matrix_power(p, n):
@@ -250,29 +230,15 @@ def sygr_markov_stack(counts):
     """The six-year graduation rate of every grid in a (b, 8, 8) stack of
     integer counts, read in one stacked pass.
 
-    Returns (values, ok). ok[k] is False exactly where
-    build_matrix(counts[k], allow_unreachable=True) raises InsufficientData,
-    a reachable transient row without observations, and values[k] is then
+    Returns (values, ok). ok[k] is False exactly where build_matrix raises
+    InsufficientData on TransitionCounts(counts[k]), and values[k] is then
     meaningless. Elsewhere values[k] equals sygr_markov of that matrix bit
-    for bit (the tests check it): the rows are the same divisions,
-    unreachable empty rows get the same unit drop-out entry, the stacked
-    matrix power multiplies each slice as the single one does, and every
-    stacked matrix must pass the checks TransitionMatrix makes.
+    for bit (the tests check it): both normalise through _normalise, the
+    stacked matrix power multiplies each slice as the single one does, and
+    every stacked matrix must pass the checks TransitionMatrix makes.
     """
-    counts = np.asarray(counts)
-    transient = counts[:, :_N_TRANSIENT]
-    totals = transient.sum(axis=2)
-    empty = totals == 0
-    reachable = counts.sum(axis=1)[:, :_N_TRANSIENT] > 0
-    reachable[:, _Y1] = True
-    ok = ~(empty & reachable).any(axis=1)
-
-    p = np.zeros(counts.shape)
-    np.divide(transient, totals[:, :, None], out=p[:, :_N_TRANSIENT], where=~empty[:, :, None])
-    p[:, :_N_TRANSIENT, _DROP_OUT][empty & ~reachable] = 1.0
-    for s in ABSORBING:
-        p[:, int(s), int(s)] = 1.0
-
+    p, gaps = _normalise(counts)
+    ok = ~gaps.any(axis=-1)
     out_of_range, forbidden, bad_sum, _totals = _violation_masks(p)
     invalid = ok & (out_of_range.any(axis=(1, 2)) | forbidden.any(axis=(1, 2)) | bad_sum.any(axis=1))
     if invalid.any():

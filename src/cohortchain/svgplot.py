@@ -103,7 +103,7 @@ def render_line_chart(curves, markers=(), title="", x_label="", y_label=""):
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{points}"/>'
         )
-        legend_items.append((label, color, "line"))
+        legend_items.append((label, color))
     for label, x in markers:
         color = PALETTE[color_i % len(PALETTE)]
         color_i += 1
@@ -111,10 +111,10 @@ def render_line_chart(curves, markers=(), title="", x_label="", y_label=""):
             f'<line x1="{px(x):.1f}" y1="{y0:.1f}" x2="{px(x):.1f}" y2="{y1:.1f}" '
             f'stroke="{color}" stroke-width="2" stroke-dasharray="6 4"/>'
         )
-        legend_items.append((label, color, "marker"))
+        legend_items.append((label, color))
 
     ly = MARGIN_TOP + 8
-    for label, color, _kind in legend_items:
+    for label, color in legend_items:
         lx = x1 - 180
         parts.append(
             f'<line x1="{lx:.1f}" y1="{ly - 4:.1f}" x2="{lx + 28:.1f}" y2="{ly - 4:.1f}" '

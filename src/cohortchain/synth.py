@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SpecFileError
-from .markov import TransitionCounts, TransitionMatrix
-from .records import Outcome, StudentRecord, Transition, derive_transitions
+from .markov import TransitionMatrix
+from .records import Outcome, StudentRecord, Transition
 from .states import N_STATES, AcademicState
 
 
@@ -94,7 +94,7 @@ def _cumulative_rows(matrix):
     return np.cumsum(matrix.p, axis=1)
 
 
-def _walk_cohort(spec, cohort_year, n, rng):
+def _walk_cohort(spec, n, rng):
     """Simulate one cohort; returns per-student arrays.
 
     absorb_year[i] is the year of absorption (1..6) or 0 for slow
@@ -161,7 +161,7 @@ def _students(spec):
     for cohort_year in sorted(spec.cohort_sizes):
         n = spec.cohort_sizes[cohort_year]
         rng = np.random.default_rng([spec.seed, cohort_year])
-        walk = _walk_cohort(spec, cohort_year, n, rng)
+        walk = _walk_cohort(spec, n, rng)
         for i in range(n):
             yield cohort_year, f"s{cohort_year}_{i}", walk, i
 
@@ -236,16 +236,6 @@ def generate_panel_with_log(spec):
 
 def generate_panel(spec):
     return [_encode_student(spec, *student) for student in _students(spec)]
-
-
-def round_trip_counts(records, horizon_year):
-    """Counts re-derived through the ingestion rules; pairs with the
-    generator log to assert encode/derive consistency."""
-    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    for r in records:
-        for t in derive_transitions(r, horizon_year):
-            grid[int(t.frm), int(t.to)] += 1
-    return TransitionCounts(grid)
 
 
 def log_multiset(transitions):

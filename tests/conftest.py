@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from cohortchain import AcademicState, Outcome, StudentRecord, TransitionMatrix
+from cohortchain import (
+    AcademicState,
+    Outcome,
+    StudentRecord,
+    TransitionMatrix,
+    derive_transitions,
+    la_truncate,
+)
+from cohortchain.errors import InsufficientData
+from cohortchain.states import ABSORBING, N_STATES, TRANSIENT
 
 S = AcademicState
 
@@ -52,6 +61,40 @@ def path_enumeration_sygr(p):
             prob *= grid[i - 1, i]
         total += prob * grid[k - 1, int(S.GRADUATED)]
     return total
+
+
+def per_record_grid(records, horizon_year, from_la_year=False, cohort_year=None):
+    """Reference tally: every record's derived steps, summed one by one."""
+    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
+    for r in records:
+        if cohort_year is not None and r.cohort_year != cohort_year:
+            continue
+        steps = derive_transitions(r, horizon_year)
+        if from_la_year:
+            steps = la_truncate(r, steps)
+        for t in steps:
+            grid[int(t.frm), int(t.to)] += 1
+    return grid
+
+
+def per_row_matrix(grid):
+    """Reference for the counts-to-chain rule, one row at a time: the
+    probability grid of an 8x8 count grid. Raises InsufficientData for the
+    first empty transient row the chain can reach (Y1, or a row with
+    incoming counts) and fills an empty unreachable row with drop-out."""
+    a = np.zeros((N_STATES, N_STATES))
+    for s in TRANSIENT:
+        i = int(s)
+        total = grid[i].sum()
+        if total == 0:
+            if s is S.Y1 or grid[:, i].sum() > 0:
+                raise InsufficientData(s)
+            a[i, int(S.DROP_OUT)] = 1.0
+            continue
+        a[i] = grid[i] / total
+    for s in ABSORBING:
+        a[int(s), int(s)] = 1.0
+    return a
 
 
 def make_record(

@@ -299,6 +299,14 @@ def _error_cases(panel, tmp):
     latin1.write_bytes(panel.read_bytes().replace(b"SCI", b"SCI\xe9", 1))
     bad_ensemble = tmp / "bad.csv"
     bad_ensemble.write_text("replicate,estimate\n1,0.5\n2;0.6\n")
+    nan_ensemble = tmp / "nan.csv"
+    nan_ensemble.write_text("replicate,estimate\n1,0.5\n2,nan\n")
+    inf_ensemble = tmp / "inf.csv"
+    inf_ensemble.write_text("replicate,estimate\n1,0.5\n2,inf\n")
+    for d in ("x", "y"):
+        (tmp / d).mkdir()
+        (tmp / d / "e.csv").write_text("replicate,estimate\n1,0.5\n2,0.6\n")
+    plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
     estimate = ["estimate", "--input", str(panel), "--out", str(tmp / "out"),
                 "--horizon", "2021", "--cohort", "2013"]
     return [
@@ -315,6 +323,16 @@ def _error_cases(panel, tmp):
         ("input_not_utf8", ["estimate", "--input", str(latin1), *estimate[3:]], 2),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
+        ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),
+                               "--out", str(tmp / "plot")], 2),
+        ("plot_inf_estimate", ["plot", "--input", str(inf_ensemble),
+                               "--out", str(tmp / "plot")], 2),
+        ("plot_shared_stem", [*plot, "--input", str(tmp / "y" / "e.csv"),
+                              "--out", str(tmp / "plot_stem")], 1),
+        ("plot_bandwidth_0", [*plot, "--bandwidth", "0"], 1),
+        ("plot_bandwidth_negative", [*plot, "--bandwidth", "-1"], 1),
+        ("plot_bandwidth_nan", [*plot, "--bandwidth", "nan"], 1),
+        ("plot_bandwidth_inf", [*plot, "--bandwidth", "inf"], 1),
     ]
 
 
@@ -329,3 +347,5 @@ def test_error_contract(panel, tmp_path, capsys):
         else:
             prefix = "usage error: " if expected == 1 else "error: "
             assert err.startswith(prefix) and err.count("\n") == 1, (case, err)
+    # inputs that share a stem are rejected before anything is written
+    assert not (tmp_path / "plot_stem").exists()

@@ -1,7 +1,7 @@
 
 import numpy as np
 import pytest
-from conftest import make_record, path_enumeration_sygr
+from conftest import make_record, path_enumeration_sygr, per_record_grid, per_row_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +12,8 @@ from cohortchain import (
     MarkovReducedEstimator,
     Outcome,
     TraditionalEstimator,
-    derive_transitions,
+    TransitionMatrix,
     generate_panel,
-    la_truncate,
     persistence_rates,
     random_transition_matrix,
     sygr_markov,
@@ -227,20 +226,6 @@ def panels(draw):
     return records, from_la_year, np.array(idx, dtype=np.int64)
 
 
-def per_record_grid(records, horizon_year, from_la_year=False, cohort_year=None):
-    """Reference tally: every record's derived steps, summed one by one."""
-    grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    for r in records:
-        if cohort_year is not None and r.cohort_year != cohort_year:
-            continue
-        steps = derive_transitions(r, horizon_year)
-        if from_la_year:
-            steps = la_truncate(r, steps)
-        for t in steps:
-            grid[int(t.frm), int(t.to)] += 1
-    return grid
-
-
 def type_tally(estimator, records, idx):
     type_id, table = estimator.contributions(records)
     return np.bincount(type_id[idx], minlength=len(table)) @ table
@@ -286,13 +271,16 @@ def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
 
 
 def reference_rates(estimator, tallies):
-    """Each row read alone by the single-matrix path (`_chain_matrix` and
-    `sygr_markov`, or graduates / starters): (values, ok), with ok False
-    where it raises."""
+    """Each row read alone by a reference: the per-row normaliser and
+    sygr_markov for the chain estimators, graduates / starters for the
+    traditional one. (values, ok), with ok False where it raises."""
     values, ok = [], []
     for tally in tallies:
         try:
-            values.append(estimator._rate(tally))
+            if isinstance(estimator, TraditionalEstimator):
+                values.append(estimator._rate(tally))
+            else:
+                values.append(sygr_markov(TransitionMatrix(per_row_matrix(as_grid(tally)))))
             ok.append(True)
         except EstimationError:
             values.append(None)
@@ -310,7 +298,7 @@ def reference_rates(estimator, tallies):
 @settings(max_examples=300, deadline=None)
 def test_stacked_rates_equal_single_matrix_readout(panel, resamples, raw, horizon, cohort):
     """The stacked readout of resample tallies (and of raw tallies, many of
-    them with a reachable empty row) equals the single-matrix readout row by
+    them with a reachable empty row) equals the reference readout row by
     row: the same floats where that succeeds, ok False exactly where it
     raises."""
     records, from_la_year, _idx = panel

@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
-from conftest import chain_09, grad_in_year, matrix_from_rows, path_enumeration_sygr
-from hypothesis import given
+from conftest import (
+    _to_state,
+    chain_09,
+    grad_in_year,
+    matrix_from_rows,
+    path_enumeration_sygr,
+    per_row_matrix,
+)
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohortchain import (
     AcademicState,
     TransitionCounts,
+    TransitionMatrix,
     build_matrix,
     matrix_power,
-    pool_counts,
     random_transition_matrix,
     sygr_markov,
     validate_structure,
@@ -22,24 +29,17 @@ from cohortchain.markov import (
     RowSumViolation,
     sygr_markov_stack,
 )
-from cohortchain.states import ABSORBING, ALLOWED_SET
+from cohortchain.states import ABSORBING, ALLOWED_CELLS, ALLOWED_SET
 
 S = AcademicState
 
 
 def counts_from(rows):
-    cells = {}
+    grid = np.zeros((8, 8), dtype=np.int64)
     for k, entries in rows.items():
-        frm = S.year(k)
         for dst, n in entries.items():
-            if dst == "D":
-                to = S.DROP_OUT
-            elif dst == "G":
-                to = S.GRADUATED
-            else:
-                to = S.year(dst)
-            cells[(frm, to)] = n
-    return TransitionCounts.from_cells(cells)
+            grid[int(S.year(k)), int(_to_state(dst))] = n
+    return TransitionCounts(grid)
 
 
 def filled_counts(y1_row):
@@ -68,7 +68,8 @@ class TestBuildMatrix:
             assert row.sum() == 1.0
 
     def test_empty_transient_row_raises(self):
-        rows = {k: {"D": 1} for k in (1, 2, 4, 5, 6)}
+        # Y2 -> Y3 is observed, so Y3 is reachable, but nobody leaves it
+        rows = {1: {2: 1, "D": 1}, 2: {3: 1}, 4: {"D": 1}, 5: {"D": 1}, 6: {"D": 1}}
         counts = counts_from(rows)
         with pytest.raises(InsufficientData) as exc:
             build_matrix(counts)
@@ -94,48 +95,18 @@ class TestBuildMatrix:
         m2 = build_matrix(counts_from(scaled))
         np.testing.assert_array_equal(m1.p, m2.p)
 
-    def test_allow_unreachable_fills_dead_rows(self):
+    def test_unreachable_empty_rows_filled_with_drop_out(self):
         # nobody ever reaches Y3+: those rows cannot matter for the readout
         counts = counts_from({1: {2: 4, "D": 1}, 2: {"G": 3, "D": 1}})
-        m = build_matrix(counts, allow_unreachable=True)
+        m = build_matrix(counts)
         assert m[S.Y3, S.DROP_OUT] == 1.0
         assert sygr_markov(m) == pytest.approx(0.8 * 0.75, abs=1e-15)
 
-    def test_allow_unreachable_still_rejects_reachable_gaps(self):
+    def test_reachable_gap_raises_beside_unreachable_rows(self):
         counts = counts_from({1: {2: 4, "D": 1}})
         with pytest.raises(InsufficientData) as exc:
-            build_matrix(counts, allow_unreachable=True)
+            build_matrix(counts)
         assert exc.value.state is S.Y2
-
-
-class TestPoolCounts:
-    def test_hand_pooled(self):
-        a = filled_counts({2: 8, "D": 2})
-        b = filled_counts({2: 3, "D": 2})
-        pooled = pool_counts([a, b])
-        assert pooled.counts[0, 1] == 11
-        assert pooled.counts[0, int(S.DROP_OUT)] == 4
-        m = build_matrix(pooled)
-        assert m[S.Y1, S.Y2] == 11 / 15
-
-    def test_singleton_identity(self):
-        x = filled_counts({2: 8, "D": 2})
-        assert pool_counts([x]) == x
-
-    def test_commutative_and_associative(self):
-        x = filled_counts({2: 8, "D": 2})
-        z = filled_counts({2: 1, "G": 4})
-        w = filled_counts({"G": 6})
-        assert pool_counts([x, z]) == pool_counts([z, x])
-        assert pool_counts([pool_counts([x, z]), w]) == pool_counts([x, pool_counts([z, w])])
-
-    def test_zero_identity(self):
-        x = filled_counts({2: 8, "D": 2})
-        assert pool_counts([x, TransitionCounts.zero()]) == x
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            pool_counts([])
 
 
 class TestMatrixPower:
@@ -253,6 +224,40 @@ def test_violations_match_per_cell_reference(cells):
     a = np.array(cells).reshape(8, 8)
     # str, not ==: a NaN entry never equals itself
     assert [str(v) for v in validate_structure(a)] == [str(v) for v in per_cell_violations(a)]
+
+
+def grid_from_cells(cells):
+    grid = np.zeros((8, 8), dtype=np.int64)
+    grid[tuple(np.array(ALLOWED_CELLS).T)] = cells
+    return grid
+
+
+# half the cells empty, so many grids have empty rows, reachable or not
+count_grids = st.lists(
+    st.sampled_from([0, 0, 0, 1, 3, 7]), min_size=len(ALLOWED_CELLS), max_size=len(ALLOWED_CELLS)
+).map(grid_from_cells)
+
+
+@given(grids=st.lists(count_grids, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_normalise_equals_per_row_reference(grids):
+    """build_matrix and the stacked readout turn counts into the chain the
+    per-row reference builds, bit for bit, and fail exactly where it fails;
+    build_matrix names the same state."""
+    values, ok = sygr_markov_stack(np.array(grids))
+    for grid, value, k in zip(grids, values, ok):
+        try:
+            ref = per_row_matrix(grid)
+        except InsufficientData as exc:
+            with pytest.raises(InsufficientData) as got:
+                build_matrix(TransitionCounts(grid))
+            assert got.value.state is exc.state
+            assert not k
+            continue
+        m = build_matrix(TransitionCounts(grid))
+        assert m.p.tobytes() == ref.tobytes()
+        assert k
+        assert value == sygr_markov(TransitionMatrix(ref))
 
 
 def test_stacked_readout_rejects_invalid_matrix():

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from conftest import chain_09, grad_in_year, matrix_from_rows, path_enumeration_sygr
+from conftest import (
+    chain_09,
+    grad_in_year,
+    matrix_from_rows,
+    path_enumeration_sygr,
+    per_record_grid,
+)
 
 from cohortchain import (
     GeneratorSpec,
@@ -10,7 +16,6 @@ from cohortchain import (
     generate_panel,
     generate_panel_with_log,
     random_transition_matrix,
-    round_trip_counts,
     sygr_markov,
 )
 from cohortchain.errors import SpecFileError
@@ -72,8 +77,8 @@ class TestGeneratePanel:
         assert all(r.outcome_year == 1 for r in records)
         # nothing is resolvable after one elapsed year of a no-absorption
         # first year: the derived counts are all zero
-        counts = round_trip_counts(records, 2014)
-        assert counts.counts.sum() == 0
+        counts = per_record_grid(records, 2014)
+        assert counts.sum() == 0
 
     def test_seed_determinism(self):
         spec = basic_spec(
@@ -94,7 +99,7 @@ class TestGeneratePanel:
         true = random_transition_matrix(rng, alpha=(8.0, 1.0, 2.0))
         spec = basic_spec(true_matrix=true, cohort_sizes={2013: 50_000})
         records = generate_panel(spec)
-        counts = round_trip_counts(records, 2021).counts
+        counts = per_record_grid(records, 2021)
         for i in range(6):
             total = counts[i].sum()
             if total < 1000:
@@ -108,7 +113,7 @@ class TestGeneratePanel:
         records = generate_panel(spec)
         assert all(r.outcome is Outcome.ENROLLED for r in records)
         assert all(r.outcome_year == 7 for r in records)
-        counts = round_trip_counts(records, 2021).counts
+        counts = per_record_grid(records, 2021)
         assert counts[5, 6] == 20  # year six censored to drop-out
 
     def test_effect_injection_changes_exposed_walks(self):
@@ -131,7 +136,7 @@ class TestGeneratePanel:
 class TestRoundTrip:
     def test_deterministic_panel_counts(self):
         records = generate_panel(basic_spec(cohort_sizes={2013: 17}))
-        counts = round_trip_counts(records, 2021).counts
+        counts = per_record_grid(records, 2021)
         assert counts[0, 1] == 17
         assert counts[1, 2] == 17
         assert counts[2, 3] == 17
