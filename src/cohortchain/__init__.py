@@ -7,7 +7,14 @@ confidence intervals and a synthetic-data generator for validation.
 
 __version__ = "0.1.0"
 
-from .bootstrap import BootstrapConfig, EstimateSummary, bootstrap, kde, percentile_ci
+from .bootstrap import (
+    BootstrapConfig,
+    EstimateSummary,
+    bootstrap,
+    bootstrap_each,
+    kde,
+    percentile_ci,
+)
 from .estimate import (
     MarkovFullEstimator,
     MarkovReducedEstimator,
@@ -59,6 +66,7 @@ __all__ = [
     "TransitionCounts",
     "TransitionMatrix",
     "bootstrap",
+    "bootstrap_each",
     "brute_force_sygr",
     "build_matrix",
     "cohort_slice",

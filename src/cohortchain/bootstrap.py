@@ -7,11 +7,14 @@ seed words of a whole block of replicates in one vectorised pass of
 SeedSequence's algorithm (`_seed_words`) instead of hashing each replicate's
 `SeedSequence([seed, b])` in Python; `resample_indices` is the per-replicate
 reference. A replicate is kept only as its records' trajectory-type
-counts; the estimator reads the pooled tallies of a block of replicates in
+counts; each estimator reads the pooled tallies of a block of replicates in
 one stacked pass (`rates`), so no replicate builds a matrix of its own.
-Replicates whose estimate is undefined (e.g. a resample of a tiny subgroup
-losing a whole transition row) are dropped and counted, with a hard 10%
-failure ceiling.
+`bootstrap_each` keys the records once and draws each replicate once for
+several estimators, so every estimator of one command reads the same
+resamples; `bootstrap` is its one-estimator case. Replicates whose estimate
+is undefined (e.g. a resample of a tiny subgroup losing a whole transition
+row) are dropped and counted per estimator, with a hard 10% failure
+ceiling.
 """
 
 from dataclasses import dataclass, field
@@ -26,6 +29,7 @@ from .errors import (
     EstimatorFailedOnOriginal,
     TooManyFailedReplicates,
 )
+from .estimate import trajectory_types
 
 FAILURE_CEILING = 0.10
 # Replicates read per stacked pass. The readout holds about 3 KB of stacked
@@ -179,45 +183,58 @@ def bootstrap(records, estimator, cfg):
     The estimator must succeed on the original data first; otherwise the
     ensemble would characterize nothing.
     """
-    records = list(records)
-    try:
-        point, (type_id, table) = estimator.fit(records)
-    except EstimationError as exc:
-        raise EstimatorFailedOnOriginal(str(exc)) from exc
+    return bootstrap_each(records, [estimator], cfg)[0]
+
+
+def bootstrap_each(records, estimators, cfg):
+    """One EstimateSummary per estimator, all read off the same resamples.
+
+    Every estimator must succeed on the original data before any replicate
+    is drawn; the first that fails raises. Failed replicates are counted,
+    and the ceiling checked, per estimator, in order.
+    """
+    type_id, types = trajectory_types(records)
+    original = np.bincount(type_id, minlength=len(types))
+    fits = []
+    for estimator in estimators:
+        try:
+            fits.append((estimator, *estimator.fit(types, original)))
+        except EstimationError as exc:
+            raise EstimatorFailedOnOriginal(str(exc)) from exc
+    if not fits:
+        return []
 
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
-    n = len(records)
-    values = np.empty(cfg.replicates)
-    ok = np.empty(cfg.replicates, dtype=bool)
+    n = len(type_id)
+    values = np.empty((len(fits), cfg.replicates))
+    ok = np.empty((len(fits), cfg.replicates), dtype=bool)
     for start in range(0, cfg.replicates, REPLICATE_BLOCK):
         block = slice(start, min(start + REPLICATE_BLOCK, cfg.replicates))
         # the same streams as resample_indices(cfg.seed, b, n) for b = 1..replicates
         words = _seed_words(cfg.seed, np.arange(block.start + 1, block.stop + 1))
         type_counts = np.array(
             [np.bincount(type_id[Generator(PCG64(_SeedWords(w))).integers(0, n, size=n)],
-                         minlength=len(table))
+                         minlength=len(types))
              for w in words]
         )
-        values[block], ok[block] = estimator.rates(type_counts @ table)
-    failed = int(np.count_nonzero(~ok))
-    if failed > FAILURE_CEILING * cfg.replicates:
-        raise TooManyFailedReplicates(failed, cfg.replicates)
+        for k, (estimator, _point, table) in enumerate(fits):
+            values[k, block], ok[k, block] = estimator.rates(type_counts @ table)
 
-    ensemble = values[ok]
-    lo, median, hi = percentile_ci(ensemble, cfg.ci_level)
-    return EstimateSummary(
-        ensemble=ensemble,
-        replicate_ids=np.arange(1, cfg.replicates + 1, dtype=np.int64)[ok],
-        point=float(point),
-        lo=lo,
-        median=median,
-        hi=hi,
-        width=hi - lo,
-        n_failed=failed,
-    )
+    ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)
+    summaries = []
+    for (_estimator, point, _table), kept_values, kept in zip(fits, values, ok):
+        failed = int(np.count_nonzero(~kept))
+        if failed > FAILURE_CEILING * cfg.replicates:
+            raise TooManyFailedReplicates(failed, cfg.replicates)
+        lo, median, hi = percentile_ci(kept_values[kept], cfg.ci_level)
+        summaries.append(EstimateSummary(
+            ensemble=kept_values[kept], replicate_ids=ids[kept], point=float(point),
+            lo=lo, median=median, hi=hi, width=hi - lo, n_failed=failed,
+        ))
+    return summaries
 
 
 def silverman_bandwidth(values):
@@ -246,8 +263,8 @@ def kde(ensemble, bandwidth=None):
     if values.min() == values.max():
         raise DegenerateEnsemble()
     h = silverman_bandwidth(values) if bandwidth is None else float(bandwidth)
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {h}")
     lo = max(0.0, values.min() - 3 * h)
     hi = min(1.0, values.max() + 3 * h)
     xs = np.linspace(lo, hi, KDE_GRID_POINTS)

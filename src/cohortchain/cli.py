@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bootstrap import BootstrapConfig, bootstrap, kde, percentile_ci
+from .bootstrap import BootstrapConfig, bootstrap, bootstrap_each, kde, percentile_ci
 from .errors import CohortChainError, DegenerateEnsemble
 from .estimate import (
     MarkovFullEstimator,
@@ -47,12 +47,19 @@ def round_pct(rate):
     return int(math.floor(rate * 100.0 + 0.5))
 
 
-def _fmt_rate(v):
-    return "n/a" if v is None else _fmt(v)
-
-
 def _pct(rate):
     return "n/a" if rate is None else round_pct(rate)
+
+
+def _csv(rows):
+    """CSV text of rows of cells: floats at full precision, None as n/a,
+    anything else as its str."""
+    return "".join(
+        ",".join(
+            _fmt(v) if isinstance(v, float) else "n/a" if v is None else str(v) for v in row
+        ) + "\n"
+        for row in rows
+    )
 
 
 def _write(path, text):
@@ -91,6 +98,20 @@ def _load_inputs(paths):
     return records
 
 
+def _prepare(args):
+    """The preamble of the bootstrapping commands: check the shared flags,
+    load the inputs and make --out. Returns (cfg, records, out_dir)."""
+    if not args.input:
+        raise UsageError(f"{args.command} requires at least one --input")
+    if args.horizon is None:
+        raise UsageError(f"{args.command} requires --horizon")
+    cfg = _bootstrap_cfg(args)
+    records = _load_inputs(args.input)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, records, out_dir
+
+
 def _subgroup_spec(args):
     return SubgroupSpec(
         aalana_only=args.aalana,
@@ -126,59 +147,40 @@ def _estimator_for(method, args):
 def _summary_table(rows):
     """rows: (cohort_label, method, summary). Returns (full_csv, rounded_csv,
     rounded_txt)."""
-    full = ["cohort,method,p2_5,median,p97_5,width"]
-    rounded = ["cohort,method,p2_5,median,p97_5,width"]
-    txt_rows = [("Cohort", "Method", "2.5th", "Median", "97.5th", "Width")]
-    for label, method, s in rows:
-        full.append(
-            f"{label},{method},{_fmt(s.lo)},{_fmt(s.median)},{_fmt(s.hi)},{_fmt(s.width)}"
-        )
-        cells = (
-            str(label),
-            method,
-            str(round_pct(s.lo)),
-            str(round_pct(s.median)),
-            str(round_pct(s.hi)),
-            str(round_pct(s.width)),
-        )
-        rounded.append(",".join(cells))
-        txt_rows.append(cells)
+    header = ("cohort", "method", "p2_5", "median", "p97_5", "width")
+    full = [(label, method, s.lo, s.median, s.hi, s.width) for label, method, s in rows]
+    rounded = [
+        (str(label), method, *(str(round_pct(v)) for v in (s.lo, s.median, s.hi, s.width)))
+        for label, method, s in rows
+    ]
+    txt_rows = [("Cohort", "Method", "2.5th", "Median", "97.5th", "Width"), *rounded]
     widths = [max(len(r[i]) for r in txt_rows) for i in range(6)]
     txt = "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in txt_rows
     )
-    return "\n".join(full) + "\n", "\n".join(rounded) + "\n", txt + "\n"
+    return _csv([header, *full]), _csv([header, *rounded]), txt + "\n"
 
 
 def _ensemble_csv(summary):
-    lines = ["replicate,estimate"]
-    for b, v in zip(summary.replicate_ids, summary.ensemble):
-        lines.append(f"{int(b)},{_fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return _csv([("replicate", "estimate"), *zip(summary.replicate_ids, summary.ensemble)])
 
 
 def cmd_estimate(args):
-    if not args.input:
-        raise UsageError("estimate requires at least one --input")
-    if args.horizon is None:
-        raise UsageError("estimate requires --horizon")
-    cfg = _bootstrap_cfg(args)
-    records = filter_subgroup(_load_inputs(args.input), _subgroup_spec(args))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, records, out_dir = _prepare(args)
+    records = filter_subgroup(records, _subgroup_spec(args))
 
     methods = args.method or ["traditional", "markov-full"]
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
 
-    rows = []
-    for method in methods:
-        estimator = _estimator_for(method, args)
-        summary = bootstrap(records, estimator, cfg)
-        label = args.cohort if args.cohort is not None else "all"
-        rows.append((label, method, summary))
-        if args.export_ensemble:
+    # build every estimator and run every bootstrap before writing, so that
+    # a failed run leaves no partial output
+    summaries = bootstrap_each(records, [_estimator_for(m, args) for m in methods], cfg)
+    label = args.cohort if args.cohort is not None else "all"
+    rows = [(label, method, summary) for method, summary in zip(methods, summaries)]
+    if args.export_ensemble:
+        for method, summary in zip(methods, summaries):
             _write(out_dir / f"ensemble_{method}.csv", _ensemble_csv(summary))
 
     full_csv, rounded_csv, rounded_txt = _summary_table(rows)
@@ -191,49 +193,40 @@ def cmd_estimate(args):
 
 
 def cmd_validate(args):
-    if not args.input:
-        raise UsageError("validate requires at least one --input")
-    if args.horizon is None:
-        raise UsageError("validate requires --horizon")
-    cfg = _bootstrap_cfg(args)
-    records = _load_inputs(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg, records, out_dir = _prepare(args)
 
     cohorts = sorted({r.cohort_year for r in records})
-    lines = [
-        "cohort,status,traditional,markov_reduced,abs_diff,trad_ci_width,markov_ci_width"
+    complete = [c for c in cohorts if args.horizon >= c + 6]
+    estimators = [
+        est(c, args.horizon)
+        for c in complete
+        for est in (TraditionalEstimator, MarkovReducedEstimator)
     ]
+    summaries = iter(bootstrap_each(records, estimators, cfg))
+    rows = [("cohort", "status", "traditional", "markov_reduced", "abs_diff",
+             "trad_ci_width", "markov_ci_width")]
     any_fail = False
-    any_checked = False
     for cohort in cohorts:
-        if args.horizon < cohort + 6:
-            lines.append(f"{cohort},SKIP,,,,,")
+        if cohort not in complete:
+            rows.append((cohort, "SKIP", "", "", "", "", ""))
             sys.stdout.write(f"{cohort}: SKIP (fewer than six observed years)\n")
             continue
-        trad = TraditionalEstimator(cohort, args.horizon)
-        reduced = MarkovReducedEstimator(cohort, args.horizon)
-        s_trad = bootstrap(records, trad, cfg)
-        s_red = bootstrap(records, reduced, cfg)
+        s_trad, s_red = next(summaries), next(summaries)
         diff = abs(s_trad.point - s_red.point)
         ok = diff <= POSITIVE_CONTROL_TOL
-        any_checked = True
         any_fail = any_fail or not ok
         status = "PASS" if ok else "FAIL"
-        lines.append(
-            f"{cohort},{status},{_fmt(s_trad.point)},{_fmt(s_red.point)},"
-            f"{_fmt(diff)},{_fmt(s_trad.width)},{_fmt(s_red.width)}"
-        )
+        rows.append((cohort, status, s_trad.point, s_red.point, diff, s_trad.width, s_red.width))
         sys.stdout.write(
             f"{cohort}: {status} |traditional - reduced| = {diff:.3e} "
             f"(CI widths {s_trad.width:.4f} vs {s_red.width:.4f})\n"
         )
-    _write(out_dir / "validation.csv", "\n".join(lines) + "\n")
+    _write(out_dir / "validation.csv", _csv(rows))
     _write_metadata(out_dir, args)
     if any_fail:
         sys.stdout.write("FAIL\n")
         return 3
-    sys.stdout.write("PASS\n" if any_checked else "SKIP (no complete cohorts)\n")
+    sys.stdout.write("PASS\n" if complete else "SKIP (no complete cohorts)\n")
     return 0
 
 
@@ -291,14 +284,7 @@ def run_comparison(records, args, stratum, extra_spec):
 
 
 def cmd_compare(args):
-    if not args.input:
-        raise UsageError("compare requires at least one --input")
-    if args.horizon is None:
-        raise UsageError("compare requires --horizon")
-    _bootstrap_cfg(args)  # reject bad bootstrap flags before reading input
-    records = _load_inputs(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _cfg, records, out_dir = _prepare(args)  # each group draws from a seed of its own
 
     strata = [
         (
@@ -316,26 +302,24 @@ def cmd_compare(args):
 
     results = [run_comparison(records, args, name, spec) for name, spec in strata]
 
-    lines = ["stratum,group,n,p2_5,median,p97_5,width"]
-    for res in results:
-        for group in ("unexposed", "exposed"):
-            s = res[group]
-            lines.append(
-                f"{res['stratum']},{group},{res['n_' + group]},"
-                f"{_fmt(s.lo)},{_fmt(s.median)},{_fmt(s.hi)},{_fmt(s.width)}"
-            )
-    _write(out_dir / "comparison.csv", "\n".join(lines) + "\n")
+    rows = [("stratum", "group", "n", "p2_5", "median", "p97_5", "width")]
+    rows += [
+        (res["stratum"], group, res["n_" + group], s.lo, s.median, s.hi, s.width)
+        for res in results
+        for group in ("unexposed", "exposed")
+        for s in [res[group]]
+    ]
+    _write(out_dir / "comparison.csv", _csv(rows))
 
-    lines = ["stratum,median_diff,diff_p2_5,diff_median,diff_p97_5,ci_overlap"]
-    for res in results:
-        lines.append(
-            f"{res['stratum']},{_fmt(res['median_diff'])},{_fmt(res['diff_lo'])},"
-            f"{_fmt(res['diff_median'])},{_fmt(res['diff_hi'])},"
-            f"{'yes' if res['ci_overlap'] else 'no'}"
-        )
-    _write(out_dir / "difference.csv", "\n".join(lines) + "\n")
+    rows = [("stratum", "median_diff", "diff_p2_5", "diff_median", "diff_p97_5", "ci_overlap")]
+    rows += [
+        (res["stratum"], res["median_diff"], res["diff_lo"], res["diff_median"],
+         res["diff_hi"], "yes" if res["ci_overlap"] else "no")
+        for res in results
+    ]
+    _write(out_dir / "difference.csv", _csv(rows))
 
-    lines = ["stratum,transition,unexposed,exposed,difference"]
+    rows = [("stratum", "transition", "unexposed", "exposed", "difference")]
     txt = ["Stratum     Transition  no-LA  LA  Difference (LA - no-LA)"]
     for res in results:
         per = res["persistence"]
@@ -345,25 +329,21 @@ def cmd_compare(args):
             if un is None or ex is None:
                 csv_diff = txt_diff = "n/a"
             else:
-                csv_diff = _fmt(ex - un)
+                csv_diff = ex - un
                 txt_diff = f"{round_pct(ex) - round_pct(un):+d}"
-            lines.append(
-                f"{res['stratum']},Y{k}->Y{k + 1},{_fmt_rate(un)},{_fmt_rate(ex)},{csv_diff}"
-            )
+            rows.append((res["stratum"], f"Y{k}->Y{k + 1}", un, ex, csv_diff))
             txt.append(
                 f"{res['stratum']:<11} Y{k}->Y{k + 1:<6} {_pct(un):>5} "
                 f"{_pct(ex):>3} {txt_diff}"
             )
-    _write(out_dir / "persistence.csv", "\n".join(lines) + "\n")
+    _write(out_dir / "persistence.csv", _csv(rows))
     _write(out_dir / "persistence.txt", "\n".join(txt) + "\n")
 
     if args.export_ensemble:
         for res in results:
             for group in ("unexposed", "exposed"):
-                _write(
-                    out_dir / f"ensemble_{res['stratum']}_{group}.csv",
-                    _ensemble_csv(res[group]),
-                )
+                name = f"ensemble_{res['stratum']}_{group}.csv"
+                _write(out_dir / name, _ensemble_csv(res[group]))
 
     _write_metadata(out_dir, args)
     for res in results:
@@ -410,10 +390,10 @@ def _read_ensemble_csv(path):
             if not line:
                 continue
             try:
-                _replicate, value = line.split(",")
+                replicate, value = line.split(",")
                 value = float(value)
-                if not math.isfinite(value):
-                    raise ValueError(value)
+                if int(replicate) < 1 or not math.isfinite(value):
+                    raise ValueError(line)
             except ValueError:
                 raise CohortChainError(
                     f"{path}: line {line_no}: expected 'replicate,estimate' "
@@ -447,8 +427,7 @@ def cmd_plot(args):
         except DegenerateEnsemble:
             markers.append((label, float(values[0])))
             continue
-        lines = ["x,density"] + [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(xs, dens)]
-        _write(out_dir / f"kde_{label}.csv", "\n".join(lines) + "\n")
+        _write(out_dir / f"kde_{label}.csv", _csv([("x", "density"), *zip(xs, dens)]))
         curves.append((label, xs, dens))
 
     svg = render_line_chart(

@@ -6,15 +6,16 @@ pooled chain that also absorbs partial-cohort evidence.
 
 All three read their estimate off pooled integer tallies. A record's tally
 depends only on its trajectory type, (cohort_year, outcome, outcome_year,
-la_year), so `contributions` derives one tally row per distinct type (by
-the reference rules, `derive_transitions` and `la_truncate`) plus a type id
-per record. Any resample's pooled tally is then `bincount(type_id[idx]) @
-table`, exactly the sum of its records' tallies, and the bootstrap
-re-aggregates resamples without re-deriving anything. `rates` reads a
-whole stack of such tallies at once (`sygr_markov_stack`); `point` reads
-one through `build_matrix` and `sygr_markov`, which name the state that
-failed. Both normalise counts by markov's one rule, so they agree bit for
-bit, and the tests hold both to a per-row reference.
+la_year), so `trajectory_types` keys the records once, and each estimator
+derives one tally row per type (`table`, by the reference rules
+`derive_transitions` and `la_truncate`). Any resample's pooled tally is
+then its type counts times the table, exactly the sum of its records'
+tallies, so the bootstrap counts each resample's types once for every
+estimator and re-derives nothing. `rates` reads a whole stack of such
+tallies at once (`sygr_markov_stack`); `point` reads one through
+`build_matrix` and `sygr_markov`, which name the state that failed. Both
+normalise counts by markov's one rule, so they agree bit for bit, and the
+tests hold both to a per-row reference.
 """
 
 import numpy as np
@@ -29,10 +30,21 @@ _N_CELLS = len(ALLOWED_CELLS)
 _CELL_ROWS, _CELL_COLS = np.array(ALLOWED_CELLS).T
 
 
-def _tally(contrib):
-    """Pooled tally of all records."""
-    type_id, table = contrib
-    return np.bincount(type_id, minlength=len(table)) @ table
+def trajectory_types(records):
+    """(type_id, types): each record's trajectory-type id, and one record of
+    each type, (cohort_year, outcome, outcome_year, la_year), in order of
+    first appearance."""
+    index = {}
+    types = []
+    ids = []
+    for r in records:
+        key = (r.cohort_year, r.outcome, r.outcome_year, r.la_year)
+        t = index.get(key)
+        if t is None:
+            t = index[key] = len(types)
+            types.append(r)
+        ids.append(t)
+    return np.array(ids, dtype=np.intp), types
 
 
 def _chain_cells(r, horizon_year, from_la_year=False):
@@ -54,18 +66,16 @@ def _chain_grids(cells):
     return grids
 
 
-def _chain_matrix(cells):
-    return build_matrix(TransitionCounts(_chain_grids(cells)))
-
-
 def persistence_rates(records, horizon_year, *, from_la_year=False):
     """Year-to-year persistence probabilities from the pooled matrix, keyed
     by starting year of study (1..5). Full precision; rounding is a
     reporting concern. A year with no observed steps maps to None: the
     matrix imputes drop-out for it, which is no estimate of persistence."""
     estimator = MarkovFullEstimator(horizon_year, from_la_year=from_la_year)
-    estimator._check(records)
-    counts = TransitionCounts(_chain_grids(_tally(estimator.contributions(records))))
+    type_id, types = trajectory_types(records)
+    estimator._check(types)
+    tally = np.bincount(type_id, minlength=len(types)) @ estimator.table(types)
+    counts = TransitionCounts(_chain_grids(tally))
     p = build_matrix(counts)
     return {
         k: p[AcademicState.year(k), AcademicState.year(k + 1)]
@@ -76,7 +86,8 @@ def persistence_rates(records, horizon_year, *, from_la_year=False):
 
 
 class _Estimator:
-    """point / fit / contributions / rates over trajectory-type tallies.
+    """A check, a tally table over trajectory types, and the readout of
+    pooled tallies.
 
     Subclasses supply `_row`, one record's integer tally of `_width`
     entries, and may override `_check` and, together, `_rate` (one pooled
@@ -87,11 +98,12 @@ class _Estimator:
 
     _width = _N_CELLS
 
-    def _check(self, records):
-        """Raise if the estimate is undefined on these (original) records."""
+    def _check(self, types):
+        """Raise if the estimate is undefined on (original) records of these
+        trajectory types."""
 
     def _rate(self, cells):
-        return sygr_markov(_chain_matrix(cells))
+        return sygr_markov(build_matrix(TransitionCounts(_chain_grids(cells))))
 
     def rates(self, tallies):
         """(values, ok) for a (b, _width) stack of pooled tallies: ok[k] is
@@ -99,31 +111,22 @@ class _Estimator:
         _rate(tallies[k]) elsewhere."""
         return sygr_markov_stack(_chain_grids(tallies))
 
+    def table(self, types):
+        """One integer tally row per trajectory type, (len(types), _width)."""
+        rows = [self._row(r) for r in types]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self._width)
+
+    def fit(self, types, type_counts):
+        """(point estimate, table) on the original records, given as their
+        trajectory types and each type's record count; raises where the
+        estimate is undefined on them."""
+        self._check(types)
+        table = self.table(types)
+        return self._rate(type_counts @ table), table
+
     def point(self, records):
-        return self.fit(records)[0]
-
-    def fit(self, records):
-        """(point estimate, contributions) on the original records; raises
-        where the estimate is undefined on them."""
-        self._check(records)
-        contrib = self.contributions(records)
-        return self._rate(_tally(contrib)), contrib
-
-    def contributions(self, records):
-        """(type_id, table): each record's trajectory-type id and one
-        integer tally row per type."""
-        index = {}
-        rows = []
-        ids = []
-        for r in records:
-            key = (r.cohort_year, r.outcome, r.outcome_year, r.la_year)
-            t = index.get(key)
-            if t is None:
-                t = index[key] = len(rows)
-                rows.append(self._row(r))
-            ids.append(t)
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), self._width)
-        return np.array(ids, dtype=np.intp), table
+        type_id, types = trajectory_types(records)
+        return self.fit(types, np.bincount(type_id, minlength=len(types)))[0]
 
 
 class _CohortEstimator(_Estimator):
@@ -135,8 +138,8 @@ class _CohortEstimator(_Estimator):
         self.cohort_year = cohort_year
         self.horizon_year = horizon_year
 
-    def _check(self, records):
-        if not any(r.cohort_year == self.cohort_year for r in records):
+    def _check(self, types):
+        if not any(r.cohort_year == self.cohort_year for r in types):
             raise EmptyCohort(self.cohort_year)
 
 
@@ -186,8 +189,8 @@ class MarkovFullEstimator(_Estimator):
         self.horizon_year = horizon_year
         self.from_la_year = from_la_year
 
-    def _check(self, records):
-        if not records:
+    def _check(self, types):
+        if not types:
             raise NoRecords()
 
     def _row(self, r):

@@ -17,6 +17,7 @@ EXPECTED = [
     "TransitionCounts",
     "TransitionMatrix",
     "bootstrap",
+    "bootstrap_each",
     "brute_force_sygr",
     "build_matrix",
     "cohort_slice",

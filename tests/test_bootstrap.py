@@ -12,9 +12,11 @@ import cohortchain
 from cohortchain import (
     BootstrapConfig,
     MarkovFullEstimator,
+    MarkovReducedEstimator,
     Outcome,
     TraditionalEstimator,
     bootstrap,
+    bootstrap_each,
     kde,
     percentile_ci,
 )
@@ -26,6 +28,7 @@ from cohortchain.errors import (
     EstimatorFailedOnOriginal,
     TooManyFailedReplicates,
 )
+from cohortchain.estimate import trajectory_types
 
 
 class TestPercentileCi:
@@ -200,9 +203,10 @@ class TestBootstrap:
         cfg = BootstrapConfig(seed=2**40 + 3, replicates=replicates)
         s = bootstrap(records, estimator, cfg)
 
-        _, (type_id, table) = estimator.fit(records)
+        type_id, types = trajectory_types(records)
+        table = estimator.table(types)
         expected = [
-            np.bincount(type_id[resample_indices(cfg.seed, b, n)], minlength=len(table)) @ table
+            np.bincount(type_id[resample_indices(cfg.seed, b, n)], minlength=len(types)) @ table
             for b in range(1, replicates + 1)
         ]
         np.testing.assert_array_equal(np.concatenate(tallies), expected)
@@ -210,6 +214,70 @@ class TestBootstrap:
         assert s.n_failed == failed == 0
         np.testing.assert_array_equal(s.replicate_ids, ids)
         np.testing.assert_array_equal(s.ensemble, ensemble)
+
+
+def _no_draws(monkeypatch):
+    def fail(*args):
+        raise AssertionError("drew replicates")
+
+    monkeypatch.setattr(sys.modules["cohortchain.bootstrap"], "_seed_words", fail)
+
+
+class TestBootstrapEach:
+    def test_shared_draw_matches_reference_loop_per_estimator(self):
+        # the full chain fails without the 2014 cohort but with a 2019
+        # partial record, the traditional ratio without the 2014 cohort, the
+        # reduced chain without the 2015 cohort: three failure sets, each
+        # about 4% of the replicates, read off one draw
+        records = [
+            make_record(sid=f"g{i}", outcome=Outcome.GRADUATED, outcome_year=1)
+            for i in range(10)
+        ]
+        records += [
+            make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1)
+            for i in range(5)
+        ]
+        records += [
+            make_record(sid=f"y{i}", cohort_year=2014, outcome=Outcome.GRADUATED,
+                        outcome_year=2)
+            for i in range(3)
+        ]
+        records += [
+            make_record(sid=f"c{i}", cohort_year=2015, outcome=Outcome.DROPPED_OUT,
+                        outcome_year=1 + i)
+            for i in range(3)
+        ]
+        records += [
+            make_record(sid=f"p{i}", cohort_year=2019, outcome=Outcome.ENROLLED, outcome_year=2)
+            for i in range(2)
+        ]
+        estimators = [
+            MarkovFullEstimator(2021),
+            TraditionalEstimator(2014, 2021),
+            MarkovReducedEstimator(2015, 2021),
+        ]
+        cfg = BootstrapConfig(seed=5, replicates=600)
+        summaries = bootstrap_each(records, estimators, cfg)
+        assert len(summaries) == 3
+        failed_ids = []
+        for estimator, s in zip(estimators, summaries):
+            ensemble, ids, failed = reference_bootstrap(records, estimator, cfg)
+            assert 0 < s.n_failed == failed <= 0.1 * cfg.replicates
+            np.testing.assert_array_equal(s.replicate_ids, ids)
+            np.testing.assert_array_equal(s.ensemble, ensemble)
+            assert s.point == estimator.point(records)
+            failed_ids.append(set(range(1, cfg.replicates + 1)) - set(ids.tolist()))
+        assert len({frozenset(f) for f in failed_ids}) == 3
+
+    def test_empty_list_draws_nothing(self, monkeypatch):
+        _no_draws(monkeypatch)
+        assert bootstrap_each(identical_graduates(), [], BootstrapConfig(seed=1)) == []
+
+    def test_failure_on_original_raised_before_any_draw(self, monkeypatch):
+        _no_draws(monkeypatch)
+        estimators = [MarkovFullEstimator(2021), TraditionalEstimator(1999, 2021)]
+        with pytest.raises(EstimatorFailedOnOriginal, match="1999"):
+            bootstrap_each(identical_graduates(), estimators, BootstrapConfig(seed=1))
 
 
 class TestSeedWords:
@@ -276,6 +344,11 @@ class TestKde:
         q75, q25 = np.percentile(values, [75, 25])
         expected = 0.9 * min(sd, (q75 - q25) / 1.34) * 400 ** (-0.2)
         assert silverman_bandwidth(values) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bandwidth_not_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            kde([0.1, 0.2, 0.3], bandwidth)
 
     def test_zero_iqr_falls_back_to_sd(self):
         values = np.array([0.5] * 30 + [0.2, 0.8])

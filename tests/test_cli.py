@@ -303,6 +303,10 @@ def _error_cases(panel, tmp):
     nan_ensemble.write_text("replicate,estimate\n1,0.5\n2,nan\n")
     inf_ensemble = tmp / "inf.csv"
     inf_ensemble.write_text("replicate,estimate\n1,0.5\n2,inf\n")
+    word_replicate = tmp / "word.csv"
+    word_replicate.write_text("replicate,estimate\n1,0.5\nx,0.5\n")
+    blank_replicate = tmp / "blank.csv"
+    blank_replicate.write_text("replicate,estimate\n1,0.5\n,0.6\n")
     for d in ("x", "y"):
         (tmp / d).mkdir()
         (tmp / d / "e.csv").write_text("replicate,estimate\n1,0.5\n2,0.6\n")
@@ -318,6 +322,10 @@ def _error_cases(panel, tmp):
         ("seed_negative", [*estimate, "--seed", "-1"], 1),
         ("compare_seed_negative", ["compare", "--input", str(panel), "--out", str(tmp / "cmp"),
                                    "--horizon", "2021", "--seed", "-1"], 1),
+        ("estimate_horizon_too_early",
+         ["estimate", "--input", str(panel), "--out", str(tmp / "partial"),
+          "--horizon", "2021", "--cohort", "2019", "--method", "markov-full",
+          "--method", "traditional", "--replicates", "50", "--export-ensemble"], 2),
         ("input_missing", ["estimate", "--input", str(tmp / "missing.csv"),
                            *estimate[3:]], 2),
         ("input_not_utf8", ["estimate", "--input", str(latin1), *estimate[3:]], 2),
@@ -327,6 +335,10 @@ def _error_cases(panel, tmp):
                                "--out", str(tmp / "plot")], 2),
         ("plot_inf_estimate", ["plot", "--input", str(inf_ensemble),
                                "--out", str(tmp / "plot")], 2),
+        ("plot_word_replicate", ["plot", "--input", str(word_replicate),
+                                 "--out", str(tmp / "plot")], 2),
+        ("plot_blank_replicate", ["plot", "--input", str(blank_replicate),
+                                  "--out", str(tmp / "plot")], 2),
         ("plot_shared_stem", [*plot, "--input", str(tmp / "y" / "e.csv"),
                               "--out", str(tmp / "plot_stem")], 1),
         ("plot_bandwidth_0", [*plot, "--bandwidth", "0"], 1),
@@ -349,3 +361,6 @@ def test_error_contract(panel, tmp_path, capsys):
             assert err.startswith(prefix) and err.count("\n") == 1, (case, err)
     # inputs that share a stem are rejected before anything is written
     assert not (tmp_path / "plot_stem").exists()
+    # a method that cannot be built (cohort 2019 is not six years old at
+    # 2021) fails the run before an earlier method's ensemble is written
+    assert list((tmp_path / "partial").iterdir()) == []

@@ -19,6 +19,7 @@ from cohortchain import (
     sygr_markov,
 )
 from cohortchain.errors import EmptyCohort, EstimationError, HorizonTooEarly, NoRecords
+from cohortchain.estimate import trajectory_types
 from cohortchain.states import ALLOWED_CELLS, N_STATES
 
 N_CELLS = len(ALLOWED_CELLS)
@@ -227,8 +228,8 @@ def panels(draw):
 
 
 def type_tally(estimator, records, idx):
-    type_id, table = estimator.contributions(records)
-    return np.bincount(type_id[idx], minlength=len(table)) @ table
+    type_id, types = trajectory_types(records)
+    return np.bincount(type_id[idx], minlength=len(types)) @ estimator.table(types)
 
 
 def as_grid(cells):
