@@ -35,7 +35,6 @@ from .records import (
     StudentRecord,
     SubgroupSpec,
     Transition,
-    cohort_slice,
     derive_transitions,
     filter_subgroup,
     la_truncate,
@@ -69,7 +68,6 @@ __all__ = [
     "bootstrap_each",
     "brute_force_sygr",
     "build_matrix",
-    "cohort_slice",
     "derive_transitions",
     "filter_subgroup",
     "generate_panel",

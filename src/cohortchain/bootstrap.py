@@ -231,7 +231,7 @@ def bootstrap_each(records, estimators, cfg):
             raise TooManyFailedReplicates(failed, cfg.replicates)
         lo, median, hi = percentile_ci(kept_values[kept], cfg.ci_level)
         summaries.append(EstimateSummary(
-            ensemble=kept_values[kept], replicate_ids=ids[kept], point=float(point),
+            ensemble=kept_values[kept], replicate_ids=ids[kept], point=point,
             lo=lo, median=median, hi=hi, width=hi - lo, n_failed=failed,
         ))
     return summaries

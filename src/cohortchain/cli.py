@@ -6,6 +6,12 @@ sidecar records the resolved configuration hash, seed, and tool version
 next to each output set. Rounded tables are derived from, and never
 replace, the full-precision CSVs.
 
+Each `cmd_<command>` only computes: it returns (exit code, files, stdout
+text), files mapping output names to their text, and `main` alone creates
+--out and writes the files and then stdout once the command has returned.
+A run that fails creates no --out; validate's FAIL (exit 3) still writes
+its report.
+
 Exit codes: 0 success, 1 usage error, 2 data or estimation error,
 3 validation failure.
 """
@@ -62,12 +68,7 @@ def _csv(rows):
     )
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _write_metadata(out_dir, args, extra=()):
+def _metadata(args, extra=()):
     items = sorted(
         f"{k}={v}" for k, v in vars(args).items() if k != "func" and v is not None
     )
@@ -78,7 +79,7 @@ def _write_metadata(out_dir, args, extra=()):
         f"config_hash = {digest}",
     ]
     lines += [f"{k} = {v}" for k, v in extra]
-    _write(Path(out_dir) / "metadata.txt", "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _read(path, load):
@@ -99,17 +100,13 @@ def _load_inputs(paths):
 
 
 def _prepare(args):
-    """The preamble of the bootstrapping commands: check the shared flags,
-    load the inputs and make --out. Returns (cfg, records, out_dir)."""
+    """Check the flags shared by the bootstrapping commands; returns their
+    BootstrapConfig."""
     if not args.input:
         raise UsageError(f"{args.command} requires at least one --input")
     if args.horizon is None:
         raise UsageError(f"{args.command} requires --horizon")
-    cfg = _bootstrap_cfg(args)
-    records = _load_inputs(args.input)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, records, out_dir
+    return _bootstrap_cfg(args)
 
 
 def _subgroup_spec(args):
@@ -167,33 +164,27 @@ def _ensemble_csv(summary):
 
 
 def cmd_estimate(args):
-    cfg, records, out_dir = _prepare(args)
-    records = filter_subgroup(records, _subgroup_spec(args))
-
+    cfg = _prepare(args)
     methods = args.method or ["traditional", "markov-full"]
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
+    records = filter_subgroup(_load_inputs(args.input), _subgroup_spec(args))
 
-    # build every estimator and run every bootstrap before writing, so that
-    # a failed run leaves no partial output
     summaries = bootstrap_each(records, [_estimator_for(m, args) for m in methods], cfg)
     label = args.cohort if args.cohort is not None else "all"
     rows = [(label, method, summary) for method, summary in zip(methods, summaries)]
+    files = {}
     if args.export_ensemble:
-        for method, summary in zip(methods, summaries):
-            _write(out_dir / f"ensemble_{method}.csv", _ensemble_csv(summary))
-
+        files = {f"ensemble_{m}.csv": _ensemble_csv(s) for m, s in zip(methods, summaries)}
     full_csv, rounded_csv, rounded_txt = _summary_table(rows)
-    _write(out_dir / "summary_full.csv", full_csv)
-    _write(out_dir / "summary_rounded.csv", rounded_csv)
-    _write(out_dir / "summary_rounded.txt", rounded_txt)
-    _write_metadata(out_dir, args)
-    sys.stdout.write(rounded_txt)
-    return 0
+    files |= {"summary_full.csv": full_csv, "summary_rounded.csv": rounded_csv,
+              "summary_rounded.txt": rounded_txt, "metadata.txt": _metadata(args)}
+    return 0, files, rounded_txt
 
 
 def cmd_validate(args):
-    cfg, records, out_dir = _prepare(args)
+    cfg = _prepare(args)
+    records = _load_inputs(args.input)
 
     cohorts = sorted({r.cohort_year for r in records})
     complete = [c for c in cohorts if args.horizon >= c + 6]
@@ -205,11 +196,12 @@ def cmd_validate(args):
     summaries = iter(bootstrap_each(records, estimators, cfg))
     rows = [("cohort", "status", "traditional", "markov_reduced", "abs_diff",
              "trad_ci_width", "markov_ci_width")]
+    lines = []
     any_fail = False
     for cohort in cohorts:
         if cohort not in complete:
             rows.append((cohort, "SKIP", "", "", "", "", ""))
-            sys.stdout.write(f"{cohort}: SKIP (fewer than six observed years)\n")
+            lines.append(f"{cohort}: SKIP (fewer than six observed years)\n")
             continue
         s_trad, s_red = next(summaries), next(summaries)
         diff = abs(s_trad.point - s_red.point)
@@ -217,17 +209,14 @@ def cmd_validate(args):
         any_fail = any_fail or not ok
         status = "PASS" if ok else "FAIL"
         rows.append((cohort, status, s_trad.point, s_red.point, diff, s_trad.width, s_red.width))
-        sys.stdout.write(
+        lines.append(
             f"{cohort}: {status} |traditional - reduced| = {diff:.3e} "
             f"(CI widths {s_trad.width:.4f} vs {s_red.width:.4f})\n"
         )
-    _write(out_dir / "validation.csv", _csv(rows))
-    _write_metadata(out_dir, args)
-    if any_fail:
-        sys.stdout.write("FAIL\n")
-        return 3
-    sys.stdout.write("PASS\n" if complete else "SKIP (no complete cohorts)\n")
-    return 0
+    files = {"validation.csv": _csv(rows), "metadata.txt": _metadata(args)}
+    verdict = "FAIL" if any_fail else "PASS" if complete else "SKIP (no complete cohorts)"
+    lines.append(verdict + "\n")
+    return 3 if any_fail else 0, files, "".join(lines)
 
 
 def _paired_difference(s_a, s_b):
@@ -284,7 +273,8 @@ def run_comparison(records, args, stratum, extra_spec):
 
 
 def cmd_compare(args):
-    _cfg, records, out_dir = _prepare(args)  # each group draws from a seed of its own
+    _prepare(args)  # checks the flags; each group draws from a seed of its own
+    records = _load_inputs(args.input)
 
     strata = [
         (
@@ -309,7 +299,7 @@ def cmd_compare(args):
         for group in ("unexposed", "exposed")
         for s in [res[group]]
     ]
-    _write(out_dir / "comparison.csv", _csv(rows))
+    files = {"comparison.csv": _csv(rows)}
 
     rows = [("stratum", "median_diff", "diff_p2_5", "diff_median", "diff_p97_5", "ci_overlap")]
     rows += [
@@ -317,7 +307,7 @@ def cmd_compare(args):
          res["diff_hi"], "yes" if res["ci_overlap"] else "no")
         for res in results
     ]
-    _write(out_dir / "difference.csv", _csv(rows))
+    files["difference.csv"] = _csv(rows)
 
     rows = [("stratum", "transition", "unexposed", "exposed", "difference")]
     txt = ["Stratum     Transition  no-LA  LA  Difference (LA - no-LA)"]
@@ -336,36 +326,32 @@ def cmd_compare(args):
                 f"{res['stratum']:<11} Y{k}->Y{k + 1:<6} {_pct(un):>5} "
                 f"{_pct(ex):>3} {txt_diff}"
             )
-    _write(out_dir / "persistence.csv", _csv(rows))
-    _write(out_dir / "persistence.txt", "\n".join(txt) + "\n")
+    files["persistence.csv"] = _csv(rows)
+    files["persistence.txt"] = "\n".join(txt) + "\n"
 
     if args.export_ensemble:
         for res in results:
             for group in ("unexposed", "exposed"):
-                name = f"ensemble_{res['stratum']}_{group}.csv"
-                _write(out_dir / name, _ensemble_csv(res[group]))
+                files[f"ensemble_{res['stratum']}_{group}.csv"] = _ensemble_csv(res[group])
 
-    _write_metadata(out_dir, args)
-    for res in results:
-        sys.stdout.write(
-            f"{res['stratum']}: exposed median {100 * res['exposed'].median:.1f}% "
-            f"({100 * res['exposed'].lo:.1f}-{100 * res['exposed'].hi:.1f}), "
-            f"unexposed median {100 * res['unexposed'].median:.1f}% "
-            f"({100 * res['unexposed'].lo:.1f}-{100 * res['unexposed'].hi:.1f}), "
-            f"difference {100 * res['median_diff']:+.1f} pp, "
-            f"CIs {'overlap' if res['ci_overlap'] else 'do not overlap'}\n"
-        )
-    return 0
+    files["metadata.txt"] = _metadata(args)
+    stdout = "".join(
+        f"{res['stratum']}: exposed median {100 * res['exposed'].median:.1f}% "
+        f"({100 * res['exposed'].lo:.1f}-{100 * res['exposed'].hi:.1f}), "
+        f"unexposed median {100 * res['unexposed'].median:.1f}% "
+        f"({100 * res['unexposed'].lo:.1f}-{100 * res['unexposed'].hi:.1f}), "
+        f"difference {100 * res['median_diff']:+.1f} pp, "
+        f"CIs {'overlap' if res['ci_overlap'] else 'do not overlap'}\n"
+        for res in results
+    )
+    return 0, files, stdout
 
 
 def cmd_synth(args):
     if args.spec is None:
         raise UsageError("synth requires --spec")
     spec = _read(args.spec, load_generator_spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = generate_panel(spec)
-    _write(out_dir / "panel.csv", format_records(records))
     extra = [
         ("students", len(records)),
         ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix))),
@@ -374,9 +360,8 @@ def cmd_synth(args):
         extra.append(("true_effect_sygr", _fmt(brute_force_sygr(spec.effect_matrix))))
     extra.append(("generator_seed", spec.seed))
     extra.append(("generator_spec", repr(format_generator_spec(spec))))
-    _write_metadata(out_dir, args, extra)
-    sys.stdout.write(f"wrote {len(records)} records to {out_dir / 'panel.csv'}\n")
-    return 0
+    files = {"panel.csv": format_records(records), "metadata.txt": _metadata(args, extra)}
+    return 0, files, f"wrote {len(records)} records to {Path(args.out) / 'panel.csv'}\n"
 
 
 def _read_ensemble_csv(path):
@@ -415,9 +400,8 @@ def cmd_plot(args):
                 f"two --input files share the stem {label!r}, which names "
                 "a density file and a legend entry"
             )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    files = {}
     curves = []
     markers = []
     for path, label in zip(args.input, labels):
@@ -427,20 +411,18 @@ def cmd_plot(args):
         except DegenerateEnsemble:
             markers.append((label, float(values[0])))
             continue
-        _write(out_dir / f"kde_{label}.csv", _csv([("x", "density"), *zip(xs, dens)]))
+        files[f"kde_{label}.csv"] = _csv([("x", "density"), *zip(xs, dens)])
         curves.append((label, xs, dens))
 
-    svg = render_line_chart(
+    files["kde.svg"] = render_line_chart(
         curves,
         markers,
         title="Six-year graduation rate",
         x_label="Six-year graduation rate (%)",
         y_label="Density",
     )
-    _write(out_dir / "kde.svg", svg)
-    _write_metadata(out_dir, args)
-    sys.stdout.write(f"wrote {out_dir / 'kde.svg'}\n")
-    return 0
+    files["metadata.txt"] = _metadata(args)
+    return 0, files, f"wrote {Path(args.out) / 'kde.svg'}\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -555,7 +537,7 @@ def main(argv=None):
         if not getattr(args, "func", None):
             parser.print_help()
             return 1
-        return args.func(args)
+        code, files, stdout = args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
@@ -564,6 +546,12 @@ def main(argv=None):
     except CohortChainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    sys.stdout.write(stdout)
+    return code
 
 
 if __name__ == "__main__":

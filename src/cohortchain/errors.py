@@ -8,8 +8,9 @@ class CohortChainError(Exception):
 class EstimationError(CohortChainError):
     """Base class for errors that can occur while computing an estimate.
 
-    Bootstrap replicates catch this family: a replicate that fails with an
-    EstimationError is dropped and counted, anything else propagates.
+    Only the fit on the original data raises this family; `bootstrap_each`
+    reports it as EstimatorFailedOnOriginal. Replicates never raise: one
+    whose estimate is undefined is dropped and counted.
     """
 
 

@@ -11,17 +11,18 @@ derives one tally row per type (`table`, by the reference rules
 `derive_transitions` and `la_truncate`). Any resample's pooled tally is
 then its type counts times the table, exactly the sum of its records'
 tallies, so the bootstrap counts each resample's types once for every
-estimator and re-derives nothing. `rates` reads a whole stack of such
-tallies at once (`sygr_markov_stack`); `point` reads one through
-`build_matrix` and `sygr_markov`, which name the state that failed. Both
-normalise counts by markov's one rule, so they agree bit for bit, and the
-tests hold both to a per-row reference.
+estimator and re-derives nothing. `rates` is the one readout: it reads a
+whole stack of tallies at once (`sygr_markov_stack`), and the point
+estimate is the original tally read as a stack of one. Only where that
+estimate is undefined does `fit` ask `build_matrix` which state has no
+observations, to name it in the error. The tests hold `rates` to a per-row
+reference.
 """
 
 import numpy as np
 
 from .errors import EmptyCohort, HorizonTooEarly, NoRecords
-from .markov import TransitionCounts, build_matrix, sygr_markov, sygr_markov_stack
+from .markov import TransitionCounts, build_matrix, sygr_markov_stack
 from .records import Outcome, derive_transitions, la_truncate
 from .states import ALLOWED_CELLS, N_STATES, AcademicState
 
@@ -90,25 +91,21 @@ class _Estimator:
     pooled tallies.
 
     Subclasses supply `_row`, one record's integer tally of `_width`
-    entries, and may override `_check` and, together, `_rate` (one pooled
-    tally to its estimate, raising where it is undefined) and `rates` (the
-    same over a stack of tallies). By default both are the chain readout of
-    ALLOWED_CELLS counts.
+    entries, and may override `_check` and `rates`, which by default is the
+    chain readout of ALLOWED_CELLS counts.
     """
 
     _width = _N_CELLS
 
     def _check(self, types):
         """Raise if the estimate is undefined on (original) records of these
-        trajectory types."""
-
-    def _rate(self, cells):
-        return sygr_markov(build_matrix(TransitionCounts(_chain_grids(cells))))
+        trajectory types for any reason but a chain state without
+        observations."""
 
     def rates(self, tallies):
         """(values, ok) for a (b, _width) stack of pooled tallies: ok[k] is
-        False exactly where _rate(tallies[k]) raises, and values[k] equals
-        _rate(tallies[k]) elsewhere."""
+        False exactly where the estimate is undefined on tallies[k], and
+        values[k] is the estimate elsewhere."""
         return sygr_markov_stack(_chain_grids(tallies))
 
     def table(self, types):
@@ -122,7 +119,12 @@ class _Estimator:
         estimate is undefined on them."""
         self._check(types)
         table = self.table(types)
-        return self._rate(type_counts @ table), table
+        tally = type_counts @ table
+        values, ok = self.rates(tally[None])
+        if not ok[0]:
+            # past _check, only a chain state without observations is left
+            build_matrix(TransitionCounts(_chain_grids(tally)))  # raises, naming it
+        return float(values[0]), table
 
     def point(self, records):
         type_id, types = trajectory_types(records)
@@ -153,12 +155,6 @@ class TraditionalEstimator(_CohortEstimator):
         start = r.cohort_year == self.cohort_year
         deg = start and r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
         return [int(start), int(deg)]
-
-    def _rate(self, tally):
-        n_start, n_deg = tally
-        if n_start == 0:
-            raise EmptyCohort(self.cohort_year)
-        return n_deg / n_start
 
     def rates(self, tallies):
         n_start, n_deg = np.asarray(tallies).T

@@ -271,7 +271,3 @@ def la_truncate(r, transitions):
 
 def filter_subgroup(records, spec):
     return [r for r in records if spec.matches(r)]
-
-
-def cohort_slice(records, cohort_year):
-    return [r for r in records if r.cohort_year == cohort_year]

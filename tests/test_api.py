@@ -20,7 +20,6 @@ EXPECTED = [
     "bootstrap_each",
     "brute_force_sygr",
     "build_matrix",
-    "cohort_slice",
     "derive_transitions",
     "filter_subgroup",
     "generate_panel",

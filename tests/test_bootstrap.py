@@ -205,11 +205,15 @@ class TestBootstrap:
 
         type_id, types = trajectory_types(records)
         table = estimator.table(types)
+        original, *blocks = tallies
+        np.testing.assert_array_equal(
+            original, [np.bincount(type_id, minlength=len(types)) @ table]
+        )
         expected = [
             np.bincount(type_id[resample_indices(cfg.seed, b, n)], minlength=len(types)) @ table
             for b in range(1, replicates + 1)
         ]
-        np.testing.assert_array_equal(np.concatenate(tallies), expected)
+        np.testing.assert_array_equal(np.concatenate(blocks), expected)
         ensemble, ids, failed = reference_bootstrap(records, estimator, cfg)
         assert s.n_failed == failed == 0
         np.testing.assert_array_equal(s.replicate_ids, ids)

@@ -162,6 +162,8 @@ class TestValidate:
         ])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out
+        # a failed control still writes its report
+        assert read_csv(tmp_path / "validation.csv")[0]["status"] == "FAIL"
 
 
 class TestCompare:
@@ -328,6 +330,11 @@ def _error_cases(panel, tmp):
           "--method", "traditional", "--replicates", "50", "--export-ensemble"], 2),
         ("input_missing", ["estimate", "--input", str(tmp / "missing.csv"),
                            *estimate[3:]], 2),
+        ("estimate_no_cohort", ["estimate", "--input", str(tmp / "missing.csv"),
+                                "--out", str(tmp / "nocohort"), "--horizon", "2021",
+                                "--method", "traditional"], 1),
+        ("compare_empty_group", ["compare", "--input", str(panel), "--out", str(tmp / "nope"),
+                                 "--horizon", "2021", "--college", "NOPE"], 1),
         ("input_not_utf8", ["estimate", "--input", str(latin1), *estimate[3:]], 2),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
@@ -339,6 +346,8 @@ def _error_cases(panel, tmp):
                                  "--out", str(tmp / "plot")], 2),
         ("plot_blank_replicate", ["plot", "--input", str(blank_replicate),
                                   "--out", str(tmp / "plot")], 2),
+        ("plot_good_then_malformed", [*plot, "--input", str(bad_ensemble),
+                                      "--out", str(tmp / "plot_partial")], 2),
         ("plot_shared_stem", [*plot, "--input", str(tmp / "y" / "e.csv"),
                               "--out", str(tmp / "plot_stem")], 1),
         ("plot_bandwidth_0", [*plot, "--bandwidth", "0"], 1),
@@ -349,7 +358,10 @@ def _error_cases(panel, tmp):
 
 
 def test_error_contract(panel, tmp_path, capsys):
-    """Each failure exits with its documented code and one stderr line."""
+    """Each failure exits with its documented code and one stderr line, and
+    creates no --out: not when a later input or method fails after an earlier
+    one succeeded (plot_good_then_malformed, estimate_horizon_too_early), nor
+    when a usage error comes after the inputs are read."""
     for case, argv, expected in _error_cases(panel, tmp_path):
         code = main(argv)
         err = capsys.readouterr().err
@@ -359,8 +371,6 @@ def test_error_contract(panel, tmp_path, capsys):
         else:
             prefix = "usage error: " if expected == 1 else "error: "
             assert err.startswith(prefix) and err.count("\n") == 1, (case, err)
-    # inputs that share a stem are rejected before anything is written
-    assert not (tmp_path / "plot_stem").exists()
-    # a method that cannot be built (cohort 2019 is not six years old at
-    # 2021) fails the run before an earlier method's ensemble is written
-    assert list((tmp_path / "partial").iterdir()) == []
+            # the last --out wins, as argparse takes it
+            out = argv[max(i for i, arg in enumerate(argv) if arg == "--out") + 1]
+            assert not Path(out).exists(), case

@@ -18,7 +18,13 @@ from cohortchain import (
     random_transition_matrix,
     sygr_markov,
 )
-from cohortchain.errors import EmptyCohort, EstimationError, HorizonTooEarly, NoRecords
+from cohortchain.errors import (
+    EmptyCohort,
+    EstimationError,
+    HorizonTooEarly,
+    InsufficientData,
+    NoRecords,
+)
 from cohortchain.estimate import trajectory_types
 from cohortchain.states import ALLOWED_CELLS, N_STATES
 
@@ -120,6 +126,13 @@ class TestMarkovFull:
         ]
         combined = MarkovFullEstimator(2021).point(complete + partial)
         assert combined > alone
+
+    def test_reachable_gap_names_its_state(self):
+        # a student who reached year 2 by the horizon, with no one observed
+        # leaving it: the point estimate names Y2
+        record = make_record(cohort_year=2019, outcome=Outcome.ENROLLED, outcome_year=2)
+        with pytest.raises(InsufficientData, match="^no observed transitions out of state Y2$"):
+            MarkovFullEstimator(2021).point([record])
 
     def test_no_records(self):
         with pytest.raises(NoRecords):
@@ -274,14 +287,17 @@ def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
 def reference_rates(estimator, tallies):
     """Each row read alone by a reference: the per-row normaliser and
     sygr_markov for the chain estimators, graduates / starters for the
-    traditional one. (values, ok), with ok False where it raises."""
+    traditional one. (values, ok), with ok False where the chain reference
+    raises or there are no starters."""
     values, ok = [], []
     for tally in tallies:
+        if isinstance(estimator, TraditionalEstimator):
+            n_start, n_deg = tally
+            values.append(n_deg / n_start if n_start else None)
+            ok.append(n_start > 0)
+            continue
         try:
-            if isinstance(estimator, TraditionalEstimator):
-                values.append(estimator._rate(tally))
-            else:
-                values.append(sygr_markov(TransitionMatrix(per_row_matrix(as_grid(tally)))))
+            values.append(sygr_markov(TransitionMatrix(per_row_matrix(as_grid(tally)))))
             ok.append(True)
         except EstimationError:
             values.append(None)

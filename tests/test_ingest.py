@@ -8,7 +8,6 @@ from cohortchain import (
     LaGroup,
     Outcome,
     SubgroupSpec,
-    cohort_slice,
     derive_transitions,
     filter_subgroup,
     la_truncate,
@@ -232,17 +231,3 @@ class TestSubgroups:
             self.records, SubgroupSpec(aalana_only=True, la_group=LaGroup.EXPOSED)
         )
         assert both == direct
-
-
-class TestCohortSlice:
-    def test_selects_matching_year(self):
-        records = [make_record(sid="a", cohort_year=2013), make_record(sid="b", cohort_year=2014)]
-        assert [r.student_id for r in cohort_slice(records, 2013)] == ["a"]
-
-    def test_empty_year(self):
-        assert cohort_slice([make_record()], 1999) == []
-
-    def test_idempotent(self):
-        records = [make_record(sid="a"), make_record(sid="b", cohort_year=2014)]
-        once = cohort_slice(records, 2013)
-        assert cohort_slice(once, 2013) == once
