@@ -12,8 +12,8 @@ text), files mapping output names to their text, and `main` alone creates
 A run that fails creates no --out; validate's FAIL (exit 3) still writes
 its report.
 
-Exit codes: 0 success, 1 usage error, 2 data or estimation error,
-3 validation failure.
+Exit codes: 0 success, 1 usage error, 2 data or estimation error or an
+unwritable --out, 3 validation failure.
 """
 
 import argparse
@@ -70,7 +70,7 @@ def _csv(rows):
 
 def _metadata(args, extra=()):
     items = sorted(
-        f"{k}={v}" for k, v in vars(args).items() if k != "func" and v is not None
+        f"{k}={v}" for k, v in vars(args).items() if k not in ("func", "out") and v is not None
     )
     digest = hashlib.sha256("\n".join(items).encode("utf-8")).hexdigest()
     lines = [
@@ -220,131 +220,85 @@ def cmd_validate(args):
 
 
 def _paired_difference(s_a, s_b):
-    """Per-replicate differences for replicates that survived in both."""
-    ids_a = {int(b): v for b, v in zip(s_a.replicate_ids, s_a.ensemble)}
-    diffs = [
-        v - ids_a[int(b)]
-        for b, v in zip(s_b.replicate_ids, s_b.ensemble)
-        if int(b) in ids_a
-    ]
-    return np.array(diffs)
+    """Per-replicate differences b - a over the replicates that survived in both."""
+    _, i_a, i_b = np.intersect1d(s_a.replicate_ids, s_b.replicate_ids, return_indices=True)
+    return s_b.ensemble[i_b] - s_a.ensemble[i_a]
 
 
 def run_comparison(records, args, stratum, extra_spec):
-    """One exposed-vs-unexposed comparison within a stratum; returns a dict
-    of summaries and difference statistics."""
+    """One exposed-vs-unexposed comparison within a stratum; returns
+    (unexposed, exposed, (lo, median, hi)), each group (n, summary,
+    persistence_rates) and the triple the percentile interval of the paired
+    per-replicate difference, exposed minus unexposed."""
     base = filter_subgroup(records, extra_spec)
     seeds = np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64)
-    groups = {}
-    for name, la_group, seed in (
-        ("unexposed", LaGroup.UNEXPOSED, int(seeds[0])),
-        ("exposed", LaGroup.EXPOSED, int(seeds[1])),
-    ):
-        members = filter_subgroup(base, SubgroupSpec(la_group=la_group))
+    fits = []
+    for name, seed in zip(("unexposed", "exposed"), seeds):
+        members = filter_subgroup(base, SubgroupSpec(la_group=LaGroup(name)))
         if not members:
             raise UsageError(f"{stratum}: {name} group is empty")
-        estimator = MarkovFullEstimator(
-            args.horizon, from_la_year=(la_group is LaGroup.EXPOSED)
-        )
-        groups[name] = (members, bootstrap(members, estimator, _bootstrap_cfg(args, seed)))
-
-    s_un, s_ex = groups["unexposed"][1], groups["exposed"][1]
-    diff_ens = _paired_difference(s_un, s_ex)
-    d_lo, d_med, d_hi = percentile_ci(diff_ens, args.ci)
-    persistence = {
-        name: persistence_rates(
-            members, args.horizon, from_la_year=(name == "exposed")
-        )
-        for name, (members, _s) in groups.items()
-    }
-    return {
-        "stratum": stratum,
-        "unexposed": s_un,
-        "exposed": s_ex,
-        "n_unexposed": len(groups["unexposed"][0]),
-        "n_exposed": len(groups["exposed"][0]),
-        "median_diff": s_ex.median - s_un.median,
-        "diff_lo": d_lo,
-        "diff_median": d_med,
-        "diff_hi": d_hi,
-        "ci_overlap": (s_ex.lo <= s_un.hi) and (s_un.lo <= s_ex.hi),
-        "persistence": persistence,
-    }
+        estimator = MarkovFullEstimator(args.horizon, from_la_year=(name == "exposed"))
+        fits.append((members, bootstrap(members, estimator, _bootstrap_cfg(args, int(seed)))))
+    (m_un, s_un), (m_ex, s_ex) = fits
+    diff = percentile_ci(_paired_difference(s_un, s_ex), args.ci)
+    return (
+        (len(m_un), s_un, persistence_rates(m_un, args.horizon)),
+        (len(m_ex), s_ex, persistence_rates(m_ex, args.horizon, from_la_year=True)),
+        diff,
+    )
 
 
 def cmd_compare(args):
     _prepare(args)  # checks the flags; each group draws from a seed of its own
     records = _load_inputs(args.input)
 
-    strata = [
-        (
-            "all",
-            SubgroupSpec(
-                aalana_only=args.aalana,
-                first_gen_only=args.first_gen,
-                college=args.college,
-            ),
-        )
-    ]
+    strata = [("all", SubgroupSpec(aalana_only=args.aalana, first_gen_only=args.first_gen,
+                                   college=args.college))]
     if args.strata:
-        strata.append(("aalana", SubgroupSpec(aalana_only=True, college=args.college)))
-        strata.append(("first_gen", SubgroupSpec(first_gen_only=True, college=args.college)))
+        strata += [("aalana", SubgroupSpec(aalana_only=True, college=args.college)),
+                   ("first_gen", SubgroupSpec(first_gen_only=True, college=args.college))]
 
-    results = [run_comparison(records, args, name, spec) for name, spec in strata]
-
-    rows = [("stratum", "group", "n", "p2_5", "median", "p97_5", "width")]
-    rows += [
-        (res["stratum"], group, res["n_" + group], s.lo, s.median, s.hi, s.width)
-        for res in results
-        for group in ("unexposed", "exposed")
-        for s in [res[group]]
-    ]
-    files = {"comparison.csv": _csv(rows)}
-
-    rows = [("stratum", "median_diff", "diff_p2_5", "diff_median", "diff_p97_5", "ci_overlap")]
-    rows += [
-        (res["stratum"], res["median_diff"], res["diff_lo"], res["diff_median"],
-         res["diff_hi"], "yes" if res["ci_overlap"] else "no")
-        for res in results
-    ]
-    files["difference.csv"] = _csv(rows)
-
-    rows = [("stratum", "transition", "unexposed", "exposed", "difference")]
+    comparison = [("stratum", "group", "n", "p2_5", "median", "p97_5", "width")]
+    difference = [("stratum", "median_diff", "diff_p2_5", "diff_median", "diff_p97_5",
+                   "ci_overlap")]
+    persistence = [("stratum", "transition", "unexposed", "exposed", "difference")]
     txt = ["Stratum     Transition  no-LA  LA  Difference (LA - no-LA)"]
-    for res in results:
-        per = res["persistence"]
+    ensembles, stdout = {}, []
+    for stratum, spec in strata:
+        *groups, diff = run_comparison(records, args, stratum, spec)
+        for group, (n, s, _) in zip(("unexposed", "exposed"), groups):
+            comparison.append((stratum, group, n, s.lo, s.median, s.hi, s.width))
+            if args.export_ensemble:
+                ensembles[f"ensemble_{stratum}_{group}.csv"] = _ensemble_csv(s)
+        (_, s_un, per_un), (_, s_ex, per_ex) = groups
+        median_diff = s_ex.median - s_un.median
+        overlap = s_ex.lo <= s_un.hi and s_un.lo <= s_ex.hi
+        difference.append((stratum, median_diff, *diff, "yes" if overlap else "no"))
         for k in range(1, 6):
-            un, ex = per["unexposed"][k], per["exposed"][k]
+            un, ex = per_un[k], per_ex[k]
             # a year no one in the group reached has no persistence estimate
-            if un is None or ex is None:
-                csv_diff = txt_diff = "n/a"
-            else:
-                csv_diff = ex - un
-                txt_diff = f"{round_pct(ex) - round_pct(un):+d}"
-            rows.append((res["stratum"], f"Y{k}->Y{k + 1}", un, ex, csv_diff))
-            txt.append(
-                f"{res['stratum']:<11} Y{k}->Y{k + 1:<6} {_pct(un):>5} "
-                f"{_pct(ex):>3} {txt_diff}"
-            )
-    files["persistence.csv"] = _csv(rows)
-    files["persistence.txt"] = "\n".join(txt) + "\n"
+            gap = un is None or ex is None
+            persistence.append((stratum, f"Y{k}->Y{k + 1}", un, ex, None if gap else ex - un))
+            txt_diff = "n/a" if gap else f"{round_pct(ex) - round_pct(un):+d}"
+            txt.append(f"{stratum:<11} Y{k}->Y{k + 1:<6} {_pct(un):>5} {_pct(ex):>3} {txt_diff}")
+        stdout.append(
+            f"{stratum}: exposed median {100 * s_ex.median:.1f}% "
+            f"({100 * s_ex.lo:.1f}-{100 * s_ex.hi:.1f}), "
+            f"unexposed median {100 * s_un.median:.1f}% "
+            f"({100 * s_un.lo:.1f}-{100 * s_un.hi:.1f}), "
+            f"difference {100 * median_diff:+.1f} pp, "
+            f"CIs {'overlap' if overlap else 'do not overlap'}\n"
+        )
 
-    if args.export_ensemble:
-        for res in results:
-            for group in ("unexposed", "exposed"):
-                files[f"ensemble_{res['stratum']}_{group}.csv"] = _ensemble_csv(res[group])
-
-    files["metadata.txt"] = _metadata(args)
-    stdout = "".join(
-        f"{res['stratum']}: exposed median {100 * res['exposed'].median:.1f}% "
-        f"({100 * res['exposed'].lo:.1f}-{100 * res['exposed'].hi:.1f}), "
-        f"unexposed median {100 * res['unexposed'].median:.1f}% "
-        f"({100 * res['unexposed'].lo:.1f}-{100 * res['unexposed'].hi:.1f}), "
-        f"difference {100 * res['median_diff']:+.1f} pp, "
-        f"CIs {'overlap' if res['ci_overlap'] else 'do not overlap'}\n"
-        for res in results
-    )
-    return 0, files, stdout
+    files = {
+        "comparison.csv": _csv(comparison),
+        "difference.csv": _csv(difference),
+        "persistence.csv": _csv(persistence),
+        "persistence.txt": "\n".join(txt) + "\n",
+        **ensembles,
+        "metadata.txt": _metadata(args),
+    }
+    return 0, files, "".join(stdout)
 
 
 def cmd_synth(args):
@@ -414,13 +368,7 @@ def cmd_plot(args):
         files[f"kde_{label}.csv"] = _csv([("x", "density"), *zip(xs, dens)])
         curves.append((label, xs, dens))
 
-    files["kde.svg"] = render_line_chart(
-        curves,
-        markers,
-        title="Six-year graduation rate",
-        x_label="Six-year graduation rate (%)",
-        y_label="Density",
-    )
+    files["kde.svg"] = render_line_chart(curves, markers)
     files["metadata.txt"] = _metadata(args)
     return 0, files, f"wrote {Path(args.out) / 'kde.svg'}\n"
 
@@ -547,9 +495,13 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {exc.filename}: {exc.strerror or exc}\n")
+        return 2
     sys.stdout.write(stdout)
     return code
 

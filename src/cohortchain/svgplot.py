@@ -11,6 +11,10 @@ MARGIN_RIGHT = 24
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 56
 
+TITLE = "Six-year graduation rate"
+X_LABEL = "Six-year graduation rate (%)"
+Y_LABEL = "Density"
+
 PALETTE = [
     "#bbbbbb",
     "#888888",
@@ -33,7 +37,7 @@ def _esc(text):
     )
 
 
-def render_line_chart(curves, markers=(), title="", x_label="", y_label=""):
+def render_line_chart(curves, markers):
     """Render an SVG string.
 
     curves: iterable of (label, xs, ys) with xs in [0, 1] (plotted as %).
@@ -59,12 +63,9 @@ def render_line_chart(curves, markers=(), title="", x_label="", y_label=""):
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {WIDTH} {HEIGHT}" '
         f'width="{WIDTH}" height="{HEIGHT}" font-family="sans-serif" font-size="13">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-size="16">{_esc(TITLE)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="16">{_esc(title)}</text>'
-        )
 
     # axes and x ticks every 20 percentage points
     x0, x1 = px(0.0), px(1.0)
@@ -83,16 +84,14 @@ def render_line_chart(curves, markers=(), title="", x_label="", y_label=""):
         parts.append(
             f'<text x="{x:.1f}" y="{y0 + 20:.1f}" text-anchor="middle">{pct}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" '
-            f'text-anchor="middle">{_esc(x_label)}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{_esc(y_label)}</text>'
-        )
+    parts.append(
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{HEIGHT - 12}" '
+        f'text-anchor="middle">{_esc(X_LABEL)}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{_esc(Y_LABEL)}</text>'
+    )
 
     legend_items = []
     color_i = 0

@@ -270,8 +270,8 @@ def test_null_effect_difference_covers_zero():
         )
         records = generate_panel(spec)
         args = SimpleNamespace(seed=6000 + t, horizon=2021, replicates=300, ci=0.95)
-        res = run_comparison(records, args, "all", SubgroupSpec())
-        covered += res["diff_lo"] <= 0.0 <= res["diff_hi"]
+        _, _, (lo, _, hi) = run_comparison(records, args, "all", SubgroupSpec())
+        covered += lo <= 0.0 <= hi
     report(
         "null-effect interval covers zero",
         covered >= 90,
@@ -304,8 +304,8 @@ def _run_all_commands(spec_path, root):
 
 def test_command_determinism(tmp_path):
     """Every command rerun with the same configuration and seed produces
-    byte-identical tables and charts. The metadata sidecar is excluded: it
-    records the resolved output path, which differs between the two runs."""
+    byte-identical tables and charts. The metadata sidecar is excluded: its
+    config_hash covers the input paths, which differ between the two roots."""
     spec = GeneratorSpec(
         true_matrix=BASE_MATRIX,
         cohort_sizes={2013: 400, 2015: 300, 2018: 300},

@@ -1,10 +1,13 @@
 import filecmp
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cohortchain import cli
+from cohortchain.bootstrap import percentile_ci
 from cohortchain.cli import main, round_pct
 
 GEN_SPEC = """\
@@ -124,6 +127,16 @@ class TestEstimate:
         for name in ("summary_full.csv", "summary_rounded.csv", "ensemble_traditional.csv"):
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
 
+    def test_metadata_does_not_depend_on_out(self, panel, tmp_path):
+        for d in ("a", "b"):
+            assert main([
+                "estimate", "--input", str(panel), "--out", str(tmp_path / d),
+                "--horizon", "2021", "--cohort", "2013", "--seed", "8",
+                "--replicates", "50", "--method", "traditional",
+            ]) == 0
+        assert filecmp.cmp(tmp_path / "a/metadata.txt", tmp_path / "b/metadata.txt",
+                           shallow=False)
+
     def test_config_file_with_flag_override(self, panel, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
@@ -184,7 +197,14 @@ class TestCompare:
             assert float(row["difference"]) == pytest.approx(
                 float(row["exposed"]) - float(row["unexposed"]), abs=1e-9
             )
-        assert (tmp_path / "ensemble_all_exposed.csv").exists()
+        # the difference interval is that of the exported ensembles, paired
+        # by replicate id
+        un, ex = ({int(r["replicate"]): float(r["estimate"])
+                   for r in read_csv(tmp_path / f"ensemble_all_{g}.csv")}
+                  for g in ("unexposed", "exposed"))
+        expected = percentile_ci([ex[b] - un[b] for b in ex if b in un], 0.95)
+        got = [float(diff[k]) for k in ("diff_p2_5", "diff_median", "diff_p97_5")]
+        assert got == pytest.approx(expected, abs=1e-9)
 
     def test_strata_rows_present(self, panel, tmp_path):
         code = main([
@@ -226,6 +246,36 @@ class TestCompare:
         txt = (out / "persistence.txt").read_text().splitlines()
         assert txt[4].split()[:2] == ["all", "Y4->Y5"] and txt[4].split()[3] == "0"
         assert txt[5].split()[:2] == ["all", "Y5->Y6"] and txt[5].split()[3:] == ["n/a", "n/a"]
+
+
+def _paired_difference_by_dict(s_a, s_b):
+    """Reference: per-replicate differences b - a for replicates that
+    survived in both, paired through a dict keyed by replicate id."""
+    ids_a = {int(b): v for b, v in zip(s_a.replicate_ids, s_a.ensemble)}
+    diffs = [
+        v - ids_a[int(b)]
+        for b, v in zip(s_b.replicate_ids, s_b.ensemble)
+        if int(b) in ids_a
+    ]
+    return np.array(diffs)
+
+
+@pytest.mark.parametrize("ids_a, ids_b", [
+    ([1, 2, 4, 5], [1, 3, 4, 5]),
+    ([1, 2, 3, 4, 5], [2, 5]),
+    ([3, 7, 8], [1, 2, 3, 4, 5, 6, 7, 8, 9]),
+    ([1, 2], [3, 4]),
+])
+def test_paired_difference_matches_dict_pairing(ids_a, ids_b):
+    rng = np.random.default_rng(len(ids_a) * 10 + len(ids_b))
+
+    def summary(ids):
+        return SimpleNamespace(replicate_ids=np.array(ids), ensemble=rng.random(len(ids)))
+
+    s_a, s_b = summary(ids_a), summary(ids_b)
+    got = cli._paired_difference(s_a, s_b)
+    assert np.array_equal(got, _paired_difference_by_dict(s_a, s_b))
+    assert got.shape == (len(set(ids_a) & set(ids_b)),)
 
 
 class TestPlot:
@@ -309,6 +359,8 @@ def _error_cases(panel, tmp):
     word_replicate.write_text("replicate,estimate\n1,0.5\nx,0.5\n")
     blank_replicate = tmp / "blank.csv"
     blank_replicate.write_text("replicate,estimate\n1,0.5\n,0.6\n")
+    afile = tmp / "afile"
+    afile.write_text("")
     for d in ("x", "y"):
         (tmp / d).mkdir()
         (tmp / d / "e.csv").write_text("replicate,estimate\n1,0.5\n2,0.6\n")
@@ -354,6 +406,7 @@ def _error_cases(panel, tmp):
         ("plot_bandwidth_negative", [*plot, "--bandwidth", "-1"], 1),
         ("plot_bandwidth_nan", [*plot, "--bandwidth", "nan"], 1),
         ("plot_bandwidth_inf", [*plot, "--bandwidth", "inf"], 1),
+        ("plot_out_not_a_directory", [*plot, "--out", str(afile / "sub")], 2),
     ]
 
 
