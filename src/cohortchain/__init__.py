@@ -32,6 +32,7 @@ from .markov import (
 from .records import (
     LaGroup,
     Outcome,
+    Panel,
     StudentRecord,
     SubgroupSpec,
     Transition,
@@ -58,6 +59,7 @@ __all__ = [
     "MarkovFullEstimator",
     "MarkovReducedEstimator",
     "Outcome",
+    "Panel",
     "StudentRecord",
     "SubgroupSpec",
     "TraditionalEstimator",

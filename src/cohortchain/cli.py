@@ -20,20 +20,34 @@ import argparse
 import hashlib
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap, bootstrap_each, kde, percentile_ci
-from .errors import CohortChainError, DegenerateEnsemble
+from .errors import (
+    CohortChainError,
+    DegenerateEnsemble,
+    DuplicateId,
+    InvariantViolation,
+    ParseError,
+)
 from .estimate import (
     MarkovFullEstimator,
     MarkovReducedEstimator,
     TraditionalEstimator,
     persistence_rates,
 )
-from .records import LaGroup, SubgroupSpec, filter_subgroup, format_records, load_records
+from .records import (
+    LaGroup,
+    Panel,
+    SubgroupSpec,
+    filter_subgroup,
+    format_records,
+    load_records,
+)
 from .svgplot import render_line_chart
 from .synth import brute_force_sygr, format_generator_spec, generate_panel, load_generator_spec
 
@@ -93,10 +107,16 @@ def _read(path, load):
 
 
 def _load_inputs(paths):
-    records = []
+    """One panel of the rows of every input in turn, one row per student
+    across them all; a data error names its file."""
+    seen = set()
+    panels = []
     for path in paths:
-        records.extend(_read(path, load_records))
-    return records
+        try:
+            panels.append(_read(path, partial(load_records, seen=seen)))
+        except (ParseError, DuplicateId, InvariantViolation) as exc:
+            raise CohortChainError(f"{path}: {exc}") from None
+    return Panel.concat(panels)
 
 
 def _prepare(args):
@@ -186,7 +206,7 @@ def cmd_validate(args):
     cfg = _prepare(args)
     records = _load_inputs(args.input)
 
-    cohorts = sorted({r.cohort_year for r in records})
+    cohorts = sorted({r.cohort_year for r in records.kinds})
     complete = [c for c in cohorts if args.horizon >= c + 6]
     estimators = [
         est(c, args.horizon)
@@ -238,7 +258,12 @@ def run_comparison(records, args, stratum, extra_spec):
         if not members:
             raise UsageError(f"{stratum}: {name} group is empty")
         estimator = MarkovFullEstimator(args.horizon, from_la_year=(name == "exposed"))
-        fits.append((members, bootstrap(members, estimator, _bootstrap_cfg(args, int(seed)))))
+        cfg = _bootstrap_cfg(args, int(seed))
+        try:
+            summary = bootstrap(members, estimator, cfg)
+        except CohortChainError as exc:
+            raise CohortChainError(f"{stratum}: {name} group: {exc}") from None
+        fits.append((members, summary))
     (m_un, s_un), (m_ex, s_ex) = fits
     diff = percentile_ci(_paired_difference(s_un, s_ex), args.ci)
     return (

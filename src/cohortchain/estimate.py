@@ -8,7 +8,9 @@ All three read their estimate off pooled integer tallies. A record's tally
 depends only on its trajectory type, (cohort_year, outcome, outcome_year,
 la_year), so `trajectory_types` keys the records once, and each estimator
 derives one tally row per type (`table`, by the reference rules
-`derive_transitions` and `la_truncate`). Any resample's pooled tally is
+`derive_transitions` and `la_truncate`). Ingest validates each distinct row
+once and hands over a `Panel` of kinds (distinct rows but for the id), so
+that keying reads the kinds, not the rows. Any resample's pooled tally is
 then its type counts times the table, exactly the sum of its records'
 tallies, so the bootstrap counts each resample's types once for every
 estimator and re-derives nothing. `rates` is the one readout: it reads a
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import EmptyCohort, HorizonTooEarly, NoRecords
 from .markov import TransitionCounts, build_matrix, sygr_markov_stack
-from .records import Outcome, derive_transitions, la_truncate
+from .records import Outcome, Panel, derive_transitions, la_truncate
 from .states import ALLOWED_CELLS, N_STATES, AcademicState
 
 _CELL_INDEX = {cell: i for i, cell in enumerate(ALLOWED_CELLS)}
@@ -34,18 +36,19 @@ _CELL_ROWS, _CELL_COLS = np.array(ALLOWED_CELLS).T
 def trajectory_types(records):
     """(type_id, types): each record's trajectory-type id, and one record of
     each type, (cohort_year, outcome, outcome_year, la_year), in order of
-    first appearance."""
+    first appearance. Keys the panel's kinds, not its rows."""
+    panel = Panel.from_records(records)
     index = {}
     types = []
-    ids = []
-    for r in records:
+    kind_type = []
+    for r in panel.kinds:
         key = (r.cohort_year, r.outcome, r.outcome_year, r.la_year)
         t = index.get(key)
         if t is None:
             t = index[key] = len(types)
             types.append(r)
-        ids.append(t)
-    return np.array(ids, dtype=np.intp), types
+        kind_type.append(t)
+    return np.array(kind_type, dtype=np.intp)[panel.kind], types
 
 
 def _chain_cells(r, horizon_year, from_la_year=False):

@@ -8,12 +8,24 @@ with `aalana`/`first_gen` in {true,false}, `la_year` empty or 1-6, and
 `outcome` one of G (graduated), D (dropped out), E (still enrolled).
 `outcome_year` is years since matriculation at absorption, or the last
 fully completed year of study for enrolled students.
+
+Ingest validates each distinct row once. Every estimate and subgroup reads
+only a row's fields other than its student_id, and a panel holds few
+distinct such contents (a "kind"; 63 on a 100k synthetic panel). So
+`parse_records` checks per row only its field count and its id, and parses
+and validates the first row of each kind into the one StudentRecord of that
+kind. It returns a columnar `Panel`: the ids, a kind index per row, and the
+kinds. A row's validity depends only on its kind and its id, so every error
+still names the first offending row in file order.
 """
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import compress
+
+import numpy as np
 
 from .errors import DuplicateId, InvariantViolation, MissingExposure, ParseError
 from .states import AcademicState
@@ -98,6 +110,61 @@ class SubgroupSpec:
         return True
 
 
+class Panel:
+    """Student rows stored by kind: the rows of one kind share every field
+    but the student_id. `parse_records` makes one kind of each distinct row
+    text after the id.
+
+    `ids` holds the student ids in row order, `kind` an np.intp kind index
+    per row, and `kinds` one StudentRecord per kind, the kind's first row,
+    in order of first appearance. Every kind has at least one row. len() is
+    the row count; iteration yields each row's full StudentRecord.
+    """
+
+    __slots__ = ("ids", "kind", "kinds")
+
+    def __init__(self, ids, kind, kinds):
+        self.ids = ids
+        self.kind = kind
+        self.kinds = kinds
+
+    @classmethod
+    def from_records(cls, records):
+        """The panel of an iterable of records; a Panel is returned as it is."""
+        if isinstance(records, Panel):
+            return records
+        records = list(records)
+        each_its_own_kind = cls([r.student_id for r in records],
+                                np.arange(len(records), dtype=np.intp), records)
+        return cls.concat([each_its_own_kind])
+
+    @classmethod
+    def concat(cls, panels):
+        """One panel of the rows of one or more panels in turn; kinds of
+        equal content merge into the first of them."""
+        index, kinds, ids, columns = {}, [], [], []
+        for panel in panels:
+            renumber = []
+            for r in panel.kinds:
+                # all that estimates and subgroups read of a record
+                key = (r.cohort_year, r.aalana, r.first_gen, r.college, r.la_year, r.outcome,
+                       r.outcome_year)
+                if key not in index:
+                    index[key] = len(kinds)
+                    kinds.append(r)
+                renumber.append(index[key])
+            ids += panel.ids
+            columns.append(np.array(renumber, dtype=np.intp)[panel.kind])
+        return cls(ids, np.concatenate(columns), kinds)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        for sid, k in zip(self.ids, self.kind.tolist()):
+            yield replace(self.kinds[k], student_id=sid)
+
+
 @dataclass(frozen=True)
 class Transition:
     """One completed year-to-year step for one student."""
@@ -129,11 +196,39 @@ def _parse_int(raw, row, column):
         raise ParseError(row, column, f"expected an integer, got {raw!r}") from None
 
 
-def parse_records(source):
-    """Parse a CSV byte stream (or bytes, str, or text stream) into records.
+def _parse_kind(row, row_no):
+    """The StudentRecord of a row of a new kind, checked column by column
+    (outcome first), then against the record invariants."""
+    sid, cohort, aalana, first_gen, college, la_year, outcome, outcome_year = row
+    try:
+        outcome_val = Outcome(outcome)
+    except ValueError:
+        raise ParseError(row_no, "outcome", f"expected one of G, D, E, got {outcome!r}") from None
+    fields = dict(
+        student_id=sid,
+        cohort_year=_parse_int(cohort, row_no, "cohort_year"),
+        aalana=_parse_bool(aalana, row_no, "aalana"),
+        first_gen=_parse_bool(first_gen, row_no, "first_gen"),
+        college=college,
+        la_year=None if la_year == "" else _parse_int(la_year, row_no, "la_year"),
+        outcome=outcome_val,
+        outcome_year=_parse_int(outcome_year, row_no, "outcome_year"),
+    )
+    try:
+        return StudentRecord(**fields)
+    except ValueError as exc:
+        raise InvariantViolation(row_no, str(exc)) from None
+
+
+def parse_records(source, seen=None):
+    """Parse a CSV byte stream (or bytes, str, or text stream) into a Panel.
 
     The header must match the schema exactly; unknown extra columns are
-    rejected. Row numbers in errors are 1-based counting the header.
+    rejected. Row numbers in errors are 1-based counting the header. Each
+    row's field count and id are checked; only the first row of each kind
+    (its text after the id) is parsed and validated. `seen` holds ids read
+    before this source, as from earlier files: a row repeating one is a
+    DuplicateId, and this source's ids are added to it.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -153,43 +248,32 @@ def parse_records(source):
     if header != CSV_HEADER:
         raise ParseError(1, "header", f"expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
 
-    records = []
-    seen = {}
+    seen = set() if seen is None else seen
+    ids, kind, index, kinds = [], [], {}, []
     for row_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
             raise ParseError(row_no, "row", f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-        sid, cohort, aalana, first_gen, college, la_year, outcome, outcome_year = row
+        sid = row[0]
         if not sid:
             raise ParseError(row_no, "student_id", "must be non-empty")
         if sid in seen:
             raise DuplicateId(sid, row_no)
-        seen[sid] = row_no
-        try:
-            outcome_val = Outcome(outcome)
-        except ValueError:
-            raise ParseError(row_no, "outcome", f"expected one of G, D, E, got {outcome!r}") from None
-        fields = dict(
-            student_id=sid,
-            cohort_year=_parse_int(cohort, row_no, "cohort_year"),
-            aalana=_parse_bool(aalana, row_no, "aalana"),
-            first_gen=_parse_bool(first_gen, row_no, "first_gen"),
-            college=college,
-            la_year=None if la_year == "" else _parse_int(la_year, row_no, "la_year"),
-            outcome=outcome_val,
-            outcome_year=_parse_int(outcome_year, row_no, "outcome_year"),
-        )
-        try:
-            records.append(StudentRecord(**fields))
-        except ValueError as exc:
-            raise InvariantViolation(row_no, str(exc)) from None
-    return records
+        seen.add(sid)
+        ids.append(sid)
+        key = tuple(row[1:])
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(kinds)
+            kinds.append(_parse_kind(row, row_no))
+        kind.append(k)
+    return Panel(ids, np.array(kind, dtype=np.intp), kinds)
 
 
-def load_records(path):
+def load_records(path, seen=None):
     with open(path, "rb") as fh:
-        return parse_records(fh)
+        return parse_records(fh, seen)
 
 
 def format_records(records):
@@ -270,4 +354,10 @@ def la_truncate(r, transitions):
 
 
 def filter_subgroup(records, spec):
-    return [r for r in records if spec.matches(r)]
+    """The rows that match spec, as a Panel of only the kinds they hold."""
+    panel = Panel.from_records(records)
+    keep = np.array([spec.matches(r) for r in panel.kinds], dtype=bool)
+    rows = keep[panel.kind]
+    renumber = np.cumsum(keep, dtype=np.intp) - 1
+    return Panel(list(compress(panel.ids, rows.tolist())), renumber[panel.kind[rows]],
+                 list(compress(panel.kinds, keep)))

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from cohortchain import (
     derive_transitions,
     la_truncate,
 )
-from cohortchain.errors import InsufficientData
+from cohortchain.errors import DuplicateId, InsufficientData, InvariantViolation, ParseError
+from cohortchain.records import CSV_HEADER, _parse_bool, _parse_int
 from cohortchain.states import ABSORBING, N_STATES, TRANSIENT
 
 S = AcademicState
@@ -95,6 +99,51 @@ def per_row_matrix(grid):
     for s in ABSORBING:
         a[int(s), int(s)] = 1.0
     return a
+
+
+def parse_records_by_row(data):
+    """Reference parser: UTF-8 CSV bytes to a list of records, every row
+    parsed and validated on its own."""
+    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "student_id", "missing header row") from None
+    if header != CSV_HEADER:
+        raise ParseError(1, "header", f"expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
+
+    records = []
+    seen = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ParseError(row_no, "row", f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+        sid, cohort, aalana, first_gen, college, la_year, outcome, outcome_year = row
+        if not sid:
+            raise ParseError(row_no, "student_id", "must be non-empty")
+        if sid in seen:
+            raise DuplicateId(sid, row_no)
+        seen[sid] = row_no
+        try:
+            outcome_val = Outcome(outcome)
+        except ValueError:
+            raise ParseError(row_no, "outcome", f"expected one of G, D, E, got {outcome!r}") from None
+        fields = dict(
+            student_id=sid,
+            cohort_year=_parse_int(cohort, row_no, "cohort_year"),
+            aalana=_parse_bool(aalana, row_no, "aalana"),
+            first_gen=_parse_bool(first_gen, row_no, "first_gen"),
+            college=college,
+            la_year=None if la_year == "" else _parse_int(la_year, row_no, "la_year"),
+            outcome=outcome_val,
+            outcome_year=_parse_int(outcome_year, row_no, "outcome_year"),
+        )
+        try:
+            records.append(StudentRecord(**fields))
+        except ValueError as exc:
+            raise InvariantViolation(row_no, str(exc)) from None
+    return records
 
 
 def make_record(

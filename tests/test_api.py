@@ -10,6 +10,7 @@ EXPECTED = [
     "MarkovFullEstimator",
     "MarkovReducedEstimator",
     "Outcome",
+    "Panel",
     "StudentRecord",
     "SubgroupSpec",
     "TraditionalEstimator",

@@ -9,6 +9,7 @@ import pytest
 from cohortchain import cli
 from cohortchain.bootstrap import percentile_ci
 from cohortchain.cli import main, round_pct
+from cohortchain.records import CSV_HEADER
 
 GEN_SPEC = """\
 seed = 11
@@ -341,7 +342,8 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 
 def _error_cases(panel, tmp):
-    """(case, argv, exit code); every argv but the first ends in an error."""
+    """(case, argv, exit code[, start of stderr]); every argv but the first
+    ends in an error."""
     cfg = tmp / "run.cfg"
     cfg.write_text(
         f"input = {panel}\nhorizon = 2021\ncohort = 2013\nreplicates = 20\n"
@@ -361,6 +363,14 @@ def _error_cases(panel, tmp):
     blank_replicate.write_text("replicate,estimate\n1,0.5\n,0.6\n")
     afile = tmp / "afile"
     afile.write_text("")
+    header = ",".join(CSV_HEADER)
+    bad_row = tmp / "bad_row.csv"
+    bad_row.write_text(f"{header}\nr1,2013,true,false,SCI,,G,4\nr2,2013,maybe,false,SCI,,G,4\n")
+    # the exposed group's resamples lose every row out of Y2 whenever they
+    # hold only the censored e1, about one in four
+    small = tmp / "small.csv"
+    small.write_text(f"{header}\nu1,2013,false,false,SCI,,G,4\nu2,2013,false,false,SCI,,G,4\n"
+                     "e1,2019,false,false,SCI,1,E,1\ne2,2013,false,false,SCI,1,D,2\n")
     for d in ("x", "y"):
         (tmp / d).mkdir()
         (tmp / d / "e.csv").write_text("replicate,estimate\n1,0.5\n2,0.6\n")
@@ -388,6 +398,14 @@ def _error_cases(panel, tmp):
         ("compare_empty_group", ["compare", "--input", str(panel), "--out", str(tmp / "nope"),
                                  "--horizon", "2021", "--college", "NOPE"], 1),
         ("input_not_utf8", ["estimate", "--input", str(latin1), *estimate[3:]], 2),
+        ("inputs_repeat_a_student", [*estimate, "--input", str(panel)], 2,
+         f"error: {panel}: duplicate student_id "),
+        ("input_error_names_its_file", [*estimate, "--input", str(bad_row)], 2,
+         f"error: {bad_row}: row 3, column 'aalana': "),
+        ("compare_group_bootstrap_fails", ["compare", "--input", str(small), "--out",
+                                           str(tmp / "small_cmp"), "--horizon", "2021",
+                                           "--replicates", "200"], 2,
+         "error: all: exposed group: "),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
         ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),
@@ -415,14 +433,14 @@ def test_error_contract(panel, tmp_path, capsys):
     creates no --out: not when a later input or method fails after an earlier
     one succeeded (plot_good_then_malformed, estimate_horizon_too_early), nor
     when a usage error comes after the inputs are read."""
-    for case, argv, expected in _error_cases(panel, tmp_path):
+    for case, argv, expected, *start in _error_cases(panel, tmp_path):
         code = main(argv)
         err = capsys.readouterr().err
         assert code == expected, (case, err)
         if expected == 0:
             assert err == "", case
         else:
-            prefix = "usage error: " if expected == 1 else "error: "
+            prefix = start[0] if start else "usage error: " if expected == 1 else "error: "
             assert err.startswith(prefix) and err.count("\n") == 1, (case, err)
             # the last --out wins, as argparse takes it
             out = argv[max(i for i, arg in enumerate(argv) if arg == "--out") + 1]

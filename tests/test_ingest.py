@@ -1,5 +1,5 @@
 import pytest
-from conftest import make_record
+from conftest import make_record, parse_records_by_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,13 +8,17 @@ from cohortchain import (
     LaGroup,
     Outcome,
     SubgroupSpec,
+    TraditionalEstimator,
     derive_transitions,
     filter_subgroup,
     la_truncate,
     parse_records,
 )
+from cohortchain import records as records_module
 from cohortchain.errors import (
+    CohortChainError,
     DuplicateId,
+    EmptyCohort,
     InvariantViolation,
     MissingExposure,
     ParseError,
@@ -81,7 +85,62 @@ class TestParseRecords:
         records = parse_records(
             csv_bytes("s1,2013,true,false,SCI,2,G,4", "s2,2020,false,true,ENG,,E,1")
         )
-        assert parse_records(format_records(records)) == records
+        assert list(parse_records(format_records(records))) == list(records)
+
+    def test_each_kind_validated_once(self, monkeypatch):
+        # 60 rows of 6 kinds: (cohort_year, first_gen) cycle with period 6
+        calls = []
+        check = records_module._invariant_failure
+        monkeypatch.setattr(records_module, "_invariant_failure",
+                            lambda r: calls.append(r) or check(r))
+        rows = [f"s{i},{2013 + i % 3},false,{str(i % 2 == 0).lower()},SCI,,G,4"
+                for i in range(60)]
+        panel = parse_records(csv_bytes(*rows))
+        assert len(panel) == 60
+        assert len(panel.kinds) == 6
+        assert len(calls) == 6
+
+
+# Per column, values a valid row may hold and values that break it (college
+# takes any text). The few ids make repeats common; " 2013" is valid text of
+# the same content as "2013", a second kind of equal content; la_year 2 or 5
+# after an early outcome_year breaks the la_year invariant.
+GOOD = [list("abcdefghij"), ["2013", " 2013", "2019"], ["true", "false"],
+        ["true", "false"], ["SCI", "ENG"], ["", "", "1", "2"], ["G", "D", "E"],
+        ["1", "2", "4", "7"]]
+BAD = [[""], ["x", "2013.0"], ["yes", "True"], ["no", ""], [""], ["0", "5", "7", "one"],
+       ["X", "g", ""], ["0", "", "4.5"]]
+
+
+@st.composite
+def mutated_csv(draw):
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 8))):
+        fields = [draw(st.sampled_from(values)) for values in GOOD]
+        mutation = draw(st.sampled_from(["none"] * 12 + ["field"] * 3 + ["blank", "short", "long"]))
+        if mutation == "field":
+            column = draw(st.integers(0, len(BAD) - 1))
+            fields[column] = draw(st.sampled_from(BAD[column]))
+        elif mutation == "short":
+            fields.pop()
+        elif mutation == "long":
+            fields.append("x")
+        lines.append("" if mutation == "blank" else ",".join(fields))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _outcome(parse, data):
+    """The rows parse gives, or its error's type and message."""
+    try:
+        return list(parse(data))
+    except CohortChainError as exc:
+        return type(exc), str(exc)
+
+
+@given(data=mutated_csv())
+@settings(max_examples=400)
+def test_parse_matches_row_by_row_reference(data):
+    assert _outcome(parse_records, data) == _outcome(parse_records_by_row, data)
 
 
 def states_of(transitions):
@@ -205,7 +264,7 @@ class TestSubgroups:
         ]
 
     def test_identity_filter(self):
-        assert filter_subgroup(self.records, SubgroupSpec()) == self.records
+        assert list(filter_subgroup(self.records, SubgroupSpec())) == self.records
 
     def test_exposed_filter(self):
         out = filter_subgroup(self.records, SubgroupSpec(la_group=LaGroup.EXPOSED))
@@ -224,10 +283,18 @@ class TestSubgroups:
         out = filter_subgroup(self.records, SubgroupSpec(college="ENG"))
         assert [r.student_id for r in out] == ["c"]
 
+    def test_filter_drops_kinds_without_rows(self):
+        panel = parse_records(
+            csv_bytes("a,2013,false,false,SCI,,G,4", "b,2014,true,false,SCI,,G,4")
+        )
+        only_2014 = filter_subgroup(panel, SubgroupSpec(aalana_only=True))
+        with pytest.raises(EmptyCohort):
+            TraditionalEstimator(2013, 2021).point(only_2014)
+
     def test_sequential_filters_equal_conjunction(self):
         first = filter_subgroup(self.records, SubgroupSpec(aalana_only=True))
         both = filter_subgroup(first, SubgroupSpec(la_group=LaGroup.EXPOSED))
         direct = filter_subgroup(
             self.records, SubgroupSpec(aalana_only=True, la_group=LaGroup.EXPOSED)
         )
-        assert both == direct
+        assert list(both) == list(direct)
