@@ -33,6 +33,7 @@ from .errors import (
     DuplicateId,
     InvariantViolation,
     ParseError,
+    SpecFileError,
 )
 from .estimate import (
     MarkovFullEstimator,
@@ -49,7 +50,7 @@ from .records import (
     load_records,
 )
 from .svgplot import render_line_chart
-from .synth import brute_force_sygr, format_generator_spec, generate_panel, load_generator_spec
+from .synth import brute_force_sygr, format_generator_spec, load_generator_spec, simulate
 
 POSITIVE_CONTROL_TOL = 1e-9
 
@@ -329,18 +330,21 @@ def cmd_compare(args):
 def cmd_synth(args):
     if args.spec is None:
         raise UsageError("synth requires --spec")
-    spec = _read(args.spec, load_generator_spec)
-    records = generate_panel(spec)
+    try:
+        spec = _read(args.spec, load_generator_spec)
+    except SpecFileError as exc:
+        raise CohortChainError(f"{args.spec}: {exc}") from None
+    panel = simulate(spec)
     extra = [
-        ("students", len(records)),
+        ("students", len(panel)),
         ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix))),
     ]
     if spec.effect_matrix is not None:
         extra.append(("true_effect_sygr", _fmt(brute_force_sygr(spec.effect_matrix))))
     extra.append(("generator_seed", spec.seed))
     extra.append(("generator_spec", repr(format_generator_spec(spec))))
-    files = {"panel.csv": format_records(records), "metadata.txt": _metadata(args, extra)}
-    return 0, files, f"wrote {len(records)} records to {Path(args.out) / 'panel.csv'}\n"
+    files = {"panel.csv": format_records(panel), "metadata.txt": _metadata(args, extra)}
+    return 0, files, f"wrote {len(panel)} records to {Path(args.out) / 'panel.csv'}\n"
 
 
 def _read_ensemble_csv(path):

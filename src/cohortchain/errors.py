@@ -104,7 +104,9 @@ class DegenerateEnsemble(CohortChainError):
 
 
 class SpecFileError(CohortChainError):
+    """A bad generator spec; `line` is None for an error of the whole file."""
+
     def __init__(self, line, reason):
         self.line = line
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(reason if line is None else f"line {line}: {reason}")

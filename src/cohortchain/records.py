@@ -21,7 +21,8 @@ still names the first offending row in file order.
 
 import csv
 import io
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 
@@ -113,7 +114,7 @@ class SubgroupSpec:
 class Panel:
     """Student rows stored by kind: the rows of one kind share every field
     but the student_id. `parse_records` makes one kind of each distinct row
-    text after the id.
+    text after the id, and `synth.simulate` one of each distinct content.
 
     `ids` holds the student ids in row order, `kind` an np.intp kind index
     per row, and `kinds` one StudentRecord per kind, the kind's first row,
@@ -161,8 +162,14 @@ class Panel:
         return len(self.ids)
 
     def __iter__(self):
+        # A kind is already validated and an id carries no invariant, so each
+        # row copies its kind's fields rather than running __init__ again.
+        fields = [vars(r) for r in self.kinds]
+        new = object.__new__
         for sid, k in zip(self.ids, self.kind.tolist()):
-            yield replace(self.kinds[k], student_id=sid)
+            r = new(StudentRecord)
+            vars(r).update(fields[k], student_id=sid)
+            yield r
 
 
 @dataclass(frozen=True)
@@ -276,25 +283,42 @@ def load_records(path, seen=None):
         return parse_records(fh, seen)
 
 
-def format_records(records):
-    """Serialize records back to the CSV schema (LF endings, UTF-8 safe)."""
+def _csv_text(rows):
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                r.student_id,
-                r.cohort_year,
-                "true" if r.aalana else "false",
-                "true" if r.first_gen else "false",
-                r.college,
-                "" if r.la_year is None else r.la_year,
-                r.outcome.value,
-                r.outcome_year,
-            ]
-        )
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
+
+
+# csv.writer quotes a field holding one of these characters (which of them
+# depends on the Python version), and writes any other field as it is.
+_MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
+
+
+def format_records(records):
+    """Serialize records back to the CSV schema (LF endings, UTF-8 safe).
+
+    Writes by kind: the text after the id is written once per kind, and each
+    row is its id, a comma and its kind's text. Only an id that csv.writer
+    might quote goes through the writer.
+    """
+    panel = Panel.from_records(records)
+    texts = [
+        _csv_text([[
+            r.cohort_year,
+            "true" if r.aalana else "false",
+            "true" if r.first_gen else "false",
+            r.college,
+            "" if r.la_year is None else r.la_year,
+            r.outcome.value,
+            r.outcome_year,
+        ]])
+        for r in panel.kinds
+    ]
+    rows = (
+        (_csv_text([[sid]])[:-1] if _MAY_NEED_QUOTES(sid) else sid) + "," + texts[k]
+        for sid, k in zip(panel.ids, panel.kind.tolist())
+    )
+    return _csv_text([CSV_HEADER]) + "".join(rows)
 
 
 def derive_transitions(r, horizon_year):

@@ -6,6 +6,12 @@ record schema (so tests exercise the real ingestion path), and the
 generator keeps its own log of which walk steps are observable at the
 horizon for exact round-trip checks.
 
+Records are built by kind, as ingest builds them: `simulate` walks each
+cohort, encodes it column by column with numpy, and builds and validates
+one StudentRecord per distinct content (a "kind"), returning a `Panel`.
+The step log is still written per student, straight from the walk, so it
+stays independent of the encoding.
+
 Also home to the path-enumeration oracle for the six-year graduation
 rate, kept deliberately free of matrix multiplication.
 """
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import SpecFileError
 from .markov import TransitionMatrix
-from .records import Outcome, StudentRecord, Transition
+from .records import Outcome, Panel, StudentRecord, Transition
 from .states import N_STATES, AcademicState
 
 
@@ -150,55 +156,24 @@ def _walk_cohort(spec, n, rng):
         "first_gen": first_gen,
         "exposed": exposed,
         "la_years": la_years,
-        "college": [college_names[i] for i in college_idx],
+        "college": college_idx,
         "absorb_year": absorb_year,
         "graduated": graduated,
     }
 
 
+def _walks(spec):
+    """(cohort_year, walk) for every cohort, in year order."""
+    for cohort_year in sorted(spec.cohort_sizes):
+        rng = np.random.default_rng([spec.seed, cohort_year])
+        yield cohort_year, _walk_cohort(spec, spec.cohort_sizes[cohort_year], rng)
+
+
 def _students(spec):
     """(cohort_year, student_id, walk, i) for every simulated student."""
-    for cohort_year in sorted(spec.cohort_sizes):
-        n = spec.cohort_sizes[cohort_year]
-        rng = np.random.default_rng([spec.seed, cohort_year])
-        walk = _walk_cohort(spec, n, rng)
-        for i in range(n):
+    for cohort_year, walk in _walks(spec):
+        for i in range(spec.cohort_sizes[cohort_year]):
             yield cohort_year, f"s{cohort_year}_{i}", walk, i
-
-
-def _encode_student(spec, cohort_year, sid, walk, i):
-    obs = spec.horizon_year - cohort_year
-    a = int(walk["absorb_year"][i])
-    survivor = a == 0
-    if survivor:
-        enrolled_years = 7
-    else:
-        enrolled_years = a
-
-    if not survivor and a <= obs:
-        outcome = Outcome.GRADUATED if walk["graduated"][i] else Outcome.DROPPED_OUT
-        outcome_year = a
-    else:
-        outcome = Outcome.ENROLLED
-        outcome_year = min(enrolled_years, obs)
-
-    la_year = None
-    if walk["exposed"][i]:
-        ly = int(walk["la_years"][i])
-        slack = 1 if outcome is Outcome.ENROLLED else 0
-        if ly <= enrolled_years and ly <= outcome_year + slack:
-            la_year = ly
-
-    return StudentRecord(
-        student_id=sid,
-        cohort_year=cohort_year,
-        aalana=bool(walk["aalana"][i]),
-        first_gen=bool(walk["first_gen"][i]),
-        college=walk["college"][i],
-        la_year=la_year,
-        outcome=outcome,
-        outcome_year=outcome_year,
-    )
 
 
 def _observed_steps(spec, cohort_year, sid, walk, i):
@@ -224,18 +199,80 @@ def _observed_steps(spec, cohort_year, sid, walk, i):
     return steps
 
 
-def generate_panel_with_log(spec):
-    """Generate records plus the generator's own observable-step log."""
-    records = []
-    log = []
-    for student in _students(spec):
-        records.append(_encode_student(spec, *student))
-        log.extend(_observed_steps(spec, *student))
-    return records, log
+_OUTCOMES = (Outcome.GRADUATED, Outcome.DROPPED_OUT, Outcome.ENROLLED)
+
+
+def _cohort_panel(spec, cohort_year, walk):
+    """One cohort's walk encoded as a Panel, column by column.
+
+    A student absorbed by the horizon records the absorption; anyone else is
+    enrolled through min(enrolled years, observed years). LA exposure is
+    recorded when its year lies within both the enrolled years and the
+    observed trajectory (an enrolled student may be exposed in the year
+    after the last completed one). Kinds are keyed by one packed integer.
+    """
+    obs = spec.horizon_year - cohort_year
+    a = walk["absorb_year"]
+    enrolled_years = np.where(a == 0, 7, a)
+    absorbed = (a > 0) & (a <= obs)
+    # an index into _OUTCOMES; 2 is ENROLLED
+    outcome = np.where(absorbed, np.where(walk["graduated"], 0, 1), 2)
+    outcome_year = np.where(absorbed, a, np.minimum(enrolled_years, obs))
+    ly = walk["la_years"]
+    slack = outcome == 2
+    # 0 for no recorded exposure
+    la_year = np.where(
+        walk["exposed"] & (ly <= enrolled_years) & (ly <= outcome_year + slack), ly, 0
+    )
+    college = walk["college"]
+    # mixed radix: aalana, first_gen 2 each, la_year 0..6, outcome 3, outcome_year 1..7
+    key = ((college * 2 + walk["aalana"]) * 2 + walk["first_gen"]) * 7 + la_year
+    key = (key * 3 + outcome) * 8 + outcome_year
+
+    # the first row of each kind, in order of first appearance, from a table
+    # over the small key space (indexed by key, no sort of the rows)
+    n = len(key)
+    first = np.full(key.max() + 1, n)
+    np.minimum.at(first, key, np.arange(n))
+    rows = sorted(first[first < n].tolist())
+    kind_of_key = np.empty(len(first), dtype=np.intp)
+    kind_of_key[key[rows]] = np.arange(len(rows))
+    college_names = sorted(spec.colleges)
+    ids = [f"s{cohort_year}_{i}" for i in range(n)]
+    kinds = [
+        StudentRecord(
+            student_id=ids[i],
+            cohort_year=cohort_year,
+            aalana=bool(walk["aalana"][i]),
+            first_gen=bool(walk["first_gen"][i]),
+            college=college_names[college[i]],
+            la_year=int(la_year[i]) or None,
+            outcome=_OUTCOMES[outcome[i]],
+            outcome_year=int(outcome_year[i]),
+        )
+        for i in rows
+    ]
+    return Panel(ids, kind_of_key[key], kinds)
+
+
+def simulate(spec):
+    """The spec's panel: each cohort walked with its own seeded generator,
+    in year order, and encoded by kind."""
+    return Panel.concat(
+        _cohort_panel(spec, year, walk) for year, walk in _walks(spec)
+    )
 
 
 def generate_panel(spec):
-    return [_encode_student(spec, *student) for student in _students(spec)]
+    """The spec's records, one per student, in cohort then id order."""
+    return list(simulate(spec))
+
+
+def generate_panel_with_log(spec):
+    """Generate records plus the generator's own observable-step log, which is
+    written per student from the walk, apart from the records' encoding."""
+    log = [step for student in _students(spec) for step in _observed_steps(spec, *student)]
+    return generate_panel(spec), log
 
 
 def log_multiset(transitions):
@@ -308,7 +345,7 @@ def parse_generator_spec(text):
     def take(key, cast, default=None, required=False):
         if key not in fields:
             if required:
-                raise SpecFileError(0, f"missing required key {key!r}")
+                raise SpecFileError(None, f"missing required key {key!r}")
             return default
         raw, line_no = fields.pop(key)
         try:
@@ -319,7 +356,7 @@ def parse_generator_spec(text):
             raise SpecFileError(line_no, f"bad value for {key}: {raw!r}") from None
 
     if "matrix" not in matrices:
-        raise SpecFileError(0, "missing required matrix block")
+        raise SpecFileError(None, "missing required matrix block")
     spec_kwargs = dict(
         true_matrix=matrices["matrix"],
         effect_matrix=matrices.get("effect_matrix"),
@@ -348,7 +385,7 @@ def parse_generator_spec(text):
     try:
         return GeneratorSpec(**spec_kwargs)
     except ValueError as exc:
-        raise SpecFileError(0, str(exc)) from None
+        raise SpecFileError(None, str(exc)) from None
 
 
 def load_generator_spec(path):

@@ -146,6 +146,64 @@ def parse_records_by_row(data):
     return records
 
 
+def encode_by_student(spec, cohort_year, sid, walk, i):
+    """Reference encoder: one generator walk's student as a record, built and
+    validated on its own."""
+    obs = spec.horizon_year - cohort_year
+    a = int(walk["absorb_year"][i])
+    survivor = a == 0
+    if survivor:
+        enrolled_years = 7
+    else:
+        enrolled_years = a
+
+    if not survivor and a <= obs:
+        outcome = Outcome.GRADUATED if walk["graduated"][i] else Outcome.DROPPED_OUT
+        outcome_year = a
+    else:
+        outcome = Outcome.ENROLLED
+        outcome_year = min(enrolled_years, obs)
+
+    la_year = None
+    if walk["exposed"][i]:
+        ly = int(walk["la_years"][i])
+        slack = 1 if outcome is Outcome.ENROLLED else 0
+        if ly <= enrolled_years and ly <= outcome_year + slack:
+            la_year = ly
+
+    return StudentRecord(
+        student_id=sid,
+        cohort_year=cohort_year,
+        aalana=bool(walk["aalana"][i]),
+        first_gen=bool(walk["first_gen"][i]),
+        college=sorted(spec.colleges)[walk["college"][i]],
+        la_year=la_year,
+        outcome=outcome,
+        outcome_year=outcome_year,
+    )
+
+
+def format_records_by_record(records):
+    """Reference writer: every record's row through csv.writer on its own."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for r in records:
+        writer.writerow(
+            [
+                r.student_id,
+                r.cohort_year,
+                "true" if r.aalana else "false",
+                "true" if r.first_gen else "false",
+                r.college,
+                "" if r.la_year is None else r.la_year,
+                r.outcome.value,
+                r.outcome_year,
+            ]
+        )
+    return out.getvalue()
+
+
 def make_record(
     sid="s1",
     cohort_year=2013,

@@ -374,6 +374,12 @@ def _error_cases(panel, tmp):
     for d in ("x", "y"):
         (tmp / d).mkdir()
         (tmp / d / "e.csv").write_text("replicate,estimate\n1,0.5\n2,0.6\n")
+    no_matrix = tmp / "no_matrix.spec"
+    no_matrix.write_text("seed = x\n")
+    no_seed = tmp / "no_seed.spec"
+    no_seed.write_text(GEN_SPEC.replace("seed = 11\n", ""))
+    bad_number = tmp / "bad_number.spec"
+    bad_number.write_text(GEN_SPEC.replace("0 0.86 ", "0 0.8.6 "))
     plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
     estimate = ["estimate", "--input", str(panel), "--out", str(tmp / "out"),
                 "--horizon", "2021", "--cohort", "2013"]
@@ -406,6 +412,12 @@ def _error_cases(panel, tmp):
                                            str(tmp / "small_cmp"), "--horizon", "2021",
                                            "--replicates", "200"], 2,
          "error: all: exposed group: "),
+        ("spec_without_matrix", ["synth", "--spec", str(no_matrix), "--out", str(tmp / "s1")],
+         2, f"error: {no_matrix}: missing required matrix block"),
+        ("spec_without_seed", ["synth", "--spec", str(no_seed), "--out", str(tmp / "s2")],
+         2, f"error: {no_seed}: missing required key 'seed'"),
+        ("spec_bad_number", ["synth", "--spec", str(bad_number), "--out", str(tmp / "s3")],
+         2, f"error: {bad_number}: line 9: bad number '0.8.6' in matrix block"),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
         ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),

@@ -1,5 +1,7 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
-from conftest import make_record, parse_records_by_row
+from conftest import format_records_by_record, make_record, parse_records_by_row
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,6 +143,49 @@ def _outcome(parse, data):
 @settings(max_examples=400)
 def test_parse_matches_row_by_row_reference(data):
     assert _outcome(parse_records, data) == _outcome(parse_records_by_row, data)
+
+
+# Text that csv.writer quotes, passes through as it is, or writes as nothing.
+AWKWARD_TEXT = st.text(alphabet=st.sampled_from(list('ab,"\r\n é✓中')), max_size=5)
+
+
+@st.composite
+def awkward_record(draw):
+    outcome = draw(st.sampled_from(list(Outcome)))
+    outcome_year = draw(st.integers(1, 7))
+    last_la_year = min(6, outcome_year + (outcome is Outcome.ENROLLED))
+    return make_record(
+        sid=draw(AWKWARD_TEXT),
+        cohort_year=draw(st.sampled_from([2013, 2019])),
+        aalana=draw(st.booleans()),
+        first_gen=draw(st.booleans()),
+        college=draw(AWKWARD_TEXT),
+        la_year=draw(st.none() | st.integers(1, last_la_year)),
+        outcome=outcome,
+        outcome_year=outcome_year,
+    )
+
+
+@given(records=st.lists(awkward_record(), max_size=12))
+@settings(max_examples=300)
+def test_format_matches_per_record_writer(records):
+    assert format_records(records) == format_records_by_record(records)
+
+
+class TestPanel:
+    def test_iteration_copies_each_kind(self):
+        panel = parse_records(csv_bytes(
+            "a,2013,true,false,SCI,2,G,4", "b,2013,false,false,SCI,,D,2",
+            "c,2013,true,false,SCI,2,G,4", "d,2019,false,true,ENG,1,E,1",
+            "e,2013,false,false,SCI,,D,2",
+        ))
+        rows = list(panel)
+        assert rows == [replace(panel.kinds[k], student_id=sid)
+                        for sid, k in zip(panel.ids, panel.kind.tolist())]
+        assert [hash(r) for r in rows] == [hash(replace(r)) for r in rows]
+        assert len(set(rows)) == 5
+        with pytest.raises(FrozenInstanceError):
+            rows[2].college = "ENG"
 
 
 def states_of(transitions):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from conftest import (
     chain_09,
+    encode_by_student,
+    format_records_by_record,
     grad_in_year,
     matrix_from_rows,
     path_enumeration_sygr,
@@ -18,11 +20,15 @@ from cohortchain import (
     random_transition_matrix,
     sygr_markov,
 )
+from cohortchain import records as records_module
 from cohortchain.errors import SpecFileError
+from cohortchain.records import format_records
 from cohortchain.synth import (
+    _students,
     format_generator_spec,
     log_multiset,
     parse_generator_spec,
+    simulate,
 )
 
 
@@ -158,6 +164,62 @@ class TestRoundTrip:
                 t for r in records for t in derive_transitions(r, spec.horizon_year)
             ]
             assert log_multiset(derived) == log_multiset(log)
+
+
+def random_spec(rng, seed):
+    """A small spec drawn over every generator option: 1-6 cohorts, horizons
+    that cut cohorts short, LA exposure with and without a year
+    distribution, an effect matrix, slow finishers and 1-3 colleges."""
+    years = sorted(int(y) for y in rng.choice(np.arange(2008, 2020), rng.integers(1, 7),
+                                              replace=False))
+    alpha = (float(rng.uniform(1.0, 12.0)), 1.0, 1.0)
+    kwargs = dict(
+        true_matrix=random_transition_matrix(rng, alpha),
+        cohort_sizes={y: int(rng.integers(1, 60)) for y in years},
+        horizon_year=years[-1] + int(rng.integers(1, 9)),
+        seed=seed,
+        aalana_rate=float(rng.choice([0.0, rng.random(), 1.0])),
+        first_gen_rate=float(rng.choice([0.0, rng.random()])),
+        la_rate=float(rng.choice([0.0, rng.random(), 1.0])),
+        slow_finisher_rate=float(rng.choice([0.0, rng.random()])),
+    )
+    if rng.random() < 0.5:
+        la_years = rng.choice(np.arange(1, 7), rng.integers(1, 7), replace=False)
+        kwargs["la_year_dist"] = dict(zip(la_years.tolist(),
+                                          rng.dirichlet(np.ones(len(la_years))).tolist()))
+    if rng.random() < 0.5:
+        kwargs["effect_matrix"] = random_transition_matrix(rng, alpha)
+    names = rng.choice(["SCI", "ART", "ENG"], rng.integers(1, 4), replace=False).tolist()
+    kwargs["colleges"] = dict(zip(names, rng.dirichlet(np.ones(len(names))).tolist()))
+    return GeneratorSpec(**kwargs)
+
+
+class TestByKind:
+    """simulate encodes each cohort column-wise and builds one record per
+    kind; the per-student encoder and per-record writer are the references."""
+
+    def test_matches_per_student_reference(self):
+        rng = np.random.default_rng(1009)
+        for seed in range(200):
+            spec = random_spec(rng, seed)
+            expected = [encode_by_student(spec, *student) for student in _students(spec)]
+            records = generate_panel(spec)
+            assert records == expected, spec
+            assert format_records(records) == format_records_by_record(expected), spec
+
+    def test_each_kind_validated_once(self, monkeypatch):
+        calls = []
+        check = records_module._invariant_failure
+        monkeypatch.setattr(records_module, "_invariant_failure",
+                            lambda r: calls.append(r) or check(r))
+        spec = basic_spec(true_matrix=chain_09(), cohort_sizes={2013: 400, 2016: 300},
+                          la_rate=0.4, aalana_rate=0.3, first_gen_rate=0.5)
+        panel = simulate(spec)
+        assert len(panel) == 700
+        assert 1 < len(panel.kinds) < 100
+        assert len(calls) == len(panel.kinds)
+        assert len(list(panel)) == 700
+        assert len(calls) == len(panel.kinds)
 
 
 SPEC_TEXT = """\
