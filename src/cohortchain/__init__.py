@@ -22,11 +22,7 @@ from .estimate import (
     persistence_rates,
 )
 from .markov import (
-    TransitionCounts,
     TransitionMatrix,
-    build_matrix,
-    matrix_power,
-    sygr_markov,
     validate_structure,
 )
 from .records import (
@@ -46,7 +42,6 @@ from .synth import (
     GeneratorSpec,
     brute_force_sygr,
     generate_panel,
-    generate_panel_with_log,
     random_transition_matrix,
 )
 
@@ -64,23 +59,18 @@ __all__ = [
     "SubgroupSpec",
     "TraditionalEstimator",
     "Transition",
-    "TransitionCounts",
     "TransitionMatrix",
     "bootstrap",
     "bootstrap_each",
     "brute_force_sygr",
-    "build_matrix",
     "derive_transitions",
     "filter_subgroup",
     "generate_panel",
-    "generate_panel_with_log",
     "kde",
     "la_truncate",
-    "matrix_power",
     "parse_records",
     "percentile_ci",
     "persistence_rates",
     "random_transition_matrix",
-    "sygr_markov",
     "validate_structure",
 ]

@@ -15,16 +15,15 @@ then its type counts times the table, exactly the sum of its records'
 tallies, so the bootstrap counts each resample's types once for every
 estimator and re-derives nothing. `rates` is the one readout: it reads a
 whole stack of tallies at once (`sygr_markov_stack`), and the point
-estimate is the original tally read as a stack of one. Only where that
-estimate is undefined does `fit` ask `build_matrix` which state has no
-observations, to name it in the error. The tests hold `rates` to a per-row
-reference.
+estimate is the original tally read as a stack of one. Where that estimate
+is undefined, `fit` names the state without observations from the
+normaliser's gaps. The tests hold `rates` to a per-row reference.
 """
 
 import numpy as np
 
-from .errors import EmptyCohort, HorizonTooEarly, NoRecords
-from .markov import TransitionCounts, build_matrix, sygr_markov_stack
+from .errors import EmptyCohort, HorizonTooEarly, InsufficientData, NoRecords
+from .markov import normalise, sygr_markov_stack
 from .records import Outcome, Panel, derive_transitions, la_truncate
 from .states import ALLOWED_CELLS, N_STATES, AcademicState
 
@@ -74,19 +73,15 @@ def persistence_rates(records, horizon_year, *, from_la_year=False):
     """Year-to-year persistence probabilities from the pooled matrix, keyed
     by starting year of study (1..5). Full precision; rounding is a
     reporting concern. A year with no observed steps maps to None: the
-    matrix imputes drop-out for it, which is no estimate of persistence."""
+    matrix imputes drop-out for it, which is no estimate of persistence.
+    Raises exactly where the pooled point estimate raises."""
     estimator = MarkovFullEstimator(horizon_year, from_la_year=from_la_year)
     type_id, types = trajectory_types(records)
-    estimator._check(types)
-    tally = np.bincount(type_id, minlength=len(types)) @ estimator.table(types)
-    counts = TransitionCounts(_chain_grids(tally))
-    p = build_matrix(counts)
-    return {
-        k: p[AcademicState.year(k), AcademicState.year(k + 1)]
-        if counts.row_total(AcademicState.year(k))
-        else None
-        for k in range(1, 6)
-    }
+    type_counts = np.bincount(type_id, minlength=len(types))
+    _point, table = estimator.fit(types, type_counts)
+    counts = _chain_grids(type_counts @ table)
+    p, _gaps = normalise(counts)
+    return {k: float(p[k - 1, k]) if counts[k - 1].any() else None for k in range(1, 6)}
 
 
 class _Estimator:
@@ -126,7 +121,8 @@ class _Estimator:
         values, ok = self.rates(tally[None])
         if not ok[0]:
             # past _check, only a chain state without observations is left
-            build_matrix(TransitionCounts(_chain_grids(tally)))  # raises, naming it
+            _p, gaps = normalise(_chain_grids(tally))
+            raise InsufficientData(AcademicState(int(np.argmax(gaps))))
         return float(values[0]), table
 
     def point(self, records):

@@ -1,18 +1,17 @@
-"""Transition counts, row-stochastic matrices, and the chain readout.
+"""Transition matrices and the chain readout of transition counts.
 
 Counts stay exact integers, so pooling cohorts never loses precision.
-`_normalise` is the one rule that turns counts into probabilities, on one
-grid (`build_matrix`) or on a stack of bootstrap replicates
-(`sygr_markov_stack`): a transient row without observations is filled with
+`normalise` is the one rule that turns a stack of counts into
+probabilities: a transient row without observations is filled with
 drop-out when the chain cannot reach it, and makes the estimate undefined
-when it can.
+when it can. `sygr_markov_stack` reads the rate off every grid of such a
+stack at once; a single estimate is a stack of one.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData
 from .states import ABSORBING, ALLOWED_CELLS, N_STATES, TRANSIENT, AcademicState
 
 ROW_SUM_TOL = 1e-12
@@ -46,11 +45,10 @@ class EntryOutOfRange:
         return f"entry ({self.frm.name}, {self.to.name}) = {self.value!r} outside [0, 1]"
 
 
-# Cells that may hold counts, and cells that may hold probabilities (the
-# same plus the absorbing self-loops).
-_COUNT_PATTERN = np.zeros((N_STATES, N_STATES), dtype=bool)
-_COUNT_PATTERN[tuple(np.array(ALLOWED_CELLS).T)] = True
-_PATTERN = _COUNT_PATTERN | np.diag([s in ABSORBING for s in AcademicState])
+# Cells that may hold probabilities: the allowed transitions and the
+# absorbing self-loops.
+_PATTERN = np.diag([s in ABSORBING for s in AcademicState])
+_PATTERN[tuple(np.array(ALLOWED_CELLS).T)] = True
 
 _Y1 = int(AcademicState.Y1)
 _DROP_OUT = int(AcademicState.DROP_OUT)
@@ -107,36 +105,6 @@ def _require_valid(a):
         raise ValueError(f"invalid transition matrix: {detail}")
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionCounts:
-    """Observed year-to-year transition tallies (8x8, integer).
-
-    Only the allowed transient cells may be nonzero; absorbing rows are all
-    zero because self-loops are implied, not observed.
-    """
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.counts, dtype=np.int64)
-        if a.shape != (N_STATES, N_STATES):
-            raise ValueError(f"counts must be {N_STATES}x{N_STATES}, got {a.shape}")
-        if (a < 0).any():
-            raise ValueError("counts must be non-negative")
-        outside = (a != 0) & ~_COUNT_PATTERN
-        if outside.any():
-            i, j = np.argwhere(outside)[0]
-            raise ValueError(
-                f"count at ({AcademicState(i).name}, {AcademicState(j).name}) "
-                "is outside the allowed transition pattern"
-            )
-        a.flags.writeable = False
-        object.__setattr__(self, "counts", a)
-
-    def row_total(self, state):
-        return int(self.counts[int(state)].sum())
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic 8x8 matrix with the chain's sparsity pattern.
@@ -174,7 +142,7 @@ class TransitionMatrix:
         return bool((self.p == other.p).all())
 
 
-def _normalise(counts):
+def normalise(counts):
     """Row-normalise a (..., 8, 8) stack of integer counts into probability
     grids; the one place counts become probabilities.
 
@@ -200,44 +168,19 @@ def _normalise(counts):
     return p, empty & reachable
 
 
-def build_matrix(counts):
-    """Normalise counts row-wise into a TransitionMatrix.
-
-    Raises InsufficientData for the first transient row with no
-    observations that the chain can reach; an unreachable empty row is
-    filled with drop-out (see _normalise).
-    """
-    p, gaps = _normalise(counts.counts)
-    if gaps.any():
-        raise InsufficientData(AcademicState(int(np.argmax(gaps))))
-    return TransitionMatrix(p)
-
-
-def matrix_power(p, n):
-    """n-th power of the transition matrix as a plain probability grid."""
-    if n < 0:
-        raise ValueError("power must be non-negative")
-    return np.linalg.matrix_power(p.p, n)
-
-
-def sygr_markov(p):
-    """Six-year graduation rate read off the chain: the probability of
-    reaching the graduated state within six steps of starting in year 1."""
-    return float(matrix_power(p, 6)[int(AcademicState.Y1), int(AcademicState.GRADUATED)])
-
-
 def sygr_markov_stack(counts):
     """The six-year graduation rate of every grid in a (b, 8, 8) stack of
     integer counts, read in one stacked pass.
 
-    Returns (values, ok). ok[k] is False exactly where build_matrix raises
-    InsufficientData on TransitionCounts(counts[k]), and values[k] is then
-    meaningless. Elsewhere values[k] equals sygr_markov of that matrix bit
-    for bit (the tests check it): both normalise through _normalise, the
-    stacked matrix power multiplies each slice as the single one does, and
-    every stacked matrix must pass the checks TransitionMatrix makes.
+    Returns (values, ok). ok[k] is False exactly where normalise finds a
+    gap in counts[k], and values[k] is then meaningless. Elsewhere values[k]
+    is the probability of reaching the graduated state within six steps of
+    starting in year 1: entry (Y1, GRADUATED) of the sixth power of the
+    normalised grid, bit for bit as a single grid's power gives it (the
+    tests check it). Every normalised grid read must pass the checks
+    TransitionMatrix makes.
     """
-    p, gaps = _normalise(counts)
+    p, gaps = normalise(counts)
     ok = ~gaps.any(axis=-1)
     out_of_range, forbidden, bad_sum, _totals = _violation_masks(p)
     invalid = ok & (out_of_range.any(axis=(1, 2)) | forbidden.any(axis=(1, 2)) | bad_sum.any(axis=1))

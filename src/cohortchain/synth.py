@@ -1,29 +1,26 @@
 """Synthetic student panels from a known ground-truth chain.
 
 Stands in for private institutional data in every end-to-end test: walks
-are simulated from a true transition matrix, encoded through the public
-record schema (so tests exercise the real ingestion path), and the
-generator keeps its own log of which walk steps are observable at the
-horizon for exact round-trip checks.
+are simulated from a true transition matrix and encoded through the public
+record schema, so tests exercise the real ingestion path. The tests keep
+their own per-student log of which walk steps are observable at the
+horizon, for exact round-trip checks against the records.
 
 Records are built by kind, as ingest builds them: `simulate` walks each
 cohort, encodes it column by column with numpy, and builds and validates
 one StudentRecord per distinct content (a "kind"), returning a `Panel`.
-The step log is still written per student, straight from the walk, so it
-stays independent of the encoding.
 
 Also home to the path-enumeration oracle for the six-year graduation
 rate, kept deliberately free of matrix multiplication.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SpecFileError
 from .markov import TransitionMatrix
-from .records import Outcome, Panel, StudentRecord, Transition
+from .records import Outcome, Panel, StudentRecord
 from .states import N_STATES, AcademicState
 
 
@@ -76,6 +73,8 @@ class GeneratorSpec:
     colleges: dict = field(default_factory=lambda: {"SCI": 1.0})
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.cohort_sizes:
             raise ValueError("cohort_sizes must be non-empty")
         for year, n in self.cohort_sizes.items():
@@ -169,36 +168,6 @@ def _walks(spec):
         yield cohort_year, _walk_cohort(spec, spec.cohort_sizes[cohort_year], rng)
 
 
-def _students(spec):
-    """(cohort_year, student_id, walk, i) for every simulated student."""
-    for cohort_year, walk in _walks(spec):
-        for i in range(spec.cohort_sizes[cohort_year]):
-            yield cohort_year, f"s{cohort_year}_{i}", walk, i
-
-
-def _observed_steps(spec, cohort_year, sid, walk, i):
-    """Observable walk steps, written out directly from the trajectory (not
-    via the record), so the record round trip has something independent to
-    agree with."""
-    obs = spec.horizon_year - cohort_year
-    a = int(walk["absorb_year"][i])
-    survivor = a == 0
-    steps = []
-    last_persist = 5 if survivor else a - 1
-    for k in range(1, last_persist + 1):
-        if k < obs:
-            steps.append(
-                Transition(sid, AcademicState.year(k), AcademicState.year(k + 1), k)
-            )
-    if survivor:
-        if obs >= 6:
-            steps.append(Transition(sid, AcademicState.Y6, AcademicState.DROP_OUT, 6))
-    elif a <= obs:
-        to = AcademicState.GRADUATED if walk["graduated"][i] else AcademicState.DROP_OUT
-        steps.append(Transition(sid, AcademicState.year(a), to, a))
-    return steps
-
-
 _OUTCOMES = (Outcome.GRADUATED, Outcome.DROPPED_OUT, Outcome.ENROLLED)
 
 
@@ -268,18 +237,6 @@ def generate_panel(spec):
     return list(simulate(spec))
 
 
-def generate_panel_with_log(spec):
-    """Generate records plus the generator's own observable-step log, which is
-    written per student from the walk, apart from the records' encoding."""
-    log = [step for student in _students(spec) for step in _observed_steps(spec, *student)]
-    return generate_panel(spec), log
-
-
-def log_multiset(transitions):
-    """Multiset view of a transition log for exact comparison."""
-    return Counter((t.student_id, t.frm, t.to, t.year_index) for t in transitions)
-
-
 def _parse_matrix_block(lines, start, label):
     values = []
     idx = start
@@ -313,6 +270,13 @@ def _parse_pairs(raw, line_no, cast_key):
         except ValueError:
             raise SpecFileError(line_no, f"bad pair {tok!r}") from None
     return out
+
+
+def _whole(x):
+    """x as an int; ValueError unless it is a whole number."""
+    if not x.is_integer():
+        raise ValueError(x)
+    return int(x)
 
 
 def parse_generator_spec(text):
@@ -362,12 +326,11 @@ def parse_generator_spec(text):
         effect_matrix=matrices.get("effect_matrix"),
         seed=take("seed", lambda v, _ln: int(v), required=True),
         horizon_year=take("horizon_year", lambda v, _ln: int(v), required=True),
-        cohort_sizes={
-            int(y): int(n)
-            for y, n in take(
-                "cohort_sizes", lambda v, ln: _parse_pairs(v, ln, int), required=True
-            ).items()
-        },
+        cohort_sizes=take(
+            "cohort_sizes",
+            lambda v, ln: {y: _whole(n) for y, n in _parse_pairs(v, ln, int).items()},
+            required=True,
+        ),
         aalana_rate=take("aalana_rate", lambda v, _ln: float(v), 0.0),
         first_gen_rate=take("first_gen_rate", lambda v, _ln: float(v), 0.0),
         la_rate=take("la_rate", lambda v, _ln: float(v), 0.0),

@@ -1,5 +1,6 @@
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from cohortchain import (
     AcademicState,
     Outcome,
     StudentRecord,
+    Transition,
     TransitionMatrix,
     derive_transitions,
+    generate_panel,
     la_truncate,
 )
 from cohortchain.errors import DuplicateId, InsufficientData, InvariantViolation, ParseError
 from cohortchain.records import CSV_HEADER, _parse_bool, _parse_int
 from cohortchain.states import ABSORBING, N_STATES, TRANSIENT
+from cohortchain.synth import _walks
 
 S = AcademicState
 
@@ -65,6 +69,12 @@ def path_enumeration_sygr(p):
             prob *= grid[i - 1, i]
         total += prob * grid[k - 1, int(S.GRADUATED)]
     return total
+
+
+def matrix_power_sygr(grid):
+    """Reference readout: the (Y1, GRADUATED) entry of one probability
+    grid's sixth power."""
+    return np.linalg.matrix_power(grid, 6)[int(S.Y1), int(S.GRADUATED)]
 
 
 def per_record_grid(records, horizon_year, from_la_year=False, cohort_year=None):
@@ -144,6 +154,46 @@ def parse_records_by_row(data):
         except ValueError as exc:
             raise InvariantViolation(row_no, str(exc)) from None
     return records
+
+
+def students(spec):
+    """(cohort_year, student_id, walk, i) for every simulated student."""
+    for cohort_year, walk in _walks(spec):
+        for i in range(spec.cohort_sizes[cohort_year]):
+            yield cohort_year, f"s{cohort_year}_{i}", walk, i
+
+
+def observed_steps(spec, cohort_year, sid, walk, i):
+    """Observable walk steps, written out directly from the trajectory (not
+    via the record), so the record round trip has something independent to
+    agree with."""
+    obs = spec.horizon_year - cohort_year
+    a = int(walk["absorb_year"][i])
+    survivor = a == 0
+    steps = []
+    last_persist = 5 if survivor else a - 1
+    for k in range(1, last_persist + 1):
+        if k < obs:
+            steps.append(Transition(sid, S.year(k), S.year(k + 1), k))
+    if survivor:
+        if obs >= 6:
+            steps.append(Transition(sid, S.Y6, S.DROP_OUT, 6))
+    elif a <= obs:
+        to = S.GRADUATED if walk["graduated"][i] else S.DROP_OUT
+        steps.append(Transition(sid, S.year(a), to, a))
+    return steps
+
+
+def generate_panel_with_log(spec):
+    """The generator's records plus its observable-step log, written per
+    student from the walk, apart from the records' encoding."""
+    log = [step for student in students(spec) for step in observed_steps(spec, *student)]
+    return generate_panel(spec), log
+
+
+def log_multiset(transitions):
+    """Multiset view of a transition log for exact comparison."""
+    return Counter((t.student_id, t.frm, t.to, t.year_index) for t in transitions)
 
 
 def encode_by_student(spec, cohort_year, sid, walk, i):

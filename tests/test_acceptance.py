@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import matrix_from_rows
+from conftest import generate_panel_with_log, log_multiset, matrix_from_rows
 
 from cohortchain import (
     BootstrapConfig,
@@ -25,12 +25,12 @@ from cohortchain import (
     brute_force_sygr,
     derive_transitions,
     generate_panel,
-    generate_panel_with_log,
     random_transition_matrix,
-    sygr_markov,
 )
 from cohortchain.cli import main, run_comparison
-from cohortchain.synth import format_generator_spec, log_multiset
+from cohortchain.markov import normalise, sygr_markov_stack
+from cohortchain.states import ALLOWED_CELLS
+from cohortchain.synth import format_generator_spec
 
 BASE_MATRIX = matrix_from_rows({
     1: {2: 0.87, "D": 0.09, "G": 0.04},
@@ -86,18 +86,20 @@ def test_complete_cohort_identity():
 
 
 def test_readout_matches_path_enumeration():
-    """Matrix-power readout equals the brute-force path sum on 1000 random
-    matrices."""
+    """The stacked readout equals the brute-force path sum over the chains
+    of 1000 random count grids."""
     start = time.perf_counter()
     rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(1000):
-        p = random_transition_matrix(rng)
-        worst = max(worst, abs(sygr_markov(p) - brute_force_sygr(p)))
+    counts = np.zeros((1000, 8, 8), dtype=np.int64)
+    rows, cols = np.array(ALLOWED_CELLS).T
+    counts[:, rows, cols] = rng.integers(0, 1000, size=(1000, len(ALLOWED_CELLS)))
+    values, ok = sygr_markov_stack(counts)
+    p, _gaps = normalise(counts)
+    worst = max(abs(v - brute_force_sygr(grid)) for v, grid in zip(values, p))
     elapsed = time.perf_counter() - start
     report(
         "readout vs path enumeration",
-        worst <= 1e-12 and elapsed < 5.0,
+        ok.all() and worst <= 1e-12 and elapsed < 5.0,
         f"max |gap| = {worst:.2e}, {elapsed:.1f}s",
     )
 

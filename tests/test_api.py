@@ -15,24 +15,19 @@ EXPECTED = [
     "SubgroupSpec",
     "TraditionalEstimator",
     "Transition",
-    "TransitionCounts",
     "TransitionMatrix",
     "bootstrap",
     "bootstrap_each",
     "brute_force_sygr",
-    "build_matrix",
     "derive_transitions",
     "filter_subgroup",
     "generate_panel",
-    "generate_panel_with_log",
     "kde",
     "la_truncate",
-    "matrix_power",
     "parse_records",
     "percentile_ci",
     "persistence_rates",
     "random_transition_matrix",
-    "sygr_markov",
     "validate_structure",
 ]
 

@@ -371,6 +371,9 @@ def _error_cases(panel, tmp):
     small = tmp / "small.csv"
     small.write_text(f"{header}\nu1,2013,false,false,SCI,,G,4\nu2,2013,false,false,SCI,,G,4\n"
                      "e1,2019,false,false,SCI,1,E,1\ne2,2013,false,false,SCI,1,D,2\n")
+    # the unexposed student reached Y2 and nobody is seen leaving it
+    gap = tmp / "gap.csv"
+    gap.write_text(f"{header}\nu1,2019,false,false,SCI,,E,1\ne1,2019,false,false,SCI,1,D,1\n")
     for d in ("x", "y"):
         (tmp / d).mkdir()
         (tmp / d / "e.csv").write_text("replicate,estimate\n1,0.5\n2,0.6\n")
@@ -380,6 +383,10 @@ def _error_cases(panel, tmp):
     no_seed.write_text(GEN_SPEC.replace("seed = 11\n", ""))
     bad_number = tmp / "bad_number.spec"
     bad_number.write_text(GEN_SPEC.replace("0 0.86 ", "0 0.8.6 "))
+    negative_seed = tmp / "negative_seed.spec"
+    negative_seed.write_text(GEN_SPEC.replace("seed = 11\n", "seed = -1\n"))
+    fractional_size = tmp / "fractional_size.spec"
+    fractional_size.write_text(GEN_SPEC.replace("2013:300 ", "2013:30.7 "))
     plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
     estimate = ["estimate", "--input", str(panel), "--out", str(tmp / "out"),
                 "--horizon", "2021", "--cohort", "2013"]
@@ -412,12 +419,25 @@ def _error_cases(panel, tmp):
                                            str(tmp / "small_cmp"), "--horizon", "2021",
                                            "--replicates", "200"], 2,
          "error: all: exposed group: "),
+        ("estimate_undefined_on_original", ["estimate", "--input", str(gap), "--out",
+                                            str(tmp / "gap_est"), "--horizon", "2021",
+                                            "--method", "markov-full"], 2,
+         "error: no observed transitions out of state Y2\n"),
+        ("compare_undefined_on_original", ["compare", "--input", str(gap), "--out",
+                                           str(tmp / "gap_cmp"), "--horizon", "2021"], 2,
+         "error: all: unexposed group: no observed transitions out of state Y2\n"),
         ("spec_without_matrix", ["synth", "--spec", str(no_matrix), "--out", str(tmp / "s1")],
          2, f"error: {no_matrix}: missing required matrix block"),
         ("spec_without_seed", ["synth", "--spec", str(no_seed), "--out", str(tmp / "s2")],
          2, f"error: {no_seed}: missing required key 'seed'"),
         ("spec_bad_number", ["synth", "--spec", str(bad_number), "--out", str(tmp / "s3")],
          2, f"error: {bad_number}: line 9: bad number '0.8.6' in matrix block"),
+        ("spec_negative_seed", ["synth", "--spec", str(negative_seed), "--out", str(tmp / "s4")],
+         2, f"error: {negative_seed}: seed must be non-negative, got -1\n"),
+        ("spec_fractional_size", ["synth", "--spec", str(fractional_size),
+                                  "--out", str(tmp / "s5")],
+         2, f"error: {fractional_size}: line 3: bad value for cohort_sizes: "
+         "'2013:30.7 2014:300 2015:300 2017:200 2019:200'\n"),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
         ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),

@@ -1,7 +1,13 @@
 
 import numpy as np
 import pytest
-from conftest import make_record, path_enumeration_sygr, per_record_grid, per_row_matrix
+from conftest import (
+    make_record,
+    matrix_power_sygr,
+    path_enumeration_sygr,
+    per_record_grid,
+    per_row_matrix,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,11 +18,9 @@ from cohortchain import (
     MarkovReducedEstimator,
     Outcome,
     TraditionalEstimator,
-    TransitionMatrix,
     generate_panel,
     persistence_rates,
     random_transition_matrix,
-    sygr_markov,
 )
 from cohortchain.errors import (
     EmptyCohort,
@@ -215,6 +219,18 @@ class TestPersistence:
         rates = persistence_rates(records, 2021, from_la_year=True)
         assert rates[2] == pytest.approx(5 / 6, abs=1e-12)
 
+    def test_unobserved_year_is_none(self):
+        # everyone drops out in year 1: years 2-5 are never reached
+        records = cohort_of(0, 4)
+        assert persistence_rates(records, 2021) == {1: 0.0, 2: None, 3: None, 4: None, 5: None}
+
+    def test_raises_where_the_estimate_raises(self):
+        record = make_record(cohort_year=2019, outcome=Outcome.ENROLLED, outcome_year=2)
+        with pytest.raises(InsufficientData, match="^no observed transitions out of state Y2$"):
+            persistence_rates([record], 2021)
+        with pytest.raises(NoRecords):
+            persistence_rates([], 2021)
+
 
 @st.composite
 def panels(draw):
@@ -285,8 +301,8 @@ def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
 
 
 def reference_rates(estimator, tallies):
-    """Each row read alone by a reference: the per-row normaliser and
-    sygr_markov for the chain estimators, graduates / starters for the
+    """Each row read alone by a reference: the per-row normaliser and one
+    grid's matrix power for the chain estimators, graduates / starters for the
     traditional one. (values, ok), with ok False where the chain reference
     raises or there are no starters."""
     values, ok = [], []
@@ -297,7 +313,7 @@ def reference_rates(estimator, tallies):
             ok.append(n_start > 0)
             continue
         try:
-            values.append(sygr_markov(TransitionMatrix(per_row_matrix(as_grid(tally)))))
+            values.append(matrix_power_sygr(per_row_matrix(as_grid(tally))))
             ok.append(True)
         except EstimationError:
             values.append(None)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from conftest import (
     _to_state,
-    chain_09,
     grad_in_year,
-    matrix_from_rows,
+    make_record,
+    matrix_power_sygr,
     path_enumeration_sygr,
     per_row_matrix,
 )
@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 from cohortchain import (
     AcademicState,
-    TransitionCounts,
+    MarkovFullEstimator,
+    Outcome,
     TransitionMatrix,
-    build_matrix,
-    matrix_power,
     random_transition_matrix,
-    sygr_markov,
     validate_structure,
 )
 from cohortchain.errors import InsufficientData
@@ -27,6 +25,7 @@ from cohortchain.markov import (
     EntryOutOfRange,
     ForbiddenTransition,
     RowSumViolation,
+    normalise,
     sygr_markov_stack,
 )
 from cohortchain.states import ABSORBING, ALLOWED_CELLS, ALLOWED_SET
@@ -39,7 +38,7 @@ def counts_from(rows):
     for k, entries in rows.items():
         for dst, n in entries.items():
             grid[int(S.year(k)), int(_to_state(dst))] = n
-    return TransitionCounts(grid)
+    return grid
 
 
 def filled_counts(y1_row):
@@ -49,121 +48,141 @@ def filled_counts(y1_row):
     return counts_from(rows)
 
 
+def readout(grid):
+    """(value, ok) of one count grid, read as a stack of one."""
+    values, ok = sygr_markov_stack(grid[None])
+    return values[0], ok[0]
+
+
 class TestBuildMatrix:
+    """Counts into a chain: the normaliser, and where it finds a gap."""
+
     def test_hand_counted_row(self):
         # 7 of 10 persist, 3 drop: probabilities are 0.7 and 0.3 exactly
-        m = build_matrix(filled_counts({2: 7, "D": 3}))
-        assert m[S.Y1, S.Y2] == 0.7
-        assert m[S.Y1, S.DROP_OUT] == 0.3
-        assert m[S.Y1, S.GRADUATED] == 0.0
+        p, gaps = normalise(filled_counts({2: 7, "D": 3}))
+        assert p[S.Y1, S.Y2] == 0.7
+        assert p[S.Y1, S.DROP_OUT] == 0.3
+        assert p[S.Y1, S.GRADUATED] == 0.0
+        assert not gaps.any()
 
     def test_degenerate_deterministic_chain(self):
         counts = counts_from(
             {1: {2: 5}, 2: {3: 5}, 3: {4: 5}, 4: {5: 5}, 5: {6: 5}, 6: {"G": 5}}
         )
-        m = build_matrix(counts)
+        p, _gaps = normalise(counts)
         for i in range(8):
-            row = m.p[i]
+            row = p[i]
             assert (row == 1.0).sum() == 1
             assert row.sum() == 1.0
 
     def test_empty_transient_row_raises(self):
         # Y2 -> Y3 is observed, so Y3 is reachable, but nobody leaves it
         rows = {1: {2: 1, "D": 1}, 2: {3: 1}, 4: {"D": 1}, 5: {"D": 1}, 6: {"D": 1}}
-        counts = counts_from(rows)
+        _p, gaps = normalise(counts_from(rows))
+        assert gaps.tolist() == [False, False, True, False, False, False]
+        assert not readout(counts_from(rows))[1]
+        # a student censored in Y3 reached it, and is the only one there:
+        # the point estimate names Y3
+        record = make_record(cohort_year=2018, outcome=Outcome.ENROLLED, outcome_year=3)
         with pytest.raises(InsufficientData) as exc:
-            build_matrix(counts)
+            MarkovFullEstimator(2021).point([record])
         assert exc.value.state is S.Y3
 
     def test_absorbing_rows_are_identity(self):
-        m = build_matrix(filled_counts({2: 1}))
-        assert m[S.DROP_OUT, S.DROP_OUT] == 1.0
-        assert m[S.GRADUATED, S.GRADUATED] == 1.0
+        p, _gaps = normalise(filled_counts({2: 1}))
+        assert p[S.DROP_OUT, S.DROP_OUT] == 1.0
+        assert p[S.GRADUATED, S.GRADUATED] == 1.0
 
     def test_scale_invariance(self, rng):
         base = {1: {2: 3, "D": 2, "G": 1}, 2: {"G": 4}, 3: {"D": 2}, 4: {"D": 1},
                 5: {"D": 9}, 6: {"G": 7}}
-        scaled = {
-            k: {dst: n * int(rng.integers(2, 9)) for dst, n in row.items()}
-            for k, row in base.items()
-        }
         # each row scaled by one factor, so probabilities are unchanged
-        for k in scaled:
-            factor = next(iter(scaled[k].values())) // next(iter(base[k].values()))
-            scaled[k] = {dst: n * factor for dst, n in base[k].items()}
-        m1 = build_matrix(counts_from(base))
-        m2 = build_matrix(counts_from(scaled))
-        np.testing.assert_array_equal(m1.p, m2.p)
+        scaled = {}
+        for k, row in base.items():
+            factor = int(rng.integers(2, 9))
+            scaled[k] = {dst: n * factor for dst, n in row.items()}
+        p1, _gaps = normalise(counts_from(base))
+        p2, _gaps = normalise(counts_from(scaled))
+        np.testing.assert_array_equal(p1, p2)
 
     def test_unreachable_empty_rows_filled_with_drop_out(self):
         # nobody ever reaches Y3+: those rows cannot matter for the readout
         counts = counts_from({1: {2: 4, "D": 1}, 2: {"G": 3, "D": 1}})
-        m = build_matrix(counts)
-        assert m[S.Y3, S.DROP_OUT] == 1.0
-        assert sygr_markov(m) == pytest.approx(0.8 * 0.75, abs=1e-15)
+        p, gaps = normalise(counts)
+        assert p[S.Y3, S.DROP_OUT] == 1.0
+        assert not gaps.any()
+        value, ok = readout(counts)
+        assert ok
+        assert value == pytest.approx(0.8 * 0.75, abs=1e-15)
 
     def test_reachable_gap_raises_beside_unreachable_rows(self):
         counts = counts_from({1: {2: 4, "D": 1}})
-        with pytest.raises(InsufficientData) as exc:
-            build_matrix(counts)
-        assert exc.value.state is S.Y2
+        p, gaps = normalise(counts)
+        assert gaps.tolist() == [False, True, False, False, False, False]
+        assert p[S.Y3, S.DROP_OUT] == 1.0
+        assert not readout(counts)[1]
 
 
 class TestMatrixPower:
-    def test_zeroth_power_is_identity(self, rng):
-        p = random_transition_matrix(rng)
-        np.testing.assert_array_equal(matrix_power(p, 0), np.eye(8))
+    """The sixth power of each normalised grid, read off the stack."""
 
     def test_all_dropout_gives_zero_graduation(self):
-        rows = {k: {"D": 1.0} for k in range(1, 7)}
-        p = matrix_from_rows(rows)
-        assert matrix_power(p, 6)[int(S.Y1), int(S.GRADUATED)] == 0.0
+        counts = counts_from({k: {"D": 1} for k in range(1, 7)})
+        assert readout(counts) == (0.0, True)
 
     def test_three_persist_steps(self):
         # path-enumeration oracle: only one path reaches graduation,
         # persisting three times at 0.9 then graduating surely
         expected = 0.9 * 0.9 * 0.9
         assert expected == pytest.approx(0.729, abs=1e-15)
-        p = chain_09()
-        assert matrix_power(p, 6)[int(S.Y1), int(S.GRADUATED)] == pytest.approx(
-            expected, abs=1e-12
-        )
+        rows = {k: {k + 1: 9, "D": 1} for k in range(1, 4)}
+        rows[4] = {"G": 1}
+        value, ok = readout(counts_from(rows))
+        assert ok
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_rows_stay_stochastic(self, rng):
-        p = random_transition_matrix(rng)
-        for n in range(7):
-            sums = matrix_power(p, n).sum(axis=1)
-            np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-
-    def test_reachability_takes_exactly_j_steps(self, rng):
-        p = random_transition_matrix(rng, alpha=(5.0, 1.0, 1.0))
-        for j in range(1, 6):
-            target = int(S.year(j + 1))
-            for n in range(j):
-                assert matrix_power(p, n)[int(S.Y1), target] == 0.0
-            expected = np.prod([p[S.year(i), S.year(i + 1)] for i in range(1, j + 1)])
-            assert matrix_power(p, j)[int(S.Y1), target] == pytest.approx(expected, abs=1e-12)
+        # every grid the readout reads is row-stochastic
+        counts = np.zeros((50, 8, 8), dtype=np.int64)
+        rows, cols = np.array(ALLOWED_CELLS).T
+        counts[:, rows, cols] = rng.integers(0, 20, size=(50, len(ALLOWED_CELLS)))
+        p, gaps = normalise(counts)
+        _values, ok = sygr_markov_stack(counts)
+        assert (ok == ~gaps.any(axis=1)).all()
+        for grid in p[ok]:
+            np.testing.assert_allclose(grid.sum(axis=1), 1.0, atol=ROW_SUM_TOL)
+            assert validate_structure(grid) == []
 
 
 class TestSygrMarkov:
     def test_everyone_graduates_in_year_six(self):
-        assert sygr_markov(grad_in_year(6)) == pytest.approx(1.0, abs=1e-12)
+        rows = {k: {k + 1: 5} for k in range(1, 6)}
+        rows[6] = {"G": 5}
+        value, ok = readout(counts_from(rows))
+        assert ok
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_immediate_graduation(self):
-        assert sygr_markov(grad_in_year(1)) == pytest.approx(1.0, abs=1e-12)
+        value, ok = readout(counts_from({1: {"G": 5}}))
+        assert ok
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_two_path_sum(self):
-        p = matrix_from_rows(
-            {1: {2: 0.5, "G": 0.25, "D": 0.25}, 2: {"G": 1.0},
-             3: {"D": 1.0}, 4: {"D": 1.0}, 5: {"D": 1.0}, 6: {"D": 1.0}}
-        )
+        counts = counts_from({1: {2: 2, "G": 1, "D": 1}, 2: {"G": 4}})
         # hand sum: graduate immediately (0.25) or persist then graduate (0.5)
-        assert sygr_markov(p) == pytest.approx(0.75, abs=1e-12)
+        value, ok = readout(counts)
+        assert ok
+        assert value == pytest.approx(0.75, abs=1e-12)
 
     def test_matches_path_enumeration_on_random_matrices(self, rng):
-        for _ in range(200):
-            p = random_transition_matrix(rng)
-            assert abs(sygr_markov(p) - path_enumeration_sygr(p)) <= 1e-12
+        counts = np.zeros((200, 8, 8), dtype=np.int64)
+        rows, cols = np.array(ALLOWED_CELLS).T
+        counts[:, rows, cols] = rng.integers(1, 1000, size=(200, len(ALLOWED_CELLS)))
+        values, ok = sygr_markov_stack(counts)
+        assert ok.all()
+        p, _gaps = normalise(counts)
+        for value, grid in zip(values, p):
+            assert abs(value - path_enumeration_sygr(grid)) <= 1e-12
 
 
 class TestValidateStructure:
@@ -189,8 +208,6 @@ class TestValidateStructure:
         a = grad_in_year(4).p.copy()
         a[int(S.Y1), int(S.Y3)] = 0.5
         with pytest.raises(ValueError, match="forbidden"):
-            from cohortchain import TransitionMatrix
-
             TransitionMatrix(a)
 
 
@@ -241,23 +258,23 @@ count_grids = st.lists(
 @given(grids=st.lists(count_grids, min_size=1, max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_normalise_equals_per_row_reference(grids):
-    """build_matrix and the stacked readout turn counts into the chain the
-    per-row reference builds, bit for bit, and fail exactly where it fails;
-    build_matrix names the same state."""
+    """The normaliser turns a stack of counts into the chains the per-row
+    reference builds, bit for bit, and finds a gap exactly where it raises,
+    first at the state it names; the stacked readout equals each chain's
+    own matrix power bit for bit, and fails exactly there."""
+    p, gaps = normalise(np.array(grids))
     values, ok = sygr_markov_stack(np.array(grids))
-    for grid, value, k in zip(grids, values, ok):
+    for grid, p_k, gaps_k, value, k in zip(grids, p, gaps, values, ok):
         try:
             ref = per_row_matrix(grid)
         except InsufficientData as exc:
-            with pytest.raises(InsufficientData) as got:
-                build_matrix(TransitionCounts(grid))
-            assert got.value.state is exc.state
+            assert S(int(np.argmax(gaps_k))) is exc.state
             assert not k
             continue
-        m = build_matrix(TransitionCounts(grid))
-        assert m.p.tobytes() == ref.tobytes()
+        assert not gaps_k.any()
+        assert p_k.tobytes() == ref.tobytes()
         assert k
-        assert value == sygr_markov(TransitionMatrix(ref))
+        assert value == matrix_power_sygr(ref)
 
 
 def test_stacked_readout_rejects_invalid_matrix():
@@ -269,18 +286,11 @@ def test_stacked_readout_rejects_invalid_matrix():
 
 
 class TestTransitionCounts:
-    def test_rejects_negative(self):
-        grid = np.zeros((8, 8), dtype=int)
-        grid[0, 1] = -1
-        with pytest.raises(ValueError):
-            TransitionCounts(grid)
+    """Count grids the readout rejects."""
 
     def test_rejects_pattern_violations(self):
-        grid = np.zeros((8, 8), dtype=int)
+        # a count outside the allowed cells becomes a forbidden probability
+        grid = filled_counts({2: 1})
         grid[0, 2] = 3
-        with pytest.raises(ValueError, match="pattern"):
-            TransitionCounts(grid)
-
-    def test_row_total(self):
-        c = filled_counts({2: 7, "D": 3})
-        assert c.row_total(S.Y1) == 10
+        with pytest.raises(ValueError, match="forbidden transition Y1 -> Y3"):
+            sygr_markov_stack(grid[None])

@@ -4,10 +4,14 @@ from conftest import (
     chain_09,
     encode_by_student,
     format_records_by_record,
+    generate_panel_with_log,
     grad_in_year,
+    log_multiset,
     matrix_from_rows,
+    matrix_power_sygr,
     path_enumeration_sygr,
     per_record_grid,
+    students,
 )
 
 from cohortchain import (
@@ -16,20 +20,12 @@ from cohortchain import (
     brute_force_sygr,
     derive_transitions,
     generate_panel,
-    generate_panel_with_log,
     random_transition_matrix,
-    sygr_markov,
 )
 from cohortchain import records as records_module
 from cohortchain.errors import SpecFileError
 from cohortchain.records import format_records
-from cohortchain.synth import (
-    _students,
-    format_generator_spec,
-    log_multiset,
-    parse_generator_spec,
-    simulate,
-)
+from cohortchain.synth import format_generator_spec, parse_generator_spec, simulate
 
 
 class TestBruteForce:
@@ -50,7 +46,7 @@ class TestBruteForce:
     def test_equals_matrix_power_readout(self, rng):
         for _ in range(300):
             p = random_transition_matrix(rng)
-            assert abs(brute_force_sygr(p) - sygr_markov(p)) <= 1e-12
+            assert abs(brute_force_sygr(p) - matrix_power_sygr(p.p)) <= 1e-12
 
     def test_equals_independent_path_enumeration(self, rng):
         for _ in range(100):
@@ -202,7 +198,7 @@ class TestByKind:
         rng = np.random.default_rng(1009)
         for seed in range(200):
             spec = random_spec(rng, seed)
-            expected = [encode_by_student(spec, *student) for student in _students(spec)]
+            expected = [encode_by_student(spec, *student) for student in students(spec)]
             records = generate_panel(spec)
             assert records == expected, spec
             assert format_records(records) == format_records_by_record(expected), spec
