@@ -31,6 +31,7 @@ from .errors import (
     CohortChainError,
     DegenerateEnsemble,
     DuplicateId,
+    EnsembleTooSmall,
     InvariantViolation,
     ParseError,
     SpecFileError,
@@ -155,11 +156,7 @@ def _estimator_for(method, args):
         return TraditionalEstimator(args.cohort, args.horizon)
     if method == "markov-reduced":
         return MarkovReducedEstimator(args.cohort, args.horizon)
-    if method == "markov-full":
-        return MarkovFullEstimator(
-            args.horizon, from_la_year=(args.la == "exposed")
-        )
-    raise UsageError(f"unknown method {method!r}")
+    return MarkovFullEstimator(args.horizon, from_la_year=(args.la == "exposed"))
 
 
 def _summary_table(rows):
@@ -189,7 +186,12 @@ def cmd_estimate(args):
     methods = args.method or ["traditional", "markov-full"]
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
-    records = filter_subgroup(_load_inputs(args.input), _subgroup_spec(args))
+    records = _load_inputs(args.input)
+    n_loaded = len(records)
+    # rebinding frees the loaded panel before the bootstrap runs
+    records = filter_subgroup(records, _subgroup_spec(args))
+    if not records:
+        raise CohortChainError(f"no records match the subgroup filters ({n_loaded} loaded)")
 
     summaries = bootstrap_each(records, [_estimator_for(m, args) for m in methods], cfg)
     label = args.cohort if args.cohort is not None else "all"
@@ -360,12 +362,12 @@ def _read_ensemble_csv(path):
             try:
                 replicate, value = line.split(",")
                 value = float(value)
-                if int(replicate) < 1 or not math.isfinite(value):
+                if int(replicate) < 1 or not 0.0 <= value <= 1.0:
                     raise ValueError(line)
             except ValueError:
                 raise CohortChainError(
                     f"{path}: line {line_no}: expected 'replicate,estimate' "
-                    "with a finite estimate"
+                    "with an estimate in [0, 1]"
                 ) from None
             values.append(value)
     return np.array(values)
@@ -394,6 +396,8 @@ def cmd_plot(args):
         except DegenerateEnsemble:
             markers.append((label, float(values[0])))
             continue
+        except EnsembleTooSmall as exc:
+            raise CohortChainError(f"{path}: {exc}") from None
         files[f"kde_{label}.csv"] = _csv([("x", "density"), *zip(xs, dens)])
         curves.append((label, xs, dens))
 

@@ -57,7 +57,7 @@ def _chain_cells(r, horizon_year, from_la_year=False):
         steps = la_truncate(r, steps)
     row = [0] * _N_CELLS
     for t in steps:
-        row[_CELL_INDEX[t.frm, t.to]] += 1
+        row[_CELL_INDEX[t]] += 1
     return row
 
 
@@ -88,12 +88,11 @@ class _Estimator:
     """A check, a tally table over trajectory types, and the readout of
     pooled tallies.
 
-    Subclasses supply `_row`, one record's integer tally of `_width`
-    entries, and may override `_check` and `rates`, which by default is the
-    chain readout of ALLOWED_CELLS counts.
+    Subclasses supply `_row`, one record's integer tally (a count per
+    ALLOWED_CELLS entry unless `rates` reads another), and may override
+    `_check` and `rates`, which by default is the chain readout of
+    ALLOWED_CELLS counts.
     """
-
-    _width = _N_CELLS
 
     def _check(self, types):
         """Raise if the estimate is undefined on (original) records of these
@@ -101,15 +100,15 @@ class _Estimator:
         observations."""
 
     def rates(self, tallies):
-        """(values, ok) for a (b, _width) stack of pooled tallies: ok[k] is
-        False exactly where the estimate is undefined on tallies[k], and
-        values[k] is the estimate elsewhere."""
+        """(values, ok) for a (b, tally width) stack of pooled tallies:
+        ok[k] is False exactly where the estimate is undefined on tallies[k],
+        and values[k] is the estimate elsewhere."""
         return sygr_markov_stack(_chain_grids(tallies))
 
     def table(self, types):
-        """One integer tally row per trajectory type, (len(types), _width)."""
-        rows = [self._row(r) for r in types]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self._width)
+        """One integer tally row per trajectory type. Runs after `_check`,
+        which raises on no types."""
+        return np.array([self._row(r) for r in types], dtype=np.int64)
 
     def fit(self, types, type_counts):
         """(point estimate, table) on the original records, given as their
@@ -147,8 +146,6 @@ class _CohortEstimator(_Estimator):
 class TraditionalEstimator(_CohortEstimator):
     """Graduated-within-six-years fraction of one fully observed cohort.
     Tally: (starters, graduates)."""
-
-    _width = 2
 
     def _row(self, r):
         start = r.cohort_year == self.cohort_year

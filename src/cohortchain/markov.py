@@ -17,34 +17,6 @@ from .states import ABSORBING, ALLOWED_CELLS, N_STATES, TRANSIENT, AcademicState
 ROW_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ForbiddenTransition:
-    frm: AcademicState
-    to: AcademicState
-
-    def __str__(self):
-        return f"forbidden transition {self.frm.name} -> {self.to.name}"
-
-
-@dataclass(frozen=True)
-class RowSumViolation:
-    row: AcademicState
-    total: float
-
-    def __str__(self):
-        return f"row {self.row.name} sums to {self.total!r}, expected 1"
-
-
-@dataclass(frozen=True)
-class EntryOutOfRange:
-    frm: AcademicState
-    to: AcademicState
-    value: float
-
-    def __str__(self):
-        return f"entry ({self.frm.name}, {self.to.name}) = {self.value!r} outside [0, 1]"
-
-
 # Cells that may hold probabilities: the allowed transitions and the
 # absorbing self-loops.
 _PATTERN = np.diag([s in ABSORBING for s in AcademicState])
@@ -74,35 +46,30 @@ def _violation_masks(a):
 
 
 def validate_structure(p):
-    """Diagnose a probability grid against the allowed sparsity pattern.
-
-    Accepts a TransitionMatrix or a raw 8x8 array. Returns a list of
-    violations (empty iff the grid is valid); never raises on bad content.
+    """Diagnose a raw 8x8 probability grid against the allowed sparsity
+    pattern. Returns one message per violation, row by row (empty iff the
+    grid is valid); never raises on bad content.
     """
-    if isinstance(p, TransitionMatrix):
-        a = p.p
-    else:
-        a = _as_grid(p)
+    a = _as_grid(p)
     out_of_range, forbidden, bad_sum, totals = _violation_masks(a)
     violations = []
     for i in np.flatnonzero(out_of_range.any(axis=1) | forbidden.any(axis=1) | bad_sum):
-        frm = AcademicState(i)
+        frm = AcademicState(i).name
         for j in np.flatnonzero(out_of_range[i] | forbidden[i]):
-            to = AcademicState(j)
+            to = AcademicState(j).name
             if out_of_range[i, j]:
-                violations.append(EntryOutOfRange(frm, to, float(a[i, j])))
+                violations.append(f"entry ({frm}, {to}) = {float(a[i, j])!r} outside [0, 1]")
             if forbidden[i, j]:
-                violations.append(ForbiddenTransition(frm, to))
+                violations.append(f"forbidden transition {frm} -> {to}")
         if bad_sum[i]:
-            violations.append(RowSumViolation(frm, float(totals[i])))
+            violations.append(f"row {frm} sums to {float(totals[i])!r}, expected 1")
     return violations
 
 
 def _require_valid(a):
     violations = validate_structure(a)
     if violations:
-        detail = "; ".join(str(v) for v in violations)
-        raise ValueError(f"invalid transition matrix: {detail}")
+        raise ValueError(f"invalid transition matrix: {'; '.join(violations)}")
 
 
 @dataclass(frozen=True)

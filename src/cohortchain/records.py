@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,20 +173,12 @@ class Panel:
             yield r
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One completed year-to-year step for one student."""
+class Transition(NamedTuple):
+    """One completed year-to-year step: the chain cell (frm, to) it counts
+    into. As a tuple it equals its cell's (row, column) indices."""
 
-    student_id: str
     frm: AcademicState
     to: AcademicState
-    year_index: int
-
-    def __post_init__(self):
-        if self.frm is not AcademicState.year(self.year_index):
-            raise ValueError(
-                f"year_index {self.year_index} inconsistent with from-state {self.frm.name}"
-            )
 
 
 def _parse_bool(raw, row, column):
@@ -228,7 +221,7 @@ def _parse_kind(row, row_no):
 
 
 def parse_records(source, seen=None):
-    """Parse a CSV byte stream (or bytes, str, or text stream) into a Panel.
+    """Parse CSV text, as UTF-8 bytes or a str, into a Panel.
 
     The header must match the schema exactly; unknown extra columns are
     rejected. Row numbers in errors are 1-based counting the header. Each
@@ -237,16 +230,7 @@ def parse_records(source, seen=None):
     before this source, as from earlier files: a row repeating one is a
     DuplicateId, and this source's ids are added to it.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        raise TypeError(f"cannot read records from {type(source).__name__}")
-
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -280,7 +264,7 @@ def parse_records(source, seen=None):
 
 def load_records(path, seen=None):
     with open(path, "rb") as fh:
-        return parse_records(fh, seen)
+        return parse_records(fh.read(), seen)
 
 
 def _csv_text(rows):
@@ -339,10 +323,7 @@ def derive_transitions(r, horizon_year):
     if obs < 1:
         return []
     c = min(r.outcome_year, 6, obs)
-    steps = [
-        Transition(r.student_id, AcademicState.year(k), AcademicState.year(k + 1), k)
-        for k in range(1, c)
-    ]
+    steps = [Transition(AcademicState.year(k), AcademicState.year(k + 1)) for k in range(1, c)]
     absorbed_in_window = (
         r.outcome is not Outcome.ENROLLED and r.outcome_year <= min(6, obs)
     )
@@ -352,17 +333,13 @@ def derive_transitions(r, horizon_year):
             if r.outcome is Outcome.GRADUATED
             else AcademicState.DROP_OUT
         )
-        steps.append(Transition(r.student_id, AcademicState.year(c), to, c))
+        steps.append(Transition(AcademicState.year(c), to))
     elif c == 6:
         # Completed year 6 still enrolled (or absorbed after year 6):
         # indistinguishable from a non-completer for the six-year statistic.
-        steps.append(
-            Transition(r.student_id, AcademicState.Y6, AcademicState.DROP_OUT, 6)
-        )
+        steps.append(Transition(AcademicState.Y6, AcademicState.DROP_OUT))
     elif c < obs:
-        steps.append(
-            Transition(r.student_id, AcademicState.year(c), AcademicState.year(c + 1), c)
-        )
+        steps.append(Transition(AcademicState.year(c), AcademicState.year(c + 1)))
     return steps
 
 
@@ -374,7 +351,8 @@ def la_truncate(r, transitions):
     """
     if r.la_year is None:
         raise MissingExposure(r.student_id)
-    return [t for t in transitions if t.year_index >= r.la_year]
+    first = AcademicState.year(r.la_year)
+    return [t for t in transitions if t.frm >= first]
 
 
 def filter_subgroup(records, spec):

@@ -37,4 +37,3 @@ ALLOWED_CELLS = tuple(
     + [(k, AcademicState.DROP_OUT.value) for k in range(6)]
     + [(k, AcademicState.GRADUATED.value) for k in range(6)]
 )
-ALLOWED_SET = frozenset(ALLOWED_CELLS)

@@ -136,7 +136,6 @@ def _walk_cohort(spec, n, rng):
         if not active.any():
             continue
         if year == 6:
-            survivors = active & slow
             active = active & ~slow
         use_eff = active & exposed & (la_years <= year)
         for mask, cum in ((active & ~use_eff, cum_base), (use_eff, cum_eff)):

@@ -1,6 +1,5 @@
 import csv
 import io
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -164,9 +163,9 @@ def students(spec):
 
 
 def observed_steps(spec, cohort_year, sid, walk, i):
-    """Observable walk steps, written out directly from the trajectory (not
-    via the record), so the record round trip has something independent to
-    agree with."""
+    """Observable walk steps as (student_id, Transition) pairs, written out
+    directly from the trajectory (not via the record), so the record round
+    trip has something independent to agree with."""
     obs = spec.horizon_year - cohort_year
     a = int(walk["absorb_year"][i])
     survivor = a == 0
@@ -174,26 +173,22 @@ def observed_steps(spec, cohort_year, sid, walk, i):
     last_persist = 5 if survivor else a - 1
     for k in range(1, last_persist + 1):
         if k < obs:
-            steps.append(Transition(sid, S.year(k), S.year(k + 1), k))
+            steps.append((sid, Transition(S.year(k), S.year(k + 1))))
     if survivor:
         if obs >= 6:
-            steps.append(Transition(sid, S.Y6, S.DROP_OUT, 6))
+            steps.append((sid, Transition(S.Y6, S.DROP_OUT)))
     elif a <= obs:
         to = S.GRADUATED if walk["graduated"][i] else S.DROP_OUT
-        steps.append(Transition(sid, S.year(a), to, a))
+        steps.append((sid, Transition(S.year(a), to)))
     return steps
 
 
 def generate_panel_with_log(spec):
-    """The generator's records plus its observable-step log, written per
-    student from the walk, apart from the records' encoding."""
+    """The generator's records plus its observable-step log of
+    (student_id, Transition) pairs, written per student from the walk, apart
+    from the records' encoding."""
     log = [step for student in students(spec) for step in observed_steps(spec, *student)]
     return generate_panel(spec), log
-
-
-def log_multiset(transitions):
-    """Multiset view of a transition log for exact comparison."""
-    return Counter((t.student_id, t.frm, t.to, t.year_index) for t in transitions)
 
 
 def encode_by_student(spec, cohort_year, sid, walk, i):

@@ -357,6 +357,12 @@ def _error_cases(panel, tmp):
     nan_ensemble.write_text("replicate,estimate\n1,0.5\n2,nan\n")
     inf_ensemble = tmp / "inf.csv"
     inf_ensemble.write_text("replicate,estimate\n1,0.5\n2,inf\n")
+    above_one = tmp / "above_one.csv"
+    above_one.write_text("replicate,estimate\n1,5.0\n2,6.0\n3,5.5\n")
+    one_row = tmp / "one_row.csv"
+    one_row.write_text("replicate,estimate\n1,0.5\n")
+    header_only = tmp / "header_only.csv"
+    header_only.write_text("replicate,estimate\n")
     word_replicate = tmp / "word.csv"
     word_replicate.write_text("replicate,estimate\n1,0.5\nx,0.5\n")
     blank_replicate = tmp / "blank.csv"
@@ -423,6 +429,9 @@ def _error_cases(panel, tmp):
                                             str(tmp / "gap_est"), "--horizon", "2021",
                                             "--method", "markov-full"], 2,
          "error: no observed transitions out of state Y2\n"),
+        ("estimate_filters_match_nothing", [*estimate[:-2], "--college", "NOPE",
+                                            "--method", "markov-full"], 2,
+         "error: no records match the subgroup filters (1300 loaded)\n"),
         ("compare_undefined_on_original", ["compare", "--input", str(gap), "--out",
                                            str(tmp / "gap_cmp"), "--horizon", "2021"], 2,
          "error: all: unexposed group: no observed transitions out of state Y2\n"),
@@ -444,6 +453,14 @@ def _error_cases(panel, tmp):
                                "--out", str(tmp / "plot")], 2),
         ("plot_inf_estimate", ["plot", "--input", str(inf_ensemble),
                                "--out", str(tmp / "plot")], 2),
+        ("plot_estimate_above_one", ["plot", "--input", str(above_one),
+                                     "--out", str(tmp / "plot")], 2,
+         f"error: {above_one}: line 2: expected 'replicate,estimate' "
+         "with an estimate in [0, 1]\n"),
+        ("plot_one_row", ["plot", "--input", str(one_row), "--out", str(tmp / "plot")], 2,
+         f"error: {one_row}: ensemble of size 1 is too small (need >= 2)\n"),
+        ("plot_header_only", ["plot", "--input", str(header_only), "--out", str(tmp / "plot")],
+         2, f"error: {header_only}: ensemble of size 0 is too small (need >= 2)\n"),
         ("plot_word_replicate", ["plot", "--input", str(word_replicate),
                                  "--out", str(tmp / "plot")], 2),
         ("plot_blank_replicate", ["plot", "--input", str(blank_replicate),

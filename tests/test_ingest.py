@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError, replace
+from itertools import product
 
 import pytest
 from conftest import format_records_by_record, make_record, parse_records_by_row
@@ -11,6 +12,7 @@ from cohortchain import (
     Outcome,
     SubgroupSpec,
     TraditionalEstimator,
+    Transition,
     derive_transitions,
     filter_subgroup,
     la_truncate,
@@ -26,7 +28,7 @@ from cohortchain.errors import (
     ParseError,
 )
 from cohortchain.records import format_records
-from cohortchain.states import ALLOWED_SET
+from cohortchain.states import ALLOWED_CELLS
 
 S = AcademicState
 
@@ -202,7 +204,6 @@ class TestDeriveTransitions:
             (S.Y3, S.Y4),
             (S.Y4, S.GRADUATED),
         ]
-        assert [t.year_index for t in out] == [1, 2, 3, 4]
 
     def test_first_year_still_unresolved(self):
         r = make_record(cohort_year=2020, outcome=Outcome.ENROLLED, outcome_year=1)
@@ -256,11 +257,12 @@ record_strategy = st.builds(
 @settings(max_examples=300)
 def test_transitions_form_contiguous_allowed_path(r, horizon):
     out = derive_transitions(r, horizon)
+    assert Transition._fields == ("frm", "to")
     for t in out:
-        assert (int(t.frm), int(t.to)) in ALLOWED_SET
+        assert type(t) is Transition
+        assert t in ALLOWED_CELLS
     for a, b in zip(out, out[1:]):
         assert a.to is b.frm
-        assert b.year_index == a.year_index + 1
     if out:
         assert out[0].frm is S.Y1
 
@@ -297,6 +299,25 @@ class TestLaTruncate:
         r = make_record(la_year=None)
         with pytest.raises(MissingExposure):
             la_truncate(r, derive_transitions(r, 2030))
+
+    def test_keeps_the_steps_from_the_exposure_year_on(self):
+        # Every valid record of cohorts 2010-2022 at every horizon 2010-2035.
+        # A derived path starts in Y1 and is contiguous, so its step i starts
+        # in year i + 1.
+        checked = 0
+        for cohort_year, outcome, outcome_year, la_year in product(
+            range(2010, 2023), Outcome, range(1, 10), range(1, 7)
+        ):
+            try:
+                r = make_record(cohort_year=cohort_year, outcome=outcome,
+                                outcome_year=outcome_year, la_year=la_year)
+            except ValueError:
+                continue  # exposure after the observed trajectory
+            for horizon in range(2010, 2036):
+                s = derive_transitions(r, horizon)
+                assert la_truncate(r, s) == s[la_year - 1:]
+                checked += 1
+        assert checked == 41236
 
 
 class TestSubgroups:

@@ -22,13 +22,10 @@ from cohortchain import (
 from cohortchain.errors import InsufficientData
 from cohortchain.markov import (
     ROW_SUM_TOL,
-    EntryOutOfRange,
-    ForbiddenTransition,
-    RowSumViolation,
     normalise,
     sygr_markov_stack,
 )
-from cohortchain.states import ABSORBING, ALLOWED_CELLS, ALLOWED_SET
+from cohortchain.states import ABSORBING, ALLOWED_CELLS
 
 S = AcademicState
 
@@ -187,22 +184,20 @@ class TestSygrMarkov:
 
 class TestValidateStructure:
     def test_valid_matrix_has_no_violations(self, rng):
-        assert validate_structure(random_transition_matrix(rng)) == []
+        assert validate_structure(random_transition_matrix(rng).p) == []
 
     def test_forbidden_transition_reported(self):
         a = grad_in_year(4).p.copy()
         a[int(S.Y1), int(S.Y3)] = 0.1
         a[int(S.Y1), int(S.Y2)] = 0.9
         violations = validate_structure(a)
-        assert ForbiddenTransition(S.Y1, S.Y3) in violations
+        assert "forbidden transition Y1 -> Y3" in violations
 
     def test_row_sum_violation_reported(self):
         a = grad_in_year(4).p.copy()
         a[int(S.Y2), int(S.Y3)] = 0.98
         violations = validate_structure(a)
-        assert any(
-            isinstance(v, RowSumViolation) and v.row is S.Y2 for v in violations
-        )
+        assert any(v.startswith("row Y2 sums to ") for v in violations)
 
     def test_constructor_rejects_invalid_grid(self):
         a = grad_in_year(4).p.copy()
@@ -212,21 +207,21 @@ class TestValidateStructure:
 
 
 def per_cell_violations(a):
-    """Reference for validate_structure: every cell and row checked one by
-    one, in row order."""
+    """Reference for validate_structure's messages: every cell and row
+    checked one by one, in row order."""
     violations = []
     for i in range(8):
         for j in range(8):
             v = a[i, j]
             frm, to = S(i), S(j)
             if not 0.0 <= v <= 1.0:
-                violations.append(EntryOutOfRange(frm, to, float(v)))
-            allowed = (i, j) in ALLOWED_SET or (frm in ABSORBING and i == j)
+                violations.append(f"entry ({frm.name}, {to.name}) = {float(v)!r} outside [0, 1]")
+            allowed = (i, j) in ALLOWED_CELLS or (frm in ABSORBING and i == j)
             if v != 0.0 and not allowed:
-                violations.append(ForbiddenTransition(frm, to))
+                violations.append(f"forbidden transition {frm.name} -> {to.name}")
         total = float(a[i].sum())
         if abs(total - 1.0) > ROW_SUM_TOL:
-            violations.append(RowSumViolation(S(i), total))
+            violations.append(f"row {S(i).name} sums to {total!r}, expected 1")
     return violations
 
 
@@ -239,8 +234,7 @@ def per_cell_violations(a):
 )
 def test_violations_match_per_cell_reference(cells):
     a = np.array(cells).reshape(8, 8)
-    # str, not ==: a NaN entry never equals itself
-    assert [str(v) for v in validate_structure(a)] == [str(v) for v in per_cell_violations(a)]
+    assert validate_structure(a) == per_cell_violations(a)
 
 
 def grid_from_cells(cells):
