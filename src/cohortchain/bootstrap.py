@@ -11,10 +11,11 @@ counts; each estimator reads the pooled tallies of a block of replicates in
 one stacked pass (`rates`), so no replicate builds a matrix of its own.
 `bootstrap_each` keys the records once and draws each replicate once for
 several estimators, so every estimator of one command reads the same
-resamples; `bootstrap` is its one-estimator case. Replicates whose estimate
-is undefined (e.g. a resample of a tiny subgroup losing a whole transition
-row) are dropped and counted per estimator, with a hard 10% failure
-ceiling.
+resamples; `bootstrap` is its one-estimator case. Each estimator is fitted
+once on the original records, and its summary keeps that fit's pooled tally.
+Replicates whose estimate is undefined (e.g. a resample of a tiny subgroup
+losing a whole transition row) are dropped and counted per estimator, with
+a hard failure ceiling.
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +23,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .errors import (
-    DegenerateEnsemble,
-    EnsembleTooSmall,
-    EstimationError,
-    EstimatorFailedOnOriginal,
-    TooManyFailedReplicates,
-)
+from .errors import DegenerateEnsemble, EnsembleTooSmall, TooManyFailedReplicates
 from .estimate import trajectory_types
 
 FAILURE_CEILING = 0.10
@@ -142,11 +137,14 @@ class EstimateSummary:
     """A bootstrap ensemble and its percentile summary.
 
     replicate_ids[i] is the 1-based replicate index that produced
-    ensemble[i]; gaps mark dropped replicates.
+    ensemble[i]; gaps mark dropped replicates. tally is the estimator's
+    pooled integer tally of the original records, the one the point
+    estimate was read off.
     """
 
     ensemble: np.ndarray = field(repr=False)
     replicate_ids: np.ndarray = field(repr=False)
+    tally: np.ndarray = field(repr=False)
     point: float
     lo: float
     median: float
@@ -180,8 +178,9 @@ def resample_indices(seed, replicate, n):
 def bootstrap(records, estimator, cfg):
     """Resample records with replacement and summarize the estimate ensemble.
 
-    The estimator must succeed on the original data first; otherwise the
-    ensemble would characterize nothing.
+    The estimator must succeed on the original data first, or its
+    EstimationError is raised; otherwise the ensemble would characterize
+    nothing.
     """
     return bootstrap_each(records, [estimator], cfg)[0]
 
@@ -190,17 +189,12 @@ def bootstrap_each(records, estimators, cfg):
     """One EstimateSummary per estimator, all read off the same resamples.
 
     Every estimator must succeed on the original data before any replicate
-    is drawn; the first that fails raises. Failed replicates are counted,
-    and the ceiling checked, per estimator, in order.
+    is drawn; the first that fails raises its EstimationError. Failed
+    replicates are counted, and the ceiling checked, per estimator, in order.
     """
     type_id, types = trajectory_types(records)
     original = np.bincount(type_id, minlength=len(types))
-    fits = []
-    for estimator in estimators:
-        try:
-            fits.append((estimator, *estimator.fit(types, original)))
-        except EstimationError as exc:
-            raise EstimatorFailedOnOriginal(str(exc)) from exc
+    fits = [(estimator, *estimator.fit(types, original)) for estimator in estimators]
     if not fits:
         return []
 
@@ -220,18 +214,18 @@ def bootstrap_each(records, estimators, cfg):
                          minlength=len(types))
              for w in words]
         )
-        for k, (estimator, _point, table) in enumerate(fits):
+        for k, (estimator, _point, _tally, table) in enumerate(fits):
             values[k, block], ok[k, block] = estimator.rates(type_counts @ table)
 
     ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)
     summaries = []
-    for (_estimator, point, _table), kept_values, kept in zip(fits, values, ok):
+    for (_estimator, point, tally, _table), kept_values, kept in zip(fits, values, ok):
         failed = int(np.count_nonzero(~kept))
         if failed > FAILURE_CEILING * cfg.replicates:
-            raise TooManyFailedReplicates(failed, cfg.replicates)
+            raise TooManyFailedReplicates(failed, cfg.replicates, FAILURE_CEILING)
         lo, median, hi = percentile_ci(kept_values[kept], cfg.ci_level)
         summaries.append(EstimateSummary(
-            ensemble=kept_values[kept], replicate_ids=ids[kept], point=point,
+            ensemble=kept_values[kept], replicate_ids=ids[kept], tally=tally, point=point,
             lo=lo, median=median, hi=hi, width=hi - lo, n_failed=failed,
         ))
     return summaries

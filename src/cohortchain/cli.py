@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import math
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -140,6 +141,14 @@ def _subgroup_spec(args):
     )
 
 
+def _select(records, spec):
+    """The records that match spec; matching none is a data error."""
+    members = filter_subgroup(records, spec)
+    if not members:
+        raise CohortChainError(f"no records match the subgroup filters ({len(records)} loaded)")
+    return members
+
+
 def _bootstrap_cfg(args, seed=None):
     try:
         return BootstrapConfig(
@@ -186,13 +195,8 @@ def cmd_estimate(args):
     methods = args.method or ["traditional", "markov-full"]
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
-    records = _load_inputs(args.input)
-    n_loaded = len(records)
-    # rebinding frees the loaded panel before the bootstrap runs
-    records = filter_subgroup(records, _subgroup_spec(args))
-    if not records:
-        raise CohortChainError(f"no records match the subgroup filters ({n_loaded} loaded)")
-
+    # only the filtered panel is kept, so the loaded one is freed before the bootstrap
+    records = _select(_load_inputs(args.input), _subgroup_spec(args))
     summaries = bootstrap_each(records, [_estimator_for(m, args) for m in methods], cfg)
     label = args.cohort if args.cohort is not None else "all"
     rows = [(label, method, summary) for method, summary in zip(methods, summaries)]
@@ -252,28 +256,21 @@ def run_comparison(records, args, stratum, extra_spec):
     """One exposed-vs-unexposed comparison within a stratum; returns
     (unexposed, exposed, (lo, median, hi)), each group (n, summary,
     persistence_rates) and the triple the percentile interval of the paired
-    per-replicate difference, exposed minus unexposed."""
-    base = filter_subgroup(records, extra_spec)
+    per-replicate difference, exposed minus unexposed. A group's persistence
+    is read off the pooled tally its bootstrap fitted."""
     seeds = np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64)
-    fits = []
+    groups = []
     for name, seed in zip(("unexposed", "exposed"), seeds):
-        members = filter_subgroup(base, SubgroupSpec(la_group=LaGroup(name)))
-        if not members:
-            raise UsageError(f"{stratum}: {name} group is empty")
         estimator = MarkovFullEstimator(args.horizon, from_la_year=(name == "exposed"))
         cfg = _bootstrap_cfg(args, int(seed))
         try:
+            members = _select(records, replace(extra_spec, la_group=LaGroup(name)))
             summary = bootstrap(members, estimator, cfg)
         except CohortChainError as exc:
             raise CohortChainError(f"{stratum}: {name} group: {exc}") from None
-        fits.append((members, summary))
-    (m_un, s_un), (m_ex, s_ex) = fits
-    diff = percentile_ci(_paired_difference(s_un, s_ex), args.ci)
-    return (
-        (len(m_un), s_un, persistence_rates(m_un, args.horizon)),
-        (len(m_ex), s_ex, persistence_rates(m_ex, args.horizon, from_la_year=True)),
-        diff,
-    )
+        groups.append((len(members), summary, persistence_rates(summary.tally)))
+    (_, s_un, _), (_, s_ex, _) = groups
+    return (*groups, percentile_ci(_paired_difference(s_un, s_ex), args.ci))
 
 
 def cmd_compare(args):
@@ -355,20 +352,24 @@ def _read_ensemble_csv(path):
         if header != "replicate,estimate":
             raise CohortChainError(f"{path}: expected header 'replicate,estimate'")
         values = []
+        first_line = {}
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
                 replicate, value = line.split(",")
-                value = float(value)
-                if int(replicate) < 1 or not 0.0 <= value <= 1.0:
+                replicate, value = int(replicate), float(value)
+                if replicate < 1 or not 0.0 <= value <= 1.0:
                     raise ValueError(line)
             except ValueError:
                 raise CohortChainError(
                     f"{path}: line {line_no}: expected 'replicate,estimate' "
                     "with an estimate in [0, 1]"
                 ) from None
+            if (first := first_line.setdefault(replicate, line_no)) != line_no:
+                raise CohortChainError(f"{path}: line {line_no}: replicate {replicate} "
+                                       f"repeats line {first}")
             values.append(value)
     return np.array(values)
 

@@ -8,9 +8,9 @@ class CohortChainError(Exception):
 class EstimationError(CohortChainError):
     """Base class for errors that can occur while computing an estimate.
 
-    Only the fit on the original data raises this family; `bootstrap_each`
-    reports it as EstimatorFailedOnOriginal. Replicates never raise: one
-    whose estimate is undefined is dropped and counted.
+    Only the fit on the original data raises this family, and
+    `bootstrap_each` lets it reach its caller as it is. Replicates never
+    raise: one whose estimate is undefined is dropped and counted.
     """
 
 
@@ -75,17 +75,12 @@ class InvariantViolation(CohortChainError):
         super().__init__(f"row {row}: {rule}")
 
 
-class EstimatorFailedOnOriginal(CohortChainError):
-    """The estimator raised on the un-resampled data; bootstrapping it is
-    meaningless."""
-
-
 class TooManyFailedReplicates(CohortChainError):
-    def __init__(self, failed, total):
+    def __init__(self, failed, total, ceiling):
         self.failed = failed
         self.total = total
         super().__init__(
-            f"{failed} of {total} bootstrap replicates failed (> 10% ceiling); "
+            f"{failed} of {total} bootstrap replicates failed (> {ceiling:.0%} ceiling); "
             "the subgroup is too small for a stable estimate"
         )
 

@@ -17,7 +17,8 @@ estimator and re-derives nothing. `rates` is the one readout: it reads a
 whole stack of tallies at once (`sygr_markov_stack`), and the point
 estimate is the original tally read as a stack of one. Where that estimate
 is undefined, `fit` names the state without observations from the
-normaliser's gaps. The tests hold `rates` to a per-row reference.
+normaliser's gaps. `fit` also returns that tally, and `persistence_rates`
+reads a fitted tally. The tests hold `rates` to a per-row reference.
 """
 
 import numpy as np
@@ -69,17 +70,13 @@ def _chain_grids(cells):
     return grids
 
 
-def persistence_rates(records, horizon_year, *, from_la_year=False):
-    """Year-to-year persistence probabilities from the pooled matrix, keyed
-    by starting year of study (1..5). Full precision; rounding is a
+def persistence_rates(tally):
+    """Year-to-year persistence probabilities of a pooled chain tally (one
+    count per ALLOWED_CELLS entry, as a chain estimator's `fit` returns it),
+    keyed by starting year of study (1..5). Full precision; rounding is a
     reporting concern. A year with no observed steps maps to None: the
-    matrix imputes drop-out for it, which is no estimate of persistence.
-    Raises exactly where the pooled point estimate raises."""
-    estimator = MarkovFullEstimator(horizon_year, from_la_year=from_la_year)
-    type_id, types = trajectory_types(records)
-    type_counts = np.bincount(type_id, minlength=len(types))
-    _point, table = estimator.fit(types, type_counts)
-    counts = _chain_grids(type_counts @ table)
+    chain imputes drop-out for it, which is no estimate of persistence."""
+    counts = _chain_grids(tally)
     p, _gaps = normalise(counts)
     return {k: float(p[k - 1, k]) if counts[k - 1].any() else None for k in range(1, 6)}
 
@@ -111,9 +108,9 @@ class _Estimator:
         return np.array([self._row(r) for r in types], dtype=np.int64)
 
     def fit(self, types, type_counts):
-        """(point estimate, table) on the original records, given as their
-        trajectory types and each type's record count; raises where the
-        estimate is undefined on them."""
+        """(point estimate, pooled tally, table) on the original records,
+        given as their trajectory types and each type's record count; raises
+        an EstimationError where the estimate is undefined on them."""
         self._check(types)
         table = self.table(types)
         tally = type_counts @ table
@@ -122,7 +119,7 @@ class _Estimator:
             # past _check, only a chain state without observations is left
             _p, gaps = normalise(_chain_grids(tally))
             raise InsufficientData(AcademicState(int(np.argmax(gaps))))
-        return float(values[0]), table
+        return float(values[0]), tally, table
 
     def point(self, records):
         type_id, types = trajectory_types(records)

@@ -4,31 +4,38 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_record
+from conftest import chain_09, make_record, per_record_grid, per_row_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cohortchain
 from cohortchain import (
     BootstrapConfig,
+    GeneratorSpec,
+    LaGroup,
     MarkovFullEstimator,
     MarkovReducedEstimator,
     Outcome,
+    SubgroupSpec,
     TraditionalEstimator,
     bootstrap,
     bootstrap_each,
+    filter_subgroup,
+    generate_panel,
     kde,
     percentile_ci,
+    persistence_rates,
 )
 from cohortchain.bootstrap import _seed_words, resample_indices, silverman_bandwidth
 from cohortchain.errors import (
     DegenerateEnsemble,
+    EmptyCohort,
     EnsembleTooSmall,
     EstimationError,
-    EstimatorFailedOnOriginal,
     TooManyFailedReplicates,
 )
 from cohortchain.estimate import trajectory_types
+from cohortchain.states import ALLOWED_CELLS
 
 
 class TestPercentileCi:
@@ -133,7 +140,7 @@ class TestBootstrap:
         assert s.width == s.hi - s.lo
 
     def test_estimator_failing_on_original(self):
-        with pytest.raises(EstimatorFailedOnOriginal):
+        with pytest.raises(EmptyCohort, match="1999"):
             bootstrap(
                 identical_graduates(),
                 TraditionalEstimator(1999, 2021),
@@ -273,6 +280,42 @@ class TestBootstrapEach:
             failed_ids.append(set(range(1, cfg.replicates + 1)) - set(ids.tolist()))
         assert len({frozenset(f) for f in failed_ids}) == 3
 
+    def test_summary_keeps_the_per_record_tally(self):
+        # partial cohorts 2015-2019 and LA exposure from years 1-3; chain_09
+        # never reaches Y5, so persistence has rows with and without data
+        spec = GeneratorSpec(
+            true_matrix=chain_09(),
+            cohort_sizes={2013: 120, 2015: 80, 2017: 80, 2019: 60},
+            horizon_year=2021,
+            seed=21,
+            la_rate=0.5,
+            la_year_dist={1: 0.5, 2: 0.3, 3: 0.2},
+        )
+        records = generate_panel(spec)
+        exposed = list(filter_subgroup(records, SubgroupSpec(la_group=LaGroup.EXPOSED)))
+        cfg = BootstrapConfig(seed=4, replicates=50)
+        estimators = [TraditionalEstimator(2013, 2021), MarkovReducedEstimator(2013, 2021),
+                      MarkovFullEstimator(2021)]
+        s_trad, s_red, s_full = bootstrap_each(records, estimators, cfg)
+        s_la = bootstrap(exposed, MarkovFullEstimator(2021, from_la_year=True), cfg)
+
+        starters = [r for r in records if r.cohort_year == 2013]
+        graduates = [r for r in starters
+                     if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6]
+        np.testing.assert_array_equal(s_trad.tally, [len(starters), len(graduates)])
+        grids = [
+            (s_red, per_record_grid(records, 2021, cohort_year=2013)),
+            (s_full, per_record_grid(records, 2021)),
+            (s_la, per_record_grid(exposed, 2021, from_la_year=True)),
+        ]
+        rows, cols = np.array(ALLOWED_CELLS).T
+        for s, grid in grids:
+            np.testing.assert_array_equal(s.tally, grid[rows, cols])
+            p = per_row_matrix(grid)
+            expected = {k: p[k - 1, k] if grid[k - 1].any() else None for k in range(1, 6)}
+            assert persistence_rates(s.tally) == expected
+            assert [v is None for v in expected.values()] == [False] * 4 + [True]
+
     def test_empty_list_draws_nothing(self, monkeypatch):
         _no_draws(monkeypatch)
         assert bootstrap_each(identical_graduates(), [], BootstrapConfig(seed=1)) == []
@@ -280,7 +323,7 @@ class TestBootstrapEach:
     def test_failure_on_original_raised_before_any_draw(self, monkeypatch):
         _no_draws(monkeypatch)
         estimators = [MarkovFullEstimator(2021), TraditionalEstimator(1999, 2021)]
-        with pytest.raises(EstimatorFailedOnOriginal, match="1999"):
+        with pytest.raises(EmptyCohort, match="1999"):
             bootstrap_each(identical_graduates(), estimators, BootstrapConfig(seed=1))
 
 
@@ -307,7 +350,7 @@ class TestSeedWords:
         code = "import sys, cohortchain, cohortchain.cli; print('numpy.random' in sys.modules)"
         src = str(Path(cohortchain.__file__).resolve().parents[1])
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            [sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": src}, timeout=60,
         )
         assert out.stdout.strip() == "False"

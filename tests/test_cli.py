@@ -367,6 +367,8 @@ def _error_cases(panel, tmp):
     word_replicate.write_text("replicate,estimate\n1,0.5\nx,0.5\n")
     blank_replicate = tmp / "blank.csv"
     blank_replicate.write_text("replicate,estimate\n1,0.5\n,0.6\n")
+    repeated_replicate = tmp / "repeated.csv"
+    repeated_replicate.write_text("replicate,estimate\n1,0.5\n1,0.6\n1,0.7\n")
     afile = tmp / "afile"
     afile.write_text("")
     header = ",".join(CSV_HEADER)
@@ -415,7 +417,8 @@ def _error_cases(panel, tmp):
                                 "--out", str(tmp / "nocohort"), "--horizon", "2021",
                                 "--method", "traditional"], 1),
         ("compare_empty_group", ["compare", "--input", str(panel), "--out", str(tmp / "nope"),
-                                 "--horizon", "2021", "--college", "NOPE"], 1),
+                                 "--horizon", "2021", "--college", "NOPE"], 2,
+         "error: all: unexposed group: no records match the subgroup filters (1300 loaded)\n"),
         ("input_not_utf8", ["estimate", "--input", str(latin1), *estimate[3:]], 2),
         ("inputs_repeat_a_student", [*estimate, "--input", str(panel)], 2,
          f"error: {panel}: duplicate student_id "),
@@ -465,6 +468,9 @@ def _error_cases(panel, tmp):
                                  "--out", str(tmp / "plot")], 2),
         ("plot_blank_replicate", ["plot", "--input", str(blank_replicate),
                                   "--out", str(tmp / "plot")], 2),
+        ("plot_repeated_replicate", ["plot", "--input", str(repeated_replicate),
+                                     "--out", str(tmp / "plot")], 2,
+         f"error: {repeated_replicate}: line 3: replicate 1 repeats line 2\n"),
         ("plot_good_then_malformed", [*plot, "--input", str(bad_ensemble),
                                       "--out", str(tmp / "plot_partial")], 2),
         ("plot_shared_stem", [*plot, "--input", str(tmp / "y" / "e.csv"),

@@ -181,13 +181,20 @@ def test_raising_first_year_persistence_never_lowers_sygr(rng):
         assert path_enumeration_sygr(a) >= path_enumeration_sygr(p.p) - 1e-12
 
 
+def chain_tally(records, from_la_year=False):
+    """Reference pooled tally of the full chain: per-record counts read at
+    ALLOWED_CELLS."""
+    grid = per_record_grid(records, 2021, from_la_year)
+    return grid[tuple(np.array(ALLOWED_CELLS).T)]
+
+
 class TestPersistence:
     def test_everyone_persists(self):
         records = [
             make_record(sid=f"s{i}", outcome=Outcome.GRADUATED, outcome_year=6)
             for i in range(10)
         ]
-        rates = persistence_rates(records, 2021)
+        rates = persistence_rates(chain_tally(records))
         assert rates == {k: 1.0 for k in range(1, 6)}
 
     def test_hand_counted_first_year_rate(self):
@@ -199,7 +206,7 @@ class TestPersistence:
             make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1)
             for i in range(13)
         ]
-        rates = persistence_rates(records, 2021)
+        rates = persistence_rates(chain_tally(records))
         assert rates[1] == 0.87
 
     def test_la_truncation_changes_rates(self):
@@ -216,20 +223,14 @@ class TestPersistence:
             make_record(sid=f"y1_{i}", la_year=1, outcome=Outcome.GRADUATED, outcome_year=1)
             for i in range(3)
         ]
-        rates = persistence_rates(records, 2021, from_la_year=True)
+        rates = persistence_rates(chain_tally(records, from_la_year=True))
         assert rates[2] == pytest.approx(5 / 6, abs=1e-12)
 
     def test_unobserved_year_is_none(self):
         # everyone drops out in year 1: years 2-5 are never reached
         records = cohort_of(0, 4)
-        assert persistence_rates(records, 2021) == {1: 0.0, 2: None, 3: None, 4: None, 5: None}
-
-    def test_raises_where_the_estimate_raises(self):
-        record = make_record(cohort_year=2019, outcome=Outcome.ENROLLED, outcome_year=2)
-        with pytest.raises(InsufficientData, match="^no observed transitions out of state Y2$"):
-            persistence_rates([record], 2021)
-        with pytest.raises(NoRecords):
-            persistence_rates([], 2021)
+        assert persistence_rates(chain_tally(records)) == {
+            1: 0.0, 2: None, 3: None, 4: None, 5: None}
 
 
 @st.composite
