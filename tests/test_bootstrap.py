@@ -26,7 +26,13 @@ from cohortchain import (
     percentile_ci,
     persistence_rates,
 )
-from cohortchain.bootstrap import _seed_words, resample_indices, silverman_bandwidth
+from cohortchain.bootstrap import (
+    _BLOCK_DRAW_MAX,
+    _seed_words,
+    _type_counts,
+    resample_indices,
+    silverman_bandwidth,
+)
 from cohortchain.errors import (
     DegenerateEnsemble,
     EmptyCohort,
@@ -192,11 +198,13 @@ class TestBootstrap:
                 BootstrapConfig(seed=7, replicates=200),
             )
 
-    @pytest.mark.parametrize("n", [1, 20])
+    @pytest.mark.parametrize("n", [1, 20, 1500, 4056])
     @pytest.mark.parametrize("replicates", [2, 127, 128, 129, 300])
     def test_block_seeding_matches_resample_indices(self, replicates, n, monkeypatch):
         # blocks of REPLICATE_BLOCK = 128: one short block, one exact, one
-        # spilling by a replicate, and a partial third block
+        # spilling by a replicate, and a partial third block. 1500 records
+        # are drawn 10 replicates a chunk, so chunks end inside each block;
+        # with 4056 records, replicates 103 and 272 reject a word
         records = (identical_graduates(n // 2) + [
             make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1 + i % 5)
             for i in range(n - n // 2)
@@ -225,6 +233,81 @@ class TestBootstrap:
         assert s.n_failed == failed == 0
         np.testing.assert_array_equal(s.replicate_ids, ids)
         np.testing.assert_array_equal(s.ensemble, ensemble)
+
+
+def reference_type_counts(type_id, n_types, seed, ids):
+    return np.array([
+        np.bincount(type_id[resample_indices(seed, b, len(type_id))], minlength=n_types)
+        for b in ids
+    ])
+
+
+def block_type_counts(type_id, n_types, seed, ids):
+    return np.concatenate(list(_type_counts(type_id, n_types, _seed_words(seed, ids))))
+
+
+def rejects_a_word(seed, b, n):
+    """Whether integers(0, n, size=n) of replicate b rejects a 32-bit word,
+    seen as its generator ending elsewhere than after ceil(n / 2) raw words."""
+    drawn = np.random.default_rng([seed, b])
+    drawn.integers(0, n, size=n)
+    raw = np.random.default_rng([seed, b])
+    raw.bit_generator.random_raw((n + 1) // 2)
+    state = drawn.bit_generator.state
+    return (state["state"], state["has_uint32"]) != (raw.bit_generator.state["state"], n % 2)
+
+
+class TestTypeCounts:
+    """The block draw and the per-replicate draw, held to resample_indices.
+    Every record is its own type unless said otherwise, so a row's counts
+    are its whole resample as a multiset."""
+
+    @pytest.mark.parametrize(
+        "n, ids, rejecting",
+        [
+            (2000, range(600, 700), [673]),
+            (2039, range(150, 170), [159]),
+            (4056, range(1, 301), [103, 272]),
+            (3965, range(60, 76), [68]),
+        ],
+    )
+    def test_rejected_words_match_resample_indices(self, n, ids, rejecting):
+        # a replicate whose draw rejects a word is redrawn; n is even (2000,
+        # 4056) or odd (2039, 3965), and within the block draw's limit
+        assert n <= _BLOCK_DRAW_MAX
+        assert [b for b in ids if rejects_a_word(7, b, n)] == rejecting
+        type_id = np.arange(n)
+        np.testing.assert_array_equal(
+            block_type_counts(type_id, n, 7, ids),
+            reference_type_counts(type_id, n, 7, ids),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1500, _BLOCK_DRAW_MAX, _BLOCK_DRAW_MAX + 1])
+    def test_sizes_match_resample_indices(self, n):
+        # 300 replicates: three blocks, the last partial, each of one or
+        # more chunks
+        type_id = np.arange(n)
+        ids = np.arange(1, 301)
+        np.testing.assert_array_equal(
+            block_type_counts(type_id, n, 2**40 + 3, ids),
+            reference_type_counts(type_id, n, 2**40 + 3, ids),
+        )
+
+    @given(
+        n=st.integers(1, 5000),
+        n_types=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        first=st.integers(0, 2**32 - 40),
+        count=st.integers(1, 39),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_resample_indices(self, n, n_types, seed, first, count):
+        type_id = np.arange(n) * 7 % n_types
+        ids = np.arange(first, first + count)
+        np.testing.assert_array_equal(
+            block_type_counts(type_id, n_types, seed, ids),
+            reference_type_counts(type_id, n_types, seed, ids),
+        )
 
 
 def _no_draws(monkeypatch):
@@ -406,6 +489,12 @@ class TestBootstrapConfig:
     def test_rejects_bad_replicates(self):
         with pytest.raises(ValueError):
             BootstrapConfig(seed=1, replicates=1)
+
+    def test_rejects_replicate_ids_past_32_bits(self):
+        # a replicate id is one 32-bit seed word: id 2**32 + 1 would repeat id 1
+        with pytest.raises(ValueError, match=r"replicates must be below 2\*\*32"):
+            BootstrapConfig(seed=1, replicates=2**32)
+        assert BootstrapConfig(seed=1, replicates=2**32 - 1).replicates == 2**32 - 1
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError):

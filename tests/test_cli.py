@@ -403,6 +403,8 @@ def _error_cases(panel, tmp):
         ("config_last_argument", [*estimate, "--config"], 1),
         ("config_missing", [*estimate, "--config", str(tmp / "missing.cfg")], 1),
         ("replicates_1", [*estimate, "--replicates", "1"], 1),
+        ("replicates_2_32", [*estimate, "--replicates", str(2**32)], 1,
+         "usage error: replicates must be below 2**32, got 4294967296\n"),
         ("ci_1_5", [*estimate, "--ci", "1.5"], 1),
         ("seed_negative", [*estimate, "--seed", "-1"], 1),
         ("compare_seed_negative", ["compare", "--input", str(panel), "--out", str(tmp / "cmp"),
