@@ -52,9 +52,10 @@ from .records import (
     load_records,
 )
 from .svgplot import render_line_chart
-from .synth import brute_force_sygr, format_generator_spec, load_generator_spec, simulate
+from .synth import brute_force_sygr, format_generator_spec, generate_panel, load_generator_spec
 
 POSITIVE_CONTROL_TOL = 1e-9
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class UsageError(CohortChainError):
@@ -333,7 +334,7 @@ def cmd_synth(args):
         spec = _read(args.spec, load_generator_spec)
     except SpecFileError as exc:
         raise CohortChainError(f"{args.spec}: {exc}") from None
-    panel = simulate(spec)
+    panel = generate_panel(spec)
     extra = [
         ("students", len(panel)),
         ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix))),
@@ -470,7 +471,7 @@ def build_parser():
 
 
 def _config_items(path):
-    """(key, value) pairs of a `key = value` config file, in file order."""
+    """(line number, key, value) of each `key = value` line, in file order."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -486,7 +487,7 @@ def _config_items(path):
         if "=" not in stripped:
             raise UsageError(f"{path}:{line_no}: expected key = value")
         key, _, value = stripped.partition("=")
-        items.append((key.strip().replace("-", "_"), value.strip()))
+        items.append((line_no, key.strip().replace("-", "_"), value.strip()))
     return items
 
 
@@ -494,17 +495,22 @@ def _parse_args(parser, argv):
     """Parse argv; with --config, parse again with the file's settings
     inserted as flags right after the command name. Explicit flags come
     later and so win, and repeatable flags (--input, --method) collect the
-    file's values first. Keys the command does not take are ignored."""
+    file's values first. Keys the command does not take are ignored; an
+    on/off switch takes 1, true, yes, 0, false or no, in any case."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
     tokens = []
-    for key, value in _config_items(args.config):
+    for line_no, key, value in _config_items(args.config):
         if not hasattr(args, key):
             continue
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):  # an on/off switch
-            if value.lower() in ("1", "true", "yes"):
+            on = _SWITCH.get(value.lower())
+            if on is None:
+                raise UsageError(f"{args.config}:{line_no}: {key} must be one of "
+                                 f"{', '.join(_SWITCH)}, got {value!r}")
+            if on:
                 tokens.append(flag)
         else:
             tokens += [flag, value]

@@ -114,21 +114,23 @@ class SubgroupSpec:
 
 class Panel:
     """Student rows stored by kind: the rows of one kind share every field
-    but the student_id. `parse_records` makes one kind of each distinct row
-    text after the id, and `synth.simulate` one of each distinct content.
+    but the student_id. `parse_records` keys a kind by the row text after
+    the id, `synth.generate_panel` by the row's content.
 
     `ids` holds the student ids in row order, `kind` an np.intp kind index
     per row, and `kinds` one StudentRecord per kind, the kind's first row,
     in order of first appearance. Every kind has at least one row. len() is
-    the row count; iteration yields each row's full StudentRecord.
+    the row count. Iteration yields each row's full StudentRecord, built on
+    the first iteration and kept, so a later one yields the same objects.
     """
 
-    __slots__ = ("ids", "kind", "kinds")
+    __slots__ = ("ids", "kind", "kinds", "_rows")
 
     def __init__(self, ids, kind, kinds):
         self.ids = ids
         self.kind = kind
         self.kinds = kinds
+        self._rows = None
 
     @classmethod
     def from_records(cls, records):
@@ -165,12 +167,13 @@ class Panel:
     def __iter__(self):
         # A kind is already validated and an id carries no invariant, so each
         # row copies its kind's fields rather than running __init__ again.
-        fields = [vars(r) for r in self.kinds]
-        new = object.__new__
-        for sid, k in zip(self.ids, self.kind.tolist()):
-            r = new(StudentRecord)
-            vars(r).update(fields[k], student_id=sid)
-            yield r
+        if self._rows is None:
+            fields = [vars(r) for r in self.kinds]
+            new = object.__new__
+            self._rows = [new(StudentRecord) for _ in self.ids]
+            for r, sid, k in zip(self._rows, self.ids, self.kind.tolist()):
+                vars(r).update(fields[k], student_id=sid)
+        return iter(self._rows)
 
 
 class Transition(NamedTuple):

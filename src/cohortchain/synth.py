@@ -6,9 +6,9 @@ record schema, so tests exercise the real ingestion path. The tests keep
 their own per-student log of which walk steps are observable at the
 horizon, for exact round-trip checks against the records.
 
-Records are built by kind, as ingest builds them: `simulate` walks each
-cohort, encodes it column by column with numpy, and builds and validates
-one StudentRecord per distinct content (a "kind"), returning a `Panel`.
+Records are built by kind, as ingest builds them: `generate_panel` walks
+each cohort, encodes it column by column with numpy, and returns a `Panel`
+with one validated StudentRecord per distinct content (a "kind").
 
 Also home to the path-enumeration oracle for the six-year graduation
 rate, kept deliberately free of matrix multiplication.
@@ -86,17 +86,16 @@ class GeneratorSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.la_year_dist is not None:
-            if any(not 1 <= y <= 6 for y in self.la_year_dist):
-                raise ValueError("la_year_dist keys must be years of study 1..6")
-            if abs(sum(self.la_year_dist.values()) - 1.0) > 1e-9:
-                raise ValueError("la_year_dist probabilities must sum to 1")
-        if abs(sum(self.colleges.values()) - 1.0) > 1e-9:
-            raise ValueError("college proportions must sum to 1")
-
-
-def _cumulative_rows(matrix):
-    return np.cumsum(matrix.p, axis=1)
+        if self.la_year_dist is not None and any(not 1 <= y <= 6 for y in self.la_year_dist):
+            raise ValueError("la_year_dist keys must be years of study 1..6")
+        for what, dist in (("la_year_dist probabilities", self.la_year_dist),
+                           ("college proportions", self.colleges)):
+            if dist is None:
+                continue
+            if any(not p >= 0 for p in dist.values()):  # NaN too
+                raise ValueError(f"{what} must be non-negative")
+            if abs(sum(dist.values()) - 1.0) > 1e-9:
+                raise ValueError(f"{what} must sum to 1")
 
 
 def _walk_cohort(spec, n, rng):
@@ -106,12 +105,9 @@ def _walk_cohort(spec, n, rng):
     finishers who persist past year 6; graduated[i] is the outcome for
     absorbed students.
     """
-    cum_base = _cumulative_rows(spec.true_matrix)
-    cum_eff = (
-        _cumulative_rows(spec.effect_matrix)
-        if spec.effect_matrix is not None
-        else cum_base
-    )
+    cum_base = np.cumsum(spec.true_matrix.p, axis=1)
+    effect = spec.effect_matrix
+    cum_eff = cum_base if effect is None else np.cumsum(effect.p, axis=1)
 
     aalana = rng.random(n) < spec.aalana_rate
     first_gen = rng.random(n) < spec.first_gen_rate
@@ -119,9 +115,8 @@ def _walk_cohort(spec, n, rng):
     if spec.la_year_dist is None:
         la_years = rng.integers(1, 7, size=n)
     else:
-        years = np.array(sorted(spec.la_year_dist))
-        probs = np.array([spec.la_year_dist[y] for y in sorted(spec.la_year_dist)])
-        la_years = rng.choice(years, p=probs, size=n)
+        years = sorted(spec.la_year_dist)
+        la_years = rng.choice(years, p=[spec.la_year_dist[y] for y in years], size=n)
     slow = rng.random(n) < spec.slow_finisher_rate
     college_names = sorted(spec.colleges)
     college_idx = rng.choice(
@@ -223,17 +218,10 @@ def _cohort_panel(spec, cohort_year, walk):
     return Panel(ids, kind_of_key[key], kinds)
 
 
-def simulate(spec):
-    """The spec's panel: each cohort walked with its own seeded generator,
-    in year order, and encoded by kind."""
-    return Panel.concat(
-        _cohort_panel(spec, year, walk) for year, walk in _walks(spec)
-    )
-
-
 def generate_panel(spec):
-    """The spec's records, one per student, in cohort then id order."""
-    return list(simulate(spec))
+    """The spec's panel, rows in cohort then id order: each cohort walked
+    with its own seeded generator, in year order, and encoded by kind."""
+    return Panel.concat(_cohort_panel(spec, year, walk) for year, walk in _walks(spec))
 
 
 def _parse_matrix_block(lines, start, label):
@@ -265,9 +253,12 @@ def _parse_pairs(raw, line_no, cast_key):
             raise SpecFileError(line_no, f"expected key:value, got {tok!r}")
         k, v = tok.split(":", 1)
         try:
-            out[cast_key(k)] = float(v)
+            k, v = cast_key(k), float(v)
         except ValueError:
             raise SpecFileError(line_no, f"bad pair {tok!r}") from None
+        if k in out:
+            raise SpecFileError(line_no, f"key {k} given twice")
+        out[k] = v
     return out
 
 
@@ -282,11 +273,13 @@ def parse_generator_spec(text):
     """Parse the plain-text `key = value` generator configuration.
 
     The `matrix` (and optional `effect_matrix`) keys introduce an inline
-    8x8 block of 64 whitespace-separated numbers, row-major.
+    8x8 block of 64 whitespace-separated numbers, row-major. A key given
+    twice, at the top level or within a `key:value` list, is an error.
     """
     lines = text.splitlines()
     fields = {}
     matrices = {}
+    seen = {}  # key: the line that first gives it
     i = 0
     while i < len(lines):
         stripped = lines[i].strip()
@@ -297,12 +290,14 @@ def parse_generator_spec(text):
             raise SpecFileError(i + 1, f"expected key = value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
+        if (first := seen.setdefault(key, i + 1)) != i + 1:
+            raise SpecFileError(i + 1, f"{key} repeats line {first}")
         if key in ("matrix", "effect_matrix"):
             if value:
                 raise SpecFileError(i + 1, f"{key} block must start on the next line")
             matrices[key], i = _parse_matrix_block(lines, i + 1, key)
             continue
-        fields[key] = (value, i + 1)
+        fields[key] = value
         i += 1
 
     def take(key, cast, default=None, required=False):
@@ -310,11 +305,9 @@ def parse_generator_spec(text):
             if required:
                 raise SpecFileError(None, f"missing required key {key!r}")
             return default
-        raw, line_no = fields.pop(key)
+        raw, line_no = fields.pop(key), seen[key]
         try:
             return cast(raw, line_no)
-        except SpecFileError:
-            raise
         except (TypeError, ValueError):
             raise SpecFileError(line_no, f"bad value for {key}: {raw!r}") from None
 
@@ -334,16 +327,14 @@ def parse_generator_spec(text):
         first_gen_rate=take("first_gen_rate", lambda v, _ln: float(v), 0.0),
         la_rate=take("la_rate", lambda v, _ln: float(v), 0.0),
         slow_finisher_rate=take("slow_finisher_rate", lambda v, _ln: float(v), 0.0),
+        la_year_dist=take("la_year_dist", lambda v, ln: _parse_pairs(v, ln, int)),
     )
-    la_dist = take("la_year_dist", lambda v, ln: _parse_pairs(v, ln, int))
-    if la_dist is not None:
-        spec_kwargs["la_year_dist"] = la_dist
     colleges = take("colleges", lambda v, ln: _parse_pairs(v, ln, str))
     if colleges is not None:
         spec_kwargs["colleges"] = colleges
     if fields:
         key = next(iter(fields))
-        raise SpecFileError(fields[key][1], f"unknown key {key!r}")
+        raise SpecFileError(seen[key], f"unknown key {key!r}")
     try:
         return GeneratorSpec(**spec_kwargs)
     except ValueError as exc:

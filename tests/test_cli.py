@@ -152,6 +152,17 @@ class TestEstimate:
         assert read_csv(out_a / "summary_full.csv")[0]["cohort"] == "2013"
         assert read_csv(out_b / "summary_full.csv")[0]["cohort"] == "2014"
 
+    @pytest.mark.parametrize("word, on", [("YES", True), ("1", True), ("No", False),
+                                          ("false", False)])
+    def test_config_switch_words(self, panel, tmp_path, word, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"input = {panel}\nhorizon = 2021\ncohort = 2013\nreplicates = 20\n"
+            f"method = traditional\nexport-ensemble = {word}\n"
+        )
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "ensemble_traditional.csv").exists() is on
+
 
 class TestValidate:
     def test_passes_on_synthetic_panel(self, panel, tmp_path, capsys):
@@ -395,6 +406,14 @@ def _error_cases(panel, tmp):
     negative_seed.write_text(GEN_SPEC.replace("seed = 11\n", "seed = -1\n"))
     fractional_size = tmp / "fractional_size.spec"
     fractional_size.write_text(GEN_SPEC.replace("2013:300 ", "2013:30.7 "))
+    negative_la_year = tmp / "negative_la_year.spec"
+    negative_la_year.write_text(GEN_SPEC.replace("1:0.7 2:0.3", "1:1.5 2:-0.5"))
+    negative_college = tmp / "negative_college.spec"
+    negative_college.write_text(GEN_SPEC + "colleges = A:1.5 B:-0.5\n")
+    repeated_matrix = tmp / "repeated_matrix.spec"
+    repeated_matrix.write_text(GEN_SPEC + GEN_SPEC[GEN_SPEC.index("matrix =") :])
+    switch_word = tmp / "switch_word.cfg"
+    switch_word.write_text(cfg.read_text() + "export-ensemble = on\n")
     plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
     estimate = ["estimate", "--input", str(panel), "--out", str(tmp / "out"),
                 "--horizon", "2021", "--cohort", "2013"]
@@ -402,6 +421,10 @@ def _error_cases(panel, tmp):
         ("config_equals_form", ["estimate", f"--config={cfg}", "--out", str(tmp / "eq")], 0),
         ("config_last_argument", [*estimate, "--config"], 1),
         ("config_missing", [*estimate, "--config", str(tmp / "missing.cfg")], 1),
+        ("config_switch_word", ["estimate", "--config", str(switch_word),
+                                "--out", str(tmp / "switch")], 1,
+         f"usage error: {switch_word}:6: export_ensemble must be one of "
+         "1, true, yes, 0, false, no, got 'on'\n"),
         ("replicates_1", [*estimate, "--replicates", "1"], 1),
         ("replicates_2_32", [*estimate, "--replicates", str(2**32)], 1,
          "usage error: replicates must be below 2**32, got 4294967296\n"),
@@ -452,6 +475,15 @@ def _error_cases(panel, tmp):
                                   "--out", str(tmp / "s5")],
          2, f"error: {fractional_size}: line 3: bad value for cohort_sizes: "
          "'2013:30.7 2014:300 2015:300 2017:200 2019:200'\n"),
+        ("spec_negative_la_year_dist", ["synth", "--spec", str(negative_la_year),
+                                        "--out", str(tmp / "s6")],
+         2, f"error: {negative_la_year}: la_year_dist probabilities must be non-negative\n"),
+        ("spec_negative_college", ["synth", "--spec", str(negative_college),
+                                   "--out", str(tmp / "s7")],
+         2, f"error: {negative_college}: college proportions must be non-negative\n"),
+        ("spec_repeated_matrix", ["synth", "--spec", str(repeated_matrix),
+                                  "--out", str(tmp / "s8")],
+         2, f"error: {repeated_matrix}: line 26: matrix repeats line 8\n"),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
         ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),

@@ -18,6 +18,7 @@ from conftest import (
 from cohortchain import (
     GeneratorSpec,
     Outcome,
+    Panel,
     brute_force_sygr,
     derive_transitions,
     generate_panel,
@@ -26,7 +27,7 @@ from cohortchain import (
 from cohortchain import records as records_module
 from cohortchain.errors import SpecFileError
 from cohortchain.records import format_records
-from cohortchain.synth import format_generator_spec, parse_generator_spec, simulate
+from cohortchain.synth import format_generator_spec, parse_generator_spec
 
 
 class TestBruteForce:
@@ -87,7 +88,7 @@ class TestGeneratePanel:
         spec = basic_spec(
             true_matrix=chain_09(), la_rate=0.4, aalana_rate=0.2, cohort_sizes={2015: 80}
         )
-        assert generate_panel(spec) == generate_panel(spec)
+        assert list(generate_panel(spec)) == list(generate_panel(spec))
 
     def test_large_panel_matches_truth(self, rng):
         true = chain_09()
@@ -192,8 +193,9 @@ def random_spec(rng, seed):
 
 
 class TestByKind:
-    """simulate encodes each cohort column-wise and builds one record per
-    kind; the per-student encoder and per-record writer are the references."""
+    """generate_panel encodes each cohort column-wise and builds one record
+    per kind; the per-student encoder and per-record writer are the
+    references."""
 
     def test_matches_per_student_reference(self):
         rng = np.random.default_rng(1009)
@@ -201,7 +203,7 @@ class TestByKind:
             spec = random_spec(rng, seed)
             expected = [encode_by_student(spec, *student) for student in students(spec)]
             records = generate_panel(spec)
-            assert records == expected, spec
+            assert list(records) == expected, spec
             assert format_records(records) == format_records_by_record(expected), spec
 
     def test_each_kind_validated_once(self, monkeypatch):
@@ -211,12 +213,21 @@ class TestByKind:
                             lambda r: calls.append(r) or check(r))
         spec = basic_spec(true_matrix=chain_09(), cohort_sizes={2013: 400, 2016: 300},
                           la_rate=0.4, aalana_rate=0.3, first_gen_rate=0.5)
-        panel = simulate(spec)
+        panel = generate_panel(spec)
         assert len(panel) == 700
         assert 1 < len(panel.kinds) < 100
         assert len(calls) == len(panel.kinds)
         assert len(list(panel)) == 700
         assert len(calls) == len(panel.kinds)
+
+    def test_rows_built_once(self):
+        """A panel builds its row records on the first iteration and keeps
+        them: a later iteration yields the very same objects."""
+        panel = generate_panel(basic_spec(true_matrix=chain_09(), la_rate=0.4))
+        assert isinstance(panel, Panel)
+        first = list(panel)
+        assert len(first) == len(panel) == 50
+        assert all(a is b for a, b in zip(first, panel, strict=True))
 
 
 SPEC_TEXT = """\
@@ -235,6 +246,9 @@ matrix =
 0 0 0 0 0 0 1 0
 0 0 0 0 0 0 0 1
 """
+
+# the `matrix =` line and its eight rows
+MATRIX_BLOCK = SPEC_TEXT[SPEC_TEXT.index("matrix =") :]
 
 
 class TestSpecFile:
@@ -278,6 +292,20 @@ class TestSpecFile:
         with pytest.raises(SpecFileError):
             parse_generator_spec(SPEC_TEXT.replace("0 0.9 0 0 0 0 0.1 0", "0 0.9 0 0 0 0 0.2 0", 1))
 
+    @pytest.mark.parametrize("text, line, reason", [
+        (SPEC_TEXT.replace("2013:30 2014:20", "2013:30 2013:20"), 3, "key 2013 given twice"),
+        (SPEC_TEXT.replace("1:0.5 2:0.5", "1:0.5 01:0.5"), 5, "key 1 given twice"),
+        (SPEC_TEXT + "colleges = A:0.5 A:0.5\n", 15, "key A given twice"),
+        (SPEC_TEXT + "seed = 7\n", 15, "seed repeats line 1"),
+        (SPEC_TEXT + MATRIX_BLOCK, 15, "matrix repeats line 6"),
+        (SPEC_TEXT + 2 * MATRIX_BLOCK.replace("matrix", "effect_matrix"), 24,
+         "effect_matrix repeats line 15"),
+    ], ids=["cohort", "la_year", "college", "seed", "matrix", "effect_matrix"])
+    def test_repeat_names_its_line(self, text, line, reason):
+        with pytest.raises(SpecFileError) as exc:
+            parse_generator_spec(text)
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+
 
 class TestGeneratorSpecValidation:
     def test_horizon_before_first_year(self):
@@ -291,3 +319,12 @@ class TestGeneratorSpecValidation:
     def test_bad_la_year_dist(self):
         with pytest.raises(ValueError):
             basic_spec(la_year_dist={0: 1.0})
+
+    @pytest.mark.parametrize("overrides", [
+        {"la_year_dist": {1: 1.5, 2: -0.5}},
+        {"la_year_dist": {1: float("nan")}},
+        {"colleges": {"A": 1.5, "B": -0.5}},
+    ])
+    def test_probabilities_must_be_non_negative(self, overrides):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            basic_spec(**overrides)
