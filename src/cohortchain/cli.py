@@ -56,6 +56,7 @@ from .synth import brute_force_sygr, format_generator_spec, generate_panel, load
 
 POSITIVE_CONTROL_TOL = 1e-9
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_REPEATABLE = ("input", "method")  # config keys whose flags collect every value
 
 
 class UsageError(CohortChainError):
@@ -495,15 +496,20 @@ def _parse_args(parser, argv):
     """Parse argv; with --config, parse again with the file's settings
     inserted as flags right after the command name. Explicit flags come
     later and so win, and repeatable flags (--input, --method) collect the
-    file's values first. Keys the command does not take are ignored; an
-    on/off switch takes 1, true, yes, 0, false or no, in any case."""
+    file's values first; any other key the file repeats is a usage error.
+    Keys the command does not take are ignored; an on/off switch takes 1,
+    true, yes, 0, false or no, in any case."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
     tokens = []
+    first_line = {}
     for line_no, key, value in _config_items(args.config):
         if not hasattr(args, key):
             continue
+        first = first_line.setdefault(key, line_no)
+        if first != line_no and key not in _REPEATABLE:
+            raise UsageError(f"{args.config}:{line_no}: {key} repeats line {first}")
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):  # an on/off switch
             on = _SWITCH.get(value.lower())

@@ -12,11 +12,17 @@ fully completed year of study for enrolled students.
 Ingest validates each distinct row once. Every estimate and subgroup reads
 only a row's fields other than its student_id, and a panel holds few
 distinct such contents (a "kind"; 63 on a 100k synthetic panel). So
-`parse_records` checks per row only its field count and its id, and parses
-and validates the first row of each kind into the one StudentRecord of that
-kind. It returns a columnar `Panel`: the ids, a kind index per row, and the
-kinds. A row's validity depends only on its kind and its id, so every error
-still names the first offending row in file order.
+`parse_records` checks per row only its id, and parses and validates the
+first row of each kind into the one StudentRecord of that kind. It returns
+a columnar `Panel`: the ids, a kind index per row, and the kinds.
+
+Plain text, holding no '"', '\\r' or NUL, is read by its lines: each line is
+split at its first comma into the id and the kind's text, and the field
+count is checked once per kind. Any other text, and any plain text with a
+row the line path would not accept, is read by `csv.reader`, row by row,
+which raises every ingest error. A row's validity depends only on its kind
+and its id, so every error still names the first offending row in file
+order.
 """
 
 import csv
@@ -223,6 +229,61 @@ def _parse_kind(row, row_no):
         raise InvariantViolation(row_no, str(exc)) from None
 
 
+_HEADER_LINE = ",".join(CSV_HEADER)
+
+
+def _parse_lines(text, seen):
+    """The Panel of plain CSV text read line by line, or None to leave the
+    text to csv.reader.
+
+    With no '"', '\\r' or NUL in the text, csv.reader yields exactly each
+    line split on commas. On any text or row this path would not accept it
+    declines, raising nothing and leaving seen as it was.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the final newline
+    if not lines or lines[0] != _HEADER_LINE or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    del lines[0]
+    ids, kind, index, first = [], [], {}, []
+    for line in lines:
+        sid, _, rest = line.partition(",")
+        k = index.get(rest)
+        if k is None:
+            k = index[rest] = len(first)
+            first.append(len(ids))
+        ids.append(sid)
+        kind.append(k)
+    del lines  # before the id set, which would otherwise raise the peak
+    kinds = []
+    for rest, i in zip(index, first):
+        if rest.count(",") != len(CSV_HEADER) - 2:
+            return None
+        try:
+            kinds.append(_parse_kind([ids[i], *rest.split(",")], i + 2))
+        except (ParseError, InvariantViolation):
+            return None
+    fresh = set(ids)
+    if len(fresh) != len(ids) or "" in fresh or not fresh.isdisjoint(seen):
+        return None
+    seen |= fresh
+    return Panel(ids, np.array(kind, dtype=np.intp), kinds)
+
+
+def _csv_rows(text):
+    """(row number, row) for each CSV row of text, from 1; a csv.Error is a
+    ParseError of the row it stopped in."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise ParseError(row_no + 1, "row", str(exc)) from None
+
+
 def parse_records(source, seen=None):
     """Parse CSV text, as UTF-8 bytes or a str, into a Panel.
 
@@ -231,20 +292,26 @@ def parse_records(source, seen=None):
     row's field count and id are checked; only the first row of each kind
     (its text after the id) is parsed and validated. `seen` holds ids read
     before this source, as from earlier files: a row repeating one is a
-    DuplicateId, and this source's ids are added to it.
+    DuplicateId, and this source's ids are added to it. A row csv.reader
+    cannot read, as one with a field longer than csv.field_size_limit(), is
+    a ParseError of that row.
     """
     text = source.decode("utf-8") if isinstance(source, bytes) else source
-    reader = csv.reader(io.StringIO(text))
+    seen = set() if seen is None else seen
+    panel = _parse_lines(text, seen)
+    if panel is not None:
+        return panel
+
+    rows = _csv_rows(text)
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise ParseError(1, "student_id", "missing header row") from None
     if header != CSV_HEADER:
-        raise ParseError(1, "header", f"expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
+        raise ParseError(1, "header", f"expected {_HEADER_LINE!r}, got {','.join(header)!r}")
 
-    seen = set() if seen is None else seen
     ids, kind, index, kinds = [], [], {}, []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in rows:
         if not row:
             continue
         if len(row) != len(CSV_HEADER):

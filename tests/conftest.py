@@ -112,18 +112,23 @@ def per_row_matrix(grid):
 
 def parse_records_by_row(data):
     """Reference parser: UTF-8 CSV bytes to a list of records, every row
-    parsed and validated on its own."""
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    parsed and validated on its own. A row csv.reader cannot read is a
+    ParseError of that row, raised only if no earlier row fails."""
+    rows, unreadable = [], None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "student_id", "missing header row") from None
+        for row in csv.reader(io.StringIO(data.decode("utf-8"))):
+            rows.append(row)
+    except csv.Error as exc:
+        unreadable = ParseError(len(rows) + 1, "row", str(exc))
+    if not rows:
+        raise unreadable or ParseError(1, "student_id", "missing header row")
+    header = rows[0]
     if header != CSV_HEADER:
         raise ParseError(1, "header", f"expected {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
 
     records = []
     seen = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
@@ -152,6 +157,8 @@ def parse_records_by_row(data):
             records.append(StudentRecord(**fields))
         except ValueError as exc:
             raise InvariantViolation(row_no, str(exc)) from None
+    if unreadable is not None:
+        raise unreadable
     return records
 
 

@@ -414,6 +414,12 @@ def _error_cases(panel, tmp):
     repeated_matrix.write_text(GEN_SPEC + GEN_SPEC[GEN_SPEC.index("matrix =") :])
     switch_word = tmp / "switch_word.cfg"
     switch_word.write_text(cfg.read_text() + "export-ensemble = on\n")
+    repeated_key = tmp / "repeated_key.cfg"
+    repeated_key.write_text(cfg.read_text() + "seed = 1\nseed = 2\n")
+    repeated_input = tmp / "repeated_input.cfg"
+    repeated_input.write_text(cfg.read_text() + f"input = {panel}\n")
+    long_id = tmp / "long_id.csv"
+    long_id.write_text(f"{header}\n{'s' * 200_000},2013,true,false,SCI,,G,4\n")
     plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
     estimate = ["estimate", "--input", str(panel), "--out", str(tmp / "out"),
                 "--horizon", "2021", "--cohort", "2013"]
@@ -425,6 +431,12 @@ def _error_cases(panel, tmp):
                                 "--out", str(tmp / "switch")], 1,
          f"usage error: {switch_word}:6: export_ensemble must be one of "
          "1, true, yes, 0, false, no, got 'on'\n"),
+        ("config_repeated_key", ["estimate", "--config", str(repeated_key),
+                                 "--out", str(tmp / "repeated_key")], 1,
+         f"usage error: {repeated_key}:7: seed repeats line 6\n"),
+        ("config_repeated_input", ["estimate", "--config", str(repeated_input),
+                                   "--out", str(tmp / "repeated_input")], 2,
+         f"error: {panel}: duplicate student_id "),
         ("replicates_1", [*estimate, "--replicates", "1"], 1),
         ("replicates_2_32", [*estimate, "--replicates", str(2**32)], 1,
          "usage error: replicates must be below 2**32, got 4294967296\n"),
@@ -449,6 +461,8 @@ def _error_cases(panel, tmp):
          f"error: {panel}: duplicate student_id "),
         ("input_error_names_its_file", [*estimate, "--input", str(bad_row)], 2,
          f"error: {bad_row}: row 3, column 'aalana': "),
+        ("input_field_too_long", ["estimate", "--input", str(long_id), *estimate[3:]], 2,
+         f"error: {long_id}: row 2, column 'row': field larger than field limit (131072)\n"),
         ("compare_group_bootstrap_fails", ["compare", "--input", str(small), "--out",
                                            str(tmp / "small_cmp"), "--horizon", "2021",
                                            "--replicates", "200"], 2,

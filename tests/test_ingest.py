@@ -1,9 +1,11 @@
+import csv
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from itertools import product
 
 import pytest
 from conftest import format_records_by_record, make_record, parse_records_by_row
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohortchain import (
@@ -19,6 +21,7 @@ from cohortchain import (
     parse_records,
 )
 from cohortchain import records as records_module
+from cohortchain.cli import _load_inputs
 from cohortchain.errors import (
     CohortChainError,
     DuplicateId,
@@ -116,21 +119,53 @@ BAD = [[""], ["x", "2013.0"], ["yes", "True"], ["no", ""], [""], ["0", "5", "7",
        ["X", "g", ""], ["0", "", "4.5"]]
 
 
+# Characters a line may hold that csv.reader reads as any other character
+# (on Python 3.10 it rejects NUL), though str.splitlines splits on all but NUL.
+ODD = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\0"]
+# Text a quoted field may hold: csv.reader keeps it, the line path cannot.
+QUOTED = ["", ",", '"', "\n", "\r\n", "\r"]
+MUTATIONS = ["field"] * 3 + ["blank", "short", "long", "odd", "quoted", "cr"]
+
+
+def _quote(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
 @st.composite
 def mutated_csv(draw):
-    lines = [HEADER]
-    for _ in range(draw(st.integers(0, 8))):
+    """CSV text of up to 8 rows, each valid or broken in one way: a bad or
+    odd value, a quoted field, a stray carriage return, a blank line, one
+    field too few or too many. Half the files have distinct ids and break at
+    most one row, so that more of them parse. Lines end in LF or CRLF, the
+    last one maybe in nothing."""
+    header = draw(st.sampled_from([HEADER] * 4 + [_quote("student_id") + HEADER[10:]]))
+    lines = [header]
+    n = draw(st.integers(0, 8))
+    calm = draw(st.booleans())
+    broken = draw(st.integers(0, 2 * n))  # past the last row: none broken
+    for i in range(n):
         fields = [draw(st.sampled_from(values)) for values in GOOD]
-        mutation = draw(st.sampled_from(["none"] * 12 + ["field"] * 3 + ["blank", "short", "long"]))
+        if calm:
+            fields[0] += str(i)
+            mutation = draw(st.sampled_from(MUTATIONS)) if i == broken else "none"
+        else:
+            mutation = draw(st.sampled_from(["none"] * 12 + MUTATIONS))
+        column = draw(st.integers(0, len(BAD) - 1))
         if mutation == "field":
-            column = draw(st.integers(0, len(BAD) - 1))
             fields[column] = draw(st.sampled_from(BAD[column]))
+        elif mutation == "odd":
+            fields[draw(st.sampled_from([0, 4]))] += draw(st.sampled_from(ODD))
+        elif mutation == "quoted":
+            fields[column] = _quote(fields[column] + draw(st.sampled_from(QUOTED)))
+        elif mutation == "cr":
+            fields[column] += "\r"
         elif mutation == "short":
             fields.pop()
         elif mutation == "long":
             fields.append("x")
         lines.append("" if mutation == "blank" else ",".join(fields))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode("utf-8")
 
 
 def _outcome(parse, data):
@@ -141,10 +176,102 @@ def _outcome(parse, data):
         return type(exc), str(exc)
 
 
+LIMIT = csv.field_size_limit()
+
+
 @given(data=mutated_csv())
-@settings(max_examples=400)
+@example(data=b"")
+@example(data=b"\n")
+@example(data=HEADER.encode())
+@example(data=HEADER.encode() + b"\r\n")
+@example(data=csv_bytes("s1,2013,true,false,SCI,2,G,4")[:-1])
+@example(data=csv_bytes("x" * (LIMIT + 1) + ",2013,true,false,SCI,2,G,4"))
+@example(data=csv_bytes("s1,2013,true,false," + "S" * LIMIT + ",2,G,4"))
+@example(data=csv_bytes("s1,2013,true,false,SCI,2,G,4", "s2,2013,true\x00,false,SCI,2,G,4"))
+@settings(max_examples=600)
 def test_parse_matches_row_by_row_reference(data):
     assert _outcome(parse_records, data) == _outcome(parse_records_by_row, data)
+
+
+class _CsvReaderCalled(Exception):
+    pass
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise _CsvReaderCalled
+
+
+PLAIN = ["a,2013,true,false,SCI,2,G,4", "b,2014,false,false,ENG,,D,2",
+         "c,2013,true,false,SCI,2,G,4", "d\u2028\x85,2019,false,true,E\x0bN\x1cG,1,E,1"]
+
+
+class TestLinePath:
+    """Plain text is read by its lines: csv.reader reads only other text,
+    and text the line path declines, which it leaves as it found it."""
+
+    def test_plain_text_skips_csv_reader(self, monkeypatch):
+        data = csv_bytes(*PLAIN)
+        expected = parse_records_by_row(data)
+        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
+        panel = parse_records(data)
+        assert list(panel) == expected
+        assert panel.kind.tolist() == [0, 1, 0, 2]
+
+    @pytest.mark.parametrize("data", [
+        csv_bytes('"a",2013,true,false,SCI,2,G,4'),
+        csv_bytes(*PLAIN).replace(b"\n", b"\r\n"),
+    ])
+    def test_other_text_reaches_csv_reader(self, monkeypatch, data):
+        expected = parse_records_by_row(data)
+        calls = []
+        reader = records_module.csv.reader
+        monkeypatch.setattr(records_module.csv, "reader",
+                            lambda *args: calls.append(args) or reader(*args))
+        assert list(parse_records(data)) == expected
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rows", [
+        ["a,2013,true,false,SCI,2,G,4", "b,2013,true,false,SCI,2,G,4", "a,2014,true,false,SCI,,G,4"],
+        ["a,2013,true,false,SCI,2,G,4", "z,2013,true,false,SCI,2,G,4"],
+        ["a,2013,true,false,SCI,2,G,4", ",2013,true,false,SCI,2,G,4"],
+        ["a,2013,true,false,SCI,2,G,4", "", "b,2013,true,false,SCI,2,G,4"],
+        ["a,2013,true,false,SCI,2,G,4", "b,2013,maybe,false,SCI,2,G,4"],
+        ["a,2013,true,false,SCI,5,G,3"],
+        ["a,2013,true,false,SCI,2,G"],
+        ["a,2013,true,false,SCI,2,G,4,x"],
+        ["a,2013,true,false,SCI,2,G,4", "b"],
+    ])
+    def test_declined_text_leaves_seen_as_it_was(self, monkeypatch, rows):
+        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
+        seen = {"z"}
+        with pytest.raises(_CsvReaderCalled):
+            parse_records(csv_bytes(*rows), seen)
+        assert seen == {"z"}
+
+    def test_id_of_an_earlier_file_names_the_later_row(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_bytes(csv_bytes(*PLAIN[:2]))
+        second.write_bytes(csv_bytes("x,2013,true,false,SCI,2,G,4", *PLAIN[1:3]))
+        with pytest.raises(CohortChainError) as exc:
+            _load_inputs([first, second])
+        assert str(exc.value) == f"{second}: duplicate student_id 'b' at row 3"
+
+    def test_peak_memory_bounded_by_text_size(self):
+        # Traced peak over text size on these 20k rows: 7.6 with the line
+        # path; 10.1 if it kept its line list while building the id set, and
+        # 10.7 with csv.reader over io.StringIO, which copies the text at 4
+        # bytes a character.
+        data = csv_bytes(*(
+            f"s{2013 + i % 6}_{i},{2013 + i % 6},false,{'true' if i % 3 else 'false'},SCI,,"
+            f"{'GDE'[i % 3]},{1 + i % 6}" for i in range(20_000)))
+        tracemalloc.start()
+        try:
+            panel = parse_records(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 20_000
+        assert peak < 9 * len(data)
 
 
 # Text that csv.writer quotes, passes through as it is, or writes as nothing.
