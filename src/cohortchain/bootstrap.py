@@ -6,23 +6,27 @@ bit-for-bit regardless of execution order. `bootstrap` computes the PCG64
 seed words of all its replicates in one vectorised pass of SeedSequence's
 algorithm (`_seed_words`) instead of hashing each replicate's
 `SeedSequence([seed, b])` in Python; `resample_indices` is the per-replicate
-reference. A resample of at most `_BLOCK_DRAW_MAX` records is drawn a chunk
-of replicates at a time from PCG64's raw words, by the bounded draw that
-`Generator.integers` makes (Lemire 2019), so that the chunk's draws, keys
-and counts are single numpy passes; larger resamples call
-`Generator.integers` per replicate. Both give exactly the
-`default_rng([seed, b]).integers(0, n, size=n)` streams. A replicate is
-kept only as its records' trajectory-type counts; each estimator reads the
-pooled tallies of a block of replicates in one stacked pass (`rates`), so
-no replicate builds a matrix of its own. `bootstrap_each` keys the records
-once and draws each replicate once for several estimators, so every
-estimator of one command reads the same resamples; `bootstrap` is its
-one-estimator case. Each estimator is fitted once on the original records,
-and its summary keeps that fit's pooled tally. Replicates whose estimate is
-undefined (e.g. a resample of a tiny subgroup losing a whole transition
-row) are dropped and counted per estimator, with a hard failure ceiling.
+reference. Every resample is drawn from PCG64's raw words by the bounded
+draw that `Generator.integers` makes (Lemire 2019). A resample of at most
+`_BLOCK_DRAW_MAX` records is drawn a chunk of replicates at a time, so that
+the chunk's draws, keys and counts are single numpy passes; a larger one,
+and one whose chunk draw rejects a word, is drawn one replicate at a time
+in pieces of at most `_CHUNK_DRAWS` draws, whose buffers stay in cache. Both
+give exactly the `default_rng([seed, b]).integers(0, n, size=n)` streams.
+A replicate is kept only as its records' trajectory-type counts; each
+estimator reads the pooled tallies of a block of replicates in one stacked
+pass (`rates`), so no replicate builds a matrix of its own.
+`bootstrap_each` keys the records once and draws each replicate once for
+several estimators, so every estimator of one command reads the same
+resamples; `bootstrap` is its one-estimator case. Each estimator is fitted
+once on the original records, and its summary keeps that fit's pooled
+tally. Replicates whose estimate is undefined (e.g. a resample of a tiny
+subgroup losing a whole transition row) are dropped and counted per
+estimator, with a hard failure ceiling. Percentiles are read off a sorted
+copy by NumPy's default linear rule (`_percentiles`).
 """
 
+import math
 from dataclasses import dataclass, field
 from itertools import cycle
 
@@ -36,14 +40,16 @@ FAILURE_CEILING = 0.10
 # matrices per replicate, so a block of 128 keeps it under half a megabyte
 # however many replicates are drawn, while still amortizing its per-call cost.
 REPLICATE_BLOCK = 128
-# Index draws made per numpy pass of the block draw: the chunk's buffers
-# take 320 KB, and its raw words 64 KB.
+# Index draws made per numpy pass of the block draw, and at most per piece
+# of the pieced draw: the block draw's buffers take 320 KB, and its raw
+# words 64 KB.
 _CHUNK_DRAWS = 2**14
-# Resamples of more records than this (fewer than 4 per chunk) are drawn by
-# Generator.integers: the block draw saves its fixed cost per replicate but
-# spends more per record, and its time over that of integers measured 0.48
-# at 250 records, 0.65 at 1,000, 0.81 at 2,048, 0.92 at 4,096 and 1.01 at
-# 5,462.
+# Resamples of more records than this (fewer than 4 per chunk) are drawn in
+# pieces: the block draw saves the pieced draw's fixed cost per replicate
+# but spends more per record, and its time over that of the pieced draw
+# measured 0.51-0.53 at 1,000 records, 0.73-0.79 at 2,048, 0.88-0.92 at
+# 4,096, 0.96-1.00 at 5,000 and 1.05-1.06 at 5,462 (medians of 7, two
+# rounds, 63 types).
 _BLOCK_DRAW_MAX = 4096
 KDE_GRID_POINTS = 256
 
@@ -170,6 +176,31 @@ class EstimateSummary:
     n_failed: int = 0
 
 
+def _percentiles(values, percents):
+    """`np.percentile(values, percents)` of a 1-d float array, as floats,
+    by the same linear rule read off one sorted copy: np.percentile imports
+    numpy.ma, which would add to every command's start-up and memory.
+
+    Percent p sits at position h = (n-1)*(p/100) of the sorted values; the
+    neighbours a and b either side are interpolated as numpy's _lerp does,
+    from b when the fraction t is at least one half. Any NaN makes every
+    percentile NaN.
+    """
+    ordered = np.sort(values)
+    n = len(ordered)
+    if np.isnan(ordered[-1]):
+        return [float("nan")] * len(percents)
+    out = []
+    for p in percents:
+        h = (n - 1) * (p / 100)
+        i = -1 if h >= n - 1 else math.floor(h)
+        a, b = ordered[i], ordered[i + 1 if i >= 0 else -1]
+        t = h - i
+        diff = b - a
+        out.append(float(b - diff * (1 - t) if t >= 0.5 else a + diff * t))
+    return out
+
+
 def percentile_ci(ensemble, level):
     """(lo, median, hi) by linear interpolation between closest ranks.
 
@@ -182,8 +213,7 @@ def percentile_ci(ensemble, level):
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     alpha = (1.0 - level) / 2.0
-    lo, median, hi = np.percentile(values, [100 * alpha, 50, 100 * (1 - alpha)])
-    return float(lo), float(median), float(hi)
+    return tuple(_percentiles(values, [100 * alpha, 50, 100 * (1 - alpha)]))
 
 
 def resample_indices(seed, replicate, n):
@@ -199,25 +229,47 @@ def _type_counts(type_id, n_types, words):
     Row k equals `np.bincount(type_id[Generator(PCG64(words[k])).integers(0,
     n, size=n)], minlength=n_types)` with n = len(type_id).
     """
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
     n = len(type_id)
     blocks = [words[s:s + REPLICATE_BLOCK] for s in range(0, len(words), REPLICATE_BLOCK)]
+    # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
+    # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
+    threshold = (2**32 - n) % n
+    # the pieced draw's buffers, one set for the whole call
+    size = min(n + 1, _CHUNK_DRAWS)
+    piece_low = np.empty(size, dtype=np.uint32)
+    piece_m = np.empty(size, dtype=np.uint64)
+    piece_keys = np.empty(size, dtype=type_id.dtype)
 
     def drawn(w):
-        idx = Generator(PCG64(_SeedWords(w))).integers(0, n, size=n)
-        return np.bincount(type_id[idx], minlength=n_types)
+        """The type counts of one replicate, drawn in pieces of at most
+        _CHUNK_DRAWS 32-bit draws of its stream: a piece keeps the draws it
+        accepts, in order, and the next piece goes on where it ended."""
+        bits = PCG64(_SeedWords(w))
+        counts = np.zeros(n_types, dtype=np.int64)
+        left = n
+        while left:
+            raw = bits.random_raw(min(left + 1, _CHUNK_DRAWS) // 2)
+            draws = raw.astype("<u8", copy=False).view("<u4")  # see the chunk draw
+            k = len(draws)
+            if np.multiply(draws, np.uint32(n), out=piece_low[:k]).min() < threshold:
+                draws = draws[piece_low[:k] >= threshold]
+            k = min(len(draws), left)
+            m = np.multiply(draws[:k], np.uint64(n), out=piece_m[:k])
+            m >>= 32
+            type_id.take(m.view(np.int64), out=piece_keys[:k], mode="clip")
+            counts += np.bincount(piece_keys[:k], minlength=n_types)
+            left -= k
+        return counts
 
     if n > _BLOCK_DRAW_MAX:
         for block in blocks:
             yield np.array([drawn(w) for w in block])
         return
 
-    # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
-    # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
-    threshold = (2**32 - n) % n
     rows = _CHUNK_DRAWS // n
     offsets = np.arange(rows)[:, None] * n_types
     # one set of buffers for the whole call: arrays this size allocated
@@ -248,7 +300,7 @@ def _type_counts(type_id, n_types, words):
                 keys[:r].ravel(), minlength=r * n_types
             ).reshape(r, n_types)
             # a rejected word (under n / 2**32 per draw) shifts every later
-            # index of its stream: redraw that replicate the reference way
+            # index of its stream: draw that replicate again in pieces
             for k in np.flatnonzero(rejected):
                 counts[start + k] = drawn(chunk[k])
         yield counts
@@ -304,7 +356,7 @@ def bootstrap_each(records, estimators, cfg):
 def silverman_bandwidth(values):
     values = np.asarray(values, dtype=float)
     sd = values.std(ddof=1)
-    q75, q25 = np.percentile(values, [75, 25])
+    q75, q25 = _percentiles(values, [75, 25])
     iqr = q75 - q25
     # A zero IQR with positive spread would zero out the bandwidth; fall
     # back to the standard deviation alone in that corner.

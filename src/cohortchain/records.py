@@ -16,20 +16,26 @@ distinct such contents (a "kind"; 63 on a 100k synthetic panel). So
 first row of each kind into the one StudentRecord of that kind. It returns
 a columnar `Panel`: the ids, a kind index per row, and the kinds.
 
-Plain text, holding no '"', '\\r' or NUL, is read by its lines: each line is
-split at its first comma into the id and the kind's text, and the field
-count is checked once per kind. Any other text, and any plain text with a
-row the line path would not accept, is read by `csv.reader`, row by row,
-which raises every ingest error. A row's validity depends only on its kind
-and its id, so every error still names the first offending row in file
-order.
+Plain text, holding no '"' or NUL and no carriage return but in a CRLF
+line ending, is read by its lines: each line is split at its first comma
+into the id and the kind's text, and the field count is checked once per
+kind. Any other text (quoted fields, a NUL, a lone carriage return), and
+any plain text with a row the line path would not accept, is read by
+`csv.reader`, row by row, which raises every ingest error. A row's validity
+depends only on its kind and its id, so every error still names the first
+offending row in file order. Both paths stream: `load_records` reads its
+file in pieces of `_PIECE_CHARS` characters, carrying a line cut by a
+piece's end over to the next, and `csv.reader` rereads the file from its
+start; neither holds the whole file, its text or its list of lines.
 """
 
 import csv
+import gc
 import io
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import compress
 from typing import NamedTuple
 
@@ -176,9 +182,18 @@ class Panel:
         if self._rows is None:
             fields = [vars(r) for r in self.kinds]
             new = object.__new__
-            self._rows = [new(StudentRecord) for _ in self.ids]
-            for r, sid, k in zip(self._rows, self.ids, self.kind.tolist()):
-                vars(r).update(fields[k], student_id=sid)
+            # every row is kept, so the cyclic collector, which would rescan
+            # the growing population of them, has nothing to free here
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                rows = [new(StudentRecord) for _ in self.ids]
+                for r, sid, k in zip(rows, self.ids, self.kind.tolist()):
+                    vars(r).update(fields[k], student_id=sid)
+            finally:
+                if enabled:
+                    gc.enable()
+            self._rows = rows
         return iter(self._rows)
 
 
@@ -230,34 +245,66 @@ def _parse_kind(row, row_no):
 
 
 _HEADER_LINE = ",".join(CSV_HEADER)
+# Characters of text read per piece: the line path holds one piece, its
+# lines and the partial line carried to the next piece, never the whole text.
+_PIECE_CHARS = 2**18
 
 
-def _parse_lines(text, seen):
-    """The Panel of plain CSV text read line by line, or None to leave the
-    text to csv.reader.
-
-    With no '"', '\\r' or NUL in the text, csv.reader yields exactly each
-    line split on commas. On any text or row this path would not accept it
-    declines, raising nothing and leaving seen as it was.
+def _line_batches(pieces):
+    """The lines of text given in successive str pieces, a list per piece,
+    without their LF or CRLF endings; None in place of a list, and nothing
+    after it, once the text shows a '"', a NUL, a CR not followed by LF, or
+    a line longer than csv.field_size_limit().
     """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the final newline
-    if not lines or lines[0] != _HEADER_LINE or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    del lines[0]
+    limit = csv.field_size_limit()
+    rest = ""  # the text after the last LF so far
+    for piece in pieces:
+        text = rest + piece
+        # a CR ending the text may meet its LF in the next piece
+        if '"' in piece or "\0" in piece or (
+            "\r" in text and text.count("\r") - text.endswith("\r") != text.count("\r\n")
+        ):
+            yield None
+            return
+        lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+        rest = lines.pop()
+        if len(rest) > limit or max(map(len, lines), default=0) > limit:
+            yield None
+            return
+        yield lines
+    if rest:
+        yield None if "\r" in rest else [rest]
+
+
+def _parse_lines(pieces, seen):
+    """The Panel of plain CSV text, given in successive str pieces and read
+    line by line, or None to leave the text to csv.reader.
+
+    With no '"' or NUL in the text, and each CR followed by LF, csv.reader
+    yields exactly each line split on commas. On any text or row this path
+    would not accept it declines, raising nothing and leaving seen as it
+    was.
+    """
     ids, kind, index, first = [], [], {}, []
-    for line in lines:
-        sid, _, rest = line.partition(",")
-        k = index.get(rest)
-        if k is None:
-            k = index[rest] = len(first)
-            first.append(len(ids))
-        ids.append(sid)
-        kind.append(k)
-    del lines  # before the id set, which would otherwise raise the peak
+    header = False
+    for lines in _line_batches(pieces):
+        if lines is None:
+            return None
+        if not header and lines:
+            if lines[0] != _HEADER_LINE:
+                return None
+            header = True
+            del lines[0]
+        for line in lines:
+            sid, _, rest = line.partition(",")
+            k = index.get(rest)
+            if k is None:
+                k = index[rest] = len(first)
+                first.append(len(ids))
+            ids.append(sid)
+            kind.append(k)
+    if not header:
+        return None
     kinds = []
     for rest, i in zip(index, first):
         if rest.count(",") != len(CSV_HEADER) - 2:
@@ -266,43 +313,34 @@ def _parse_lines(text, seen):
             kinds.append(_parse_kind([ids[i], *rest.split(",")], i + 2))
         except (ParseError, InvariantViolation):
             return None
-    fresh = set(ids)
-    if len(fresh) != len(ids) or "" in fresh or not fresh.isdisjoint(seen):
+    kind = np.array(kind, dtype=np.intp)
+    # the ids go into seen itself, and out again if one repeats or is
+    # empty, so that no second set of them adds to the peak
+    if not seen.isdisjoint(ids):
         return None
-    seen |= fresh
-    return Panel(ids, np.array(kind, dtype=np.intp), kinds)
+    size = len(seen)
+    seen.update(ids)
+    if len(seen) != size + len(ids) or "" in seen:
+        seen.difference_update(ids)
+        return None
+    return Panel(ids, kind, kinds)
 
 
-def _csv_rows(text):
-    """(row number, row) for each CSV row of text, from 1; a csv.Error is a
-    ParseError of the row it stopped in."""
+def _csv_rows(lines):
+    """(row number, row) for each CSV row of an iterable of text lines, from
+    1; a csv.Error is a ParseError of the row it stopped in."""
     row_no = 0
     try:
-        for row_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        for row_no, row in enumerate(csv.reader(lines), start=1):
             yield row_no, row
     except csv.Error as exc:
         raise ParseError(row_no + 1, "row", str(exc)) from None
 
 
-def parse_records(source, seen=None):
-    """Parse CSV text, as UTF-8 bytes or a str, into a Panel.
-
-    The header must match the schema exactly; unknown extra columns are
-    rejected. Row numbers in errors are 1-based counting the header. Each
-    row's field count and id are checked; only the first row of each kind
-    (its text after the id) is parsed and validated. `seen` holds ids read
-    before this source, as from earlier files: a row repeating one is a
-    DuplicateId, and this source's ids are added to it. A row csv.reader
-    cannot read, as one with a field longer than csv.field_size_limit(), is
-    a ParseError of that row.
-    """
-    text = source.decode("utf-8") if isinstance(source, bytes) else source
-    seen = set() if seen is None else seen
-    panel = _parse_lines(text, seen)
-    if panel is not None:
-        return panel
-
-    rows = _csv_rows(text)
+def _parse_rows(lines, seen):
+    """The Panel of CSV text read row by row by csv.reader; raises every
+    ingest error, naming the first offending row."""
+    rows = _csv_rows(lines)
     try:
         _, header = next(rows)
     except StopIteration:
@@ -332,9 +370,54 @@ def parse_records(source, seen=None):
     return Panel(ids, np.array(kind, dtype=np.intp), kinds)
 
 
+def parse_records(source, seen=None):
+    """Parse CSV into a Panel: UTF-8 bytes, a str, or a text file opened
+    with newline="\\n" and read from its start.
+
+    The header must match the schema exactly; unknown extra columns are
+    rejected. Row numbers in errors are 1-based counting the header. Each
+    row's field count and id are checked; only the first row of each kind
+    (its text after the id) is parsed and validated. `seen` holds ids read
+    before this source, as from earlier files: a row repeating one is a
+    DuplicateId, and this source's ids are added to it. A row csv.reader
+    cannot read, as one with a field longer than csv.field_size_limit(), is
+    a ParseError of that row. A file is read _PIECE_CHARS characters at a
+    time, and a non-UTF-8 byte in it raises UnicodeDecodeError before any
+    row error, as it does in bytes.
+    """
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    seen = set() if seen is None else seen
+    if isinstance(source, str):
+        pieces = (source[i:i + _PIECE_CHARS] for i in range(0, len(source), _PIECE_CHARS))
+        panel = _parse_lines(pieces, seen)
+        return panel if panel is not None else _parse_rows(io.StringIO(source), seen)
+
+    panel = _parse_lines(iter(partial(source.read, _PIECE_CHARS), ""), seen)
+    if panel is not None:
+        return panel
+    source.seek(0)
+    try:
+        return _parse_rows(source, seen)
+    except (ParseError, DuplicateId, InvariantViolation):
+        while source.read(_PIECE_CHARS):  # to the first non-UTF-8 byte, if any
+            pass
+        raise
+
+
 def load_records(path, seen=None):
-    with open(path, "rb") as fh:
-        return parse_records(fh.read(), seen)
+    """The Panel of a CSV file, read in pieces (see parse_records)."""
+    try:
+        # newline="\n" splits lines at LF alone and translates nothing, so
+        # csv.reader sees the lines it sees in io.StringIO(text)
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            return parse_records(fh, seen)
+    except UnicodeDecodeError:
+        # the text layer counts a bad byte from the start of its last read;
+        # decoding the bytes whole counts it from the start of the file
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        raise
 
 
 def _csv_text(rows):

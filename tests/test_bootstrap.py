@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import chain_09, make_record, per_record_grid, per_row_matrix
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohortchain
@@ -28,6 +28,7 @@ from cohortchain import (
 )
 from cohortchain.bootstrap import (
     _BLOCK_DRAW_MAX,
+    _percentiles,
     _seed_words,
     _type_counts,
     resample_indices,
@@ -78,6 +79,24 @@ class TestPercentileCi:
         lo_w, _, hi_w = percentile_ci(values, wide)
         assert lo_w <= lo_n + 1e-12
         assert hi_w >= hi_n - 1e-12
+
+    @given(
+        values=st.lists(st.floats(0, 1) | st.floats(), min_size=1, max_size=40),
+        percents=st.lists(st.floats(0, 100), min_size=1, max_size=4),
+    )
+    @example(values=[1.0, float("inf")], percents=[0, 50, 100])
+    @example(values=[0.5, float("nan"), 0.2], percents=[50])
+    @settings(max_examples=300)
+    def test_percentiles_equal_numpy(self, values, percents):
+        # bit for bit where not NaN; an inf, or values far apart, make both
+        # warn alike
+        values = np.array(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.percentile(values, percents)
+            got = np.array(_percentiles(values, percents))
+        nan = np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
     @given(values=st.lists(st.floats(0, 1), min_size=2, max_size=30), seed=st.integers(0, 99))
     def test_permutation_invariance(self, values, seed):
@@ -257,6 +276,16 @@ def rejects_a_word(seed, b, n):
     return (state["state"], state["has_uint32"]) != (raw.bit_generator.state["state"], n % 2)
 
 
+def rejected_draws(seed, b, n):
+    """Positions in replicate b's stream of 32-bit draws of the draws that
+    integers(0, n, size=n) rejects: u is rejected when u * n mod 2**32 is
+    below (2**32 - n) % n."""
+    raw = np.random.default_rng([seed, b]).bit_generator.random_raw(n // 2 + 32)
+    u = raw.astype("<u8").view("<u4").astype(np.uint64)
+    rejected = np.flatnonzero(u * np.uint64(n) % 2**32 < (2**32 - n) % n)
+    return [int(i) for k, i in enumerate(rejected) if i < n + k]
+
+
 class TestTypeCounts:
     """The block draw and the per-replicate draw, held to resample_indices.
     Every record is its own type unless said otherwise, so a row's counts
@@ -291,6 +320,31 @@ class TestTypeCounts:
         np.testing.assert_array_equal(
             block_type_counts(type_id, n, 2**40 + 3, ids),
             reference_type_counts(type_id, n, 2**40 + 3, ids),
+        )
+
+    @pytest.mark.parametrize(
+        "n, ids, rejected",
+        [
+            # odd n: the rejection makes the draw take the spare high half
+            # of its last word
+            (4_097, [2313, 2314, 2315], {2314: [1583]}),
+            # even n: the rejection takes one more word, whose high half
+            # is spare
+            (10_002, [135, 136, 137], {136: [2314]}),
+            # four whole pieces of _CHUNK_DRAWS draws, then a piece of one
+            (65_537, [1, 2], {}),
+            # most replicates reject a word; replicate 30 in the last piece,
+            # which starts at draw 6 * 2**14
+            (100_000, [29, 30, 31], {29: [65_140], 30: [98_733], 31: [33_305, 38_664, 90_728]}),
+        ],
+    )
+    def test_pieced_draw_matches_resample_indices(self, n, ids, rejected):
+        assert n > _BLOCK_DRAW_MAX
+        assert {b: r for b in ids if (r := rejected_draws(7, b, n))} == rejected
+        type_id = np.arange(n)
+        np.testing.assert_array_equal(
+            block_type_counts(type_id, n, 7, ids),
+            reference_type_counts(type_id, n, 7, ids),
         )
 
     @given(

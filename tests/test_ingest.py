@@ -1,7 +1,9 @@
 import csv
+import gc
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from conftest import format_records_by_record, make_record, parse_records_by_row
@@ -30,7 +32,7 @@ from cohortchain.errors import (
     MissingExposure,
     ParseError,
 )
-from cohortchain.records import format_records
+from cohortchain.records import format_records, load_records
 from cohortchain.states import ALLOWED_CELLS
 
 S = AcademicState
@@ -193,6 +195,13 @@ def test_parse_matches_row_by_row_reference(data):
     assert _outcome(parse_records, data) == _outcome(parse_records_by_row, data)
 
 
+def plain_rows(n):
+    """CSV bytes of n plain rows of 6 kinds."""
+    return csv_bytes(*(
+        f"s{2013 + i % 6}_{i},{2013 + i % 6},false,{'true' if i % 3 else 'false'},SCI,,"
+        f"{'GDE'[i % 3]},{1 + i % 6}" for i in range(n)))
+
+
 class _CsvReaderCalled(Exception):
     pass
 
@@ -205,21 +214,46 @@ PLAIN = ["a,2013,true,false,SCI,2,G,4", "b,2014,false,false,ENG,,D,2",
          "c,2013,true,false,SCI,2,G,4", "d\u2028\x85,2019,false,true,E\x0bN\x1cG,1,E,1"]
 
 
+@pytest.fixture(scope="module")
+def stream_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("stream") / "panel.csv"
+
+
+@given(data=mutated_csv(), piece=st.integers(1, 9))
+@example(data=csv_bytes(*PLAIN[:3]).replace(b"\n", b"\r\n"), piece=1)
+@example(data=csv_bytes(PLAIN[0], "b,2013,true,false,SCI\r,2,G,4"), piece=4)
+@settings(max_examples=300)
+def test_streamed_parse_matches_row_by_row_reference(stream_path, data, piece):
+    # pieces of a few characters, so that a piece ends at every place in
+    # the text, between a CR and its LF too
+    stream_path.write_bytes(data)
+    expected = _outcome(parse_records_by_row, data)
+    with patch.object(records_module, "_PIECE_CHARS", piece):
+        assert _outcome(load_records, stream_path) == expected
+        assert _outcome(parse_records, data) == expected
+
+
 class TestLinePath:
     """Plain text is read by its lines: csv.reader reads only other text,
     and text the line path declines, which it leaves as it found it."""
 
-    def test_plain_text_skips_csv_reader(self, monkeypatch):
-        data = csv_bytes(*PLAIN)
-        expected = parse_records_by_row(data)
-        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
-        panel = parse_records(data)
-        assert list(panel) == expected
-        assert panel.kind.tolist() == [0, 1, 0, 2]
+    def test_plain_text_skips_csv_reader(self, monkeypatch, tmp_path):
+        # LF or CRLF line endings, as bytes or as a file, in pieces of any
+        # size: pieces of 79 characters end between the header's CR and LF
+        path = tmp_path / "panel.csv"
+        for data, piece in product([csv_bytes(*PLAIN), csv_bytes(*PLAIN).replace(b"\n", b"\r\n")],
+                                   [records_module._PIECE_CHARS, 1, 79]):
+            expected = parse_records_by_row(data)
+            path.write_bytes(data)
+            with monkeypatch.context() as m:
+                m.setattr(records_module, "_PIECE_CHARS", piece)
+                m.setattr(records_module.csv, "reader", _no_csv_reader)
+                for panel in (parse_records(data), load_records(path)):
+                    assert list(panel) == expected
+                    assert panel.kind.tolist() == [0, 1, 0, 2]
 
     @pytest.mark.parametrize("data", [
         csv_bytes('"a",2013,true,false,SCI,2,G,4'),
-        csv_bytes(*PLAIN).replace(b"\n", b"\r\n"),
     ])
     def test_other_text_reaches_csv_reader(self, monkeypatch, data):
         expected = parse_records_by_row(data)
@@ -240,6 +274,8 @@ class TestLinePath:
         ["a,2013,true,false,SCI,2,G"],
         ["a,2013,true,false,SCI,2,G,4,x"],
         ["a,2013,true,false,SCI,2,G,4", "b"],
+        ["a,2013,true,false,SCI,2,G,4", "b,2013,true\r,false,SCI,2,G,4"],
+        ["a,2013,true,false,SCI,2,G,4\r\r"],
     ])
     def test_declined_text_leaves_seen_as_it_was(self, monkeypatch, rows):
         monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
@@ -257,13 +293,10 @@ class TestLinePath:
         assert str(exc.value) == f"{second}: duplicate student_id 'b' at row 3"
 
     def test_peak_memory_bounded_by_text_size(self):
-        # Traced peak over text size on these 20k rows: 7.6 with the line
-        # path; 10.1 if it kept its line list while building the id set, and
-        # 10.7 with csv.reader over io.StringIO, which copies the text at 4
-        # bytes a character.
-        data = csv_bytes(*(
-            f"s{2013 + i % 6}_{i},{2013 + i % 6},false,{'true' if i % 3 else 'false'},SCI,,"
-            f"{'GDE'[i % 3]},{1 + i % 6}" for i in range(20_000)))
+        # Traced peak over text size on these 20k rows: 7.4 with the line
+        # path, which holds the decoded text; 10.7 with csv.reader over
+        # io.StringIO, which copies the text at 4 bytes a character.
+        data = plain_rows(20_000)
         tracemalloc.start()
         try:
             panel = parse_records(data)
@@ -272,6 +305,42 @@ class TestLinePath:
             tracemalloc.stop()
         assert len(panel) == 20_000
         assert peak < 9 * len(data)
+
+    def test_load_peak_memory_bounded_by_file_size(self, tmp_path):
+        # Traced peak over file size on these 100k rows: 3.8 streaming the
+        # file in pieces; 6.5 holding its bytes, its text and its lines at
+        # once.
+        path = tmp_path / "panel.csv"
+        path.write_bytes(plain_rows(100_000))
+        tracemalloc.start()
+        try:
+            panel = load_records(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 100_000
+        assert peak < 5 * path.stat().st_size
+
+    @pytest.mark.parametrize("first", [PLAIN[0], '"a",2013,true,false,SCI,2,G,4'])
+    def test_bad_byte_reports_its_file_offset(self, monkeypatch, tmp_path, first):
+        # The byte lies past the first piece and past the 8 KiB that the
+        # text layer decodes at a time. A quoted first row sends the file to
+        # csv.reader, which meets a bad row before the byte; as in bytes
+        # decoded whole, the byte is the error.
+        monkeypatch.setattr(records_module, "_PIECE_CHARS", 1000)
+        data = bytearray(csv_bytes(first, "b,2013,maybe,false,SCI,2,G,4", *[
+            f"s{i},2013,true,false,SCI,2,G,4" for i in range(2000)]))
+        at = len(data) - 10
+        data[at] = 0xFF
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data)
+        for load in (load_records, parse_records):
+            with pytest.raises(UnicodeDecodeError) as exc:
+                load(path if load is load_records else bytes(data))
+            assert exc.value.start == at
+        with pytest.raises(CohortChainError) as exc:
+            _load_inputs([path])
+        assert str(exc.value) == f"{path}: not UTF-8 text (byte {at})"
 
 
 # Text that csv.writer quotes, passes through as it is, or writes as nothing.
@@ -315,6 +384,31 @@ class TestPanel:
         assert len(set(rows)) == 5
         with pytest.raises(FrozenInstanceError):
             rows[2].college = "ENG"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_first_iteration_pauses_the_collector(self, enabled):
+        # building 5,000 rows takes the collector's youngest generation past
+        # its threshold several times over; paused, it runs at most once,
+        # once enabled again
+        panel = parse_records(plain_rows(5_000))
+        expected = [replace(panel.kinds[k], student_id=sid)
+                    for sid, k in zip(panel.ids, panel.kind.tolist())]
+        was = gc.isenabled()
+        collections = []
+
+        def count(phase, info):
+            collections.append(phase)
+
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(count)
+        try:
+            rows = list(panel)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.callbacks.remove(count)
+            (gc.enable if was else gc.disable)()
+        assert collections.count("start") <= enabled
+        assert rows == expected
 
 
 def states_of(transitions):
