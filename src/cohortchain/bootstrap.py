@@ -13,17 +13,17 @@ the chunk's draws, keys and counts are single numpy passes; a larger one,
 and one whose chunk draw rejects a word, is drawn one replicate at a time
 in pieces of at most `_CHUNK_DRAWS` draws, whose buffers stay in cache. Both
 give exactly the `default_rng([seed, b]).integers(0, n, size=n)` streams.
-A replicate is kept only as its records' trajectory-type counts; each
-estimator reads the pooled tallies of a block of replicates in one stacked
-pass (`rates`), so no replicate builds a matrix of its own.
-`bootstrap_each` keys the records once and draws each replicate once for
-several estimators, so every estimator of one command reads the same
-resamples; `bootstrap` is its one-estimator case. Each estimator is fitted
-once on the original records, and its summary keeps that fit's pooled
-tally. Replicates whose estimate is undefined (e.g. a resample of a tiny
-subgroup losing a whole transition row) are dropped and counted per
-estimator, with a hard failure ceiling. Percentiles are read off a sorted
-copy by NumPy's default linear rule (`_percentiles`).
+A replicate is kept only as the counts of its records' `Panel` kinds;
+each estimator reads the pooled tallies of a block of replicates in one
+stacked pass (`rates`), so no replicate builds a matrix of its own.
+`bootstrap_each` draws each replicate once for several estimators, so every
+estimator of one command reads the same resamples; `bootstrap` is its
+one-estimator case. Each estimator is fitted once on the original records,
+and its summary keeps that fit's pooled tally. Replicates whose estimate is
+undefined (e.g. a resample of a tiny subgroup losing a whole transition
+row) are dropped and counted per estimator, with a hard failure ceiling.
+Percentiles are read off a sorted copy by NumPy's default linear rule
+(`_percentiles`).
 """
 
 import math
@@ -33,7 +33,7 @@ from itertools import cycle
 import numpy as np
 
 from .errors import DegenerateEnsemble, EnsembleTooSmall, TooManyFailedReplicates
-from .estimate import trajectory_types
+from .records import Panel
 
 FAILURE_CEILING = 0.10
 # Replicates read per stacked pass. The readout holds about 3 KB of stacked
@@ -49,7 +49,7 @@ _CHUNK_DRAWS = 2**14
 # but spends more per record, and its time over that of the pieced draw
 # measured 0.51-0.53 at 1,000 records, 0.73-0.79 at 2,048, 0.88-0.92 at
 # 4,096, 0.96-1.00 at 5,000 and 1.05-1.06 at 5,462 (medians of 7, two
-# rounds, 63 types).
+# rounds, 63 kinds).
 _BLOCK_DRAW_MAX = 4096
 KDE_GRID_POINTS = 256
 
@@ -119,7 +119,7 @@ class _SeedWords:
     """A seed sequence that hands PCG64 precomputed state words; PCG64 asks
     only for `generate_state(4, np.uint64)`.
 
-    Registered as numpy's `ISeedSequence` inside `_type_counts`, so that
+    Registered as numpy's `ISeedSequence` inside `_kind_counts`, so that
     importing this module does not import `numpy.random`.
     """
 
@@ -222,18 +222,18 @@ def resample_indices(seed, replicate, n):
     return rng.integers(0, n, size=n)
 
 
-def _type_counts(type_id, n_types, words):
-    """Trajectory-type counts of one resample per row of PCG64 seed words,
-    yielded as arrays of REPLICATE_BLOCK rows (the last may be shorter).
+def _kind_counts(kind, n_kinds, words):
+    """Kind counts of one resample per row of PCG64 seed words, yielded as
+    arrays of REPLICATE_BLOCK rows (the last may be shorter).
 
-    Row k equals `np.bincount(type_id[Generator(PCG64(words[k])).integers(0,
-    n, size=n)], minlength=n_types)` with n = len(type_id).
+    Row k equals `np.bincount(kind[Generator(PCG64(words[k])).integers(0, n,
+    size=n)], minlength=n_kinds)` with n = len(kind).
     """
     from numpy.random import PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
-    n = len(type_id)
+    n = len(kind)
     blocks = [words[s:s + REPLICATE_BLOCK] for s in range(0, len(words), REPLICATE_BLOCK)]
     # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
     # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
@@ -242,14 +242,14 @@ def _type_counts(type_id, n_types, words):
     size = min(n + 1, _CHUNK_DRAWS)
     piece_low = np.empty(size, dtype=np.uint32)
     piece_m = np.empty(size, dtype=np.uint64)
-    piece_keys = np.empty(size, dtype=type_id.dtype)
+    piece_keys = np.empty(size, dtype=kind.dtype)
 
     def drawn(w):
-        """The type counts of one replicate, drawn in pieces of at most
+        """The kind counts of one replicate, drawn in pieces of at most
         _CHUNK_DRAWS 32-bit draws of its stream: a piece keeps the draws it
         accepts, in order, and the next piece goes on where it ended."""
         bits = PCG64(_SeedWords(w))
-        counts = np.zeros(n_types, dtype=np.int64)
+        counts = np.zeros(n_kinds, dtype=np.int64)
         left = n
         while left:
             raw = bits.random_raw(min(left + 1, _CHUNK_DRAWS) // 2)
@@ -260,8 +260,8 @@ def _type_counts(type_id, n_types, words):
             k = min(len(draws), left)
             m = np.multiply(draws[:k], np.uint64(n), out=piece_m[:k])
             m >>= 32
-            type_id.take(m.view(np.int64), out=piece_keys[:k], mode="clip")
-            counts += np.bincount(piece_keys[:k], minlength=n_types)
+            kind.take(m.view(np.int64), out=piece_keys[:k], mode="clip")
+            counts += np.bincount(piece_keys[:k], minlength=n_kinds)
             left -= k
         return counts
 
@@ -271,14 +271,14 @@ def _type_counts(type_id, n_types, words):
         return
 
     rows = _CHUNK_DRAWS // n
-    offsets = np.arange(rows)[:, None] * n_types
+    offsets = np.arange(rows)[:, None] * n_kinds
     # one set of buffers for the whole call: arrays this size allocated
     # afresh would be mapped and page-faulted anew for every chunk
     low = np.empty((rows, n), dtype=np.uint32)
     m = np.empty((rows, n), dtype=np.uint64)
-    keys = np.empty((rows, n), dtype=type_id.dtype)
+    keys = np.empty((rows, n), dtype=kind.dtype)
     for block in blocks:
-        counts = np.empty((len(block), n_types), dtype=np.int64)
+        counts = np.empty((len(block), n_kinds), dtype=np.int64)
         for start in range(0, len(block), rows):
             chunk = block[start:start + rows]
             r = len(chunk)
@@ -294,11 +294,11 @@ def _type_counts(type_id, n_types, words):
             # indices are below n: their uint64 bits read the same as int64,
             # and "clip" changes none of them (the default "raise" would
             # copy through a buffer)
-            type_id.take(m[:r].view(np.int64), out=keys[:r], mode="clip")
+            kind.take(m[:r].view(np.int64), out=keys[:r], mode="clip")
             keys[:r] += offsets[:r]
             counts[start:start + r] = np.bincount(
-                keys[:r].ravel(), minlength=r * n_types
-            ).reshape(r, n_types)
+                keys[:r].ravel(), minlength=r * n_kinds
+            ).reshape(r, n_kinds)
             # a rejected word (under n / 2**32 per draw) shifts every later
             # index of its stream: draw that replicate again in pieces
             for k in np.flatnonzero(rejected):
@@ -323,9 +323,9 @@ def bootstrap_each(records, estimators, cfg):
     is drawn; the first that fails raises its EstimationError. Failed
     replicates are counted, and the ceiling checked, per estimator, in order.
     """
-    type_id, types = trajectory_types(records)
-    original = np.bincount(type_id, minlength=len(types))
-    fits = [(estimator, *estimator.fit(types, original)) for estimator in estimators]
+    panel = Panel.from_records(records)
+    original = np.bincount(panel.kind, minlength=len(panel.kinds))
+    fits = [(estimator, *estimator.fit(panel.kinds, original)) for estimator in estimators]
     if not fits:
         return []
 
@@ -333,11 +333,11 @@ def bootstrap_each(records, estimators, cfg):
     words = _seed_words(cfg.seed, np.arange(1, cfg.replicates + 1))
     values = np.empty((len(fits), cfg.replicates))
     ok = np.empty((len(fits), cfg.replicates), dtype=bool)
-    blocks = _type_counts(type_id, len(types), words)
-    for start, type_counts in zip(range(0, cfg.replicates, REPLICATE_BLOCK), blocks):
-        block = slice(start, start + len(type_counts))
+    blocks = _kind_counts(panel.kind, len(panel.kinds), words)
+    for start, kind_counts in zip(range(0, cfg.replicates, REPLICATE_BLOCK), blocks):
+        block = slice(start, start + len(kind_counts))
         for k, (estimator, _point, _tally, table) in enumerate(fits):
-            values[k, block], ok[k, block] = estimator.rates(type_counts @ table)
+            values[k, block], ok[k, block] = estimator.rates(kind_counts @ table)
 
     ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)
     summaries = []

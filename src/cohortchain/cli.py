@@ -18,6 +18,7 @@ unwritable --out, 3 validation failure.
 
 import argparse
 import hashlib
+import io
 import math
 import sys
 from dataclasses import replace
@@ -28,15 +29,7 @@ import numpy as np
 
 from . import __version__
 from .bootstrap import BootstrapConfig, bootstrap, bootstrap_each, kde, percentile_ci
-from .errors import (
-    CohortChainError,
-    DegenerateEnsemble,
-    DuplicateId,
-    EnsembleTooSmall,
-    InvariantViolation,
-    ParseError,
-    SpecFileError,
-)
+from .errors import CohortChainError, DegenerateEnsemble, EnsembleTooSmall
 from .estimate import (
     MarkovFullEstimator,
     MarkovReducedEstimator,
@@ -47,6 +40,7 @@ from .records import (
     LaGroup,
     Panel,
     SubgroupSpec,
+    _utf8_text,
     filter_subgroup,
     format_records,
     load_records,
@@ -102,26 +96,23 @@ def _metadata(args, extra=()):
 
 
 def _read(path, load):
-    """load(path), with an unreadable file reported as a data error."""
+    """load(path), with an unreadable file reported as a data error, and any
+    data error of its content prefixed with the path."""
     try:
         return load(path)
     except OSError as exc:
         raise CohortChainError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise CohortChainError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except CohortChainError as exc:
+        raise CohortChainError(f"{path}: {exc}") from None
 
 
 def _load_inputs(paths):
     """One panel of the rows of every input in turn, one row per student
     across them all; a data error names its file."""
     seen = set()
-    panels = []
-    for path in paths:
-        try:
-            panels.append(_read(path, partial(load_records, seen=seen)))
-        except (ParseError, DuplicateId, InvariantViolation) as exc:
-            raise CohortChainError(f"{path}: {exc}") from None
-    return Panel.concat(panels)
+    return Panel.concat([_read(path, partial(load_records, seen=seen)) for path in paths])
 
 
 def _prepare(args):
@@ -331,10 +322,7 @@ def cmd_compare(args):
 def cmd_synth(args):
     if args.spec is None:
         raise UsageError("synth requires --spec")
-    try:
-        spec = _read(args.spec, load_generator_spec)
-    except SpecFileError as exc:
-        raise CohortChainError(f"{args.spec}: {exc}") from None
+    spec = _read(args.spec, load_generator_spec)
     panel = generate_panel(spec)
     extra = [
         ("students", len(panel)),
@@ -349,30 +337,28 @@ def cmd_synth(args):
 
 
 def _read_ensemble_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "replicate,estimate":
-            raise CohortChainError(f"{path}: expected header 'replicate,estimate'")
-        values = []
-        first_line = {}
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                replicate, value = line.split(",")
-                replicate, value = int(replicate), float(value)
-                if replicate < 1 or not 0.0 <= value <= 1.0:
-                    raise ValueError(line)
-            except ValueError:
-                raise CohortChainError(
-                    f"{path}: line {line_no}: expected 'replicate,estimate' "
-                    "with an estimate in [0, 1]"
-                ) from None
-            if (first := first_line.setdefault(replicate, line_no)) != line_no:
-                raise CohortChainError(f"{path}: line {line_no}: replicate {replicate} "
-                                       f"repeats line {first}")
-            values.append(value)
+    # newline=None splits the lines as open() does: at a LF, a CRLF or a CR
+    lines = io.StringIO(_utf8_text(path), newline=None)
+    if lines.readline().strip() != "replicate,estimate":
+        raise CohortChainError("expected header 'replicate,estimate'")
+    values = []
+    first_line = {}
+    for line_no, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            replicate, value = line.split(",")
+            replicate, value = int(replicate), float(value)
+            if replicate < 1 or not 0.0 <= value <= 1.0:
+                raise ValueError(line)
+        except ValueError:
+            raise CohortChainError(
+                f"line {line_no}: expected 'replicate,estimate' with an estimate in [0, 1]"
+            ) from None
+        if (first := first_line.setdefault(replicate, line_no)) != line_no:
+            raise CohortChainError(f"line {line_no}: replicate {replicate} repeats line {first}")
+        values.append(value)
     return np.array(values)
 
 
@@ -474,8 +460,7 @@ def build_parser():
 def _config_items(path):
     """(line number, key, value) of each `key = value` line, in file order."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = _utf8_text(path).splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -5,20 +5,18 @@ restricted to one complete cohort (the positive control), and the full
 pooled chain that also absorbs partial-cohort evidence.
 
 All three read their estimate off pooled integer tallies. A record's tally
-depends only on its trajectory type, (cohort_year, outcome, outcome_year,
-la_year), so `trajectory_types` keys the records once, and each estimator
-derives one tally row per type (`table`, by the reference rules
-`derive_transitions` and `la_truncate`). Ingest validates each distinct row
-once and hands over a `Panel` of kinds (distinct rows but for the id), so
-that keying reads the kinds, not the rows. Any resample's pooled tally is
-then its type counts times the table, exactly the sum of its records'
-tallies, so the bootstrap counts each resample's types once for every
-estimator and re-derives nothing. `rates` is the one readout: it reads a
-whole stack of tallies at once (`sygr_markov_stack`), and the point
-estimate is the original tally read as a stack of one. Where that estimate
-is undefined, `fit` names the state without observations from the
-normaliser's gaps. `fit` also returns that tally, and `persistence_rates`
-reads a fitted tally. The tests hold `rates` to a per-row reference.
+depends only on its fields other than the id, so the rows of one `Panel`
+kind share one tally, and each estimator derives one tally row per kind
+(`table`, by the reference rules `derive_transitions` and `la_truncate`).
+Any resample's pooled tally is then its kind counts times the table,
+exactly the sum of its records' tallies, so the bootstrap counts each
+resample's kinds once for every estimator and re-derives nothing. `rates`
+is the one readout: it reads a whole stack of tallies at once
+(`sygr_markov_stack`), and the point estimate is the original tally read as
+a stack of one. Where that estimate is undefined, `fit` names the state
+without observations from the normaliser's gaps. `fit` also returns that
+tally, and `persistence_rates` reads a fitted tally. The tests hold `rates`
+to a per-row reference.
 """
 
 import numpy as np
@@ -31,24 +29,6 @@ from .states import ALLOWED_CELLS, N_STATES, AcademicState
 _CELL_INDEX = {cell: i for i, cell in enumerate(ALLOWED_CELLS)}
 _N_CELLS = len(ALLOWED_CELLS)
 _CELL_ROWS, _CELL_COLS = np.array(ALLOWED_CELLS).T
-
-
-def trajectory_types(records):
-    """(type_id, types): each record's trajectory-type id, and one record of
-    each type, (cohort_year, outcome, outcome_year, la_year), in order of
-    first appearance. Keys the panel's kinds, not its rows."""
-    panel = Panel.from_records(records)
-    index = {}
-    types = []
-    kind_type = []
-    for r in panel.kinds:
-        key = (r.cohort_year, r.outcome, r.outcome_year, r.la_year)
-        t = index.get(key)
-        if t is None:
-            t = index[key] = len(types)
-            types.append(r)
-        kind_type.append(t)
-    return np.array(kind_type, dtype=np.intp)[panel.kind], types
 
 
 def _chain_cells(r, horizon_year, from_la_year=False):
@@ -82,7 +62,7 @@ def persistence_rates(tally):
 
 
 class _Estimator:
-    """A check, a tally table over trajectory types, and the readout of
+    """A check, a tally table over a panel's kinds, and the readout of
     pooled tallies.
 
     Subclasses supply `_row`, one record's integer tally (a count per
@@ -91,10 +71,9 @@ class _Estimator:
     ALLOWED_CELLS counts.
     """
 
-    def _check(self, types):
+    def _check(self, kinds):
         """Raise if the estimate is undefined on (original) records of these
-        trajectory types for any reason but a chain state without
-        observations."""
+        kinds for any reason but a chain state without observations."""
 
     def rates(self, tallies):
         """(values, ok) for a (b, tally width) stack of pooled tallies:
@@ -102,18 +81,18 @@ class _Estimator:
         and values[k] is the estimate elsewhere."""
         return sygr_markov_stack(_chain_grids(tallies))
 
-    def table(self, types):
-        """One integer tally row per trajectory type. Runs after `_check`,
-        which raises on no types."""
-        return np.array([self._row(r) for r in types], dtype=np.int64)
+    def table(self, kinds):
+        """One integer tally row per kind. Runs after `_check`, which raises
+        on no kinds."""
+        return np.array([self._row(r) for r in kinds], dtype=np.int64)
 
-    def fit(self, types, type_counts):
+    def fit(self, kinds, kind_counts):
         """(point estimate, pooled tally, table) on the original records,
-        given as their trajectory types and each type's record count; raises
-        an EstimationError where the estimate is undefined on them."""
-        self._check(types)
-        table = self.table(types)
-        tally = type_counts @ table
+        given as their panel's kinds and each kind's row count; raises an
+        EstimationError where the estimate is undefined on them."""
+        self._check(kinds)
+        table = self.table(kinds)
+        tally = kind_counts @ table
         values, ok = self.rates(tally[None])
         if not ok[0]:
             # past _check, only a chain state without observations is left
@@ -122,8 +101,8 @@ class _Estimator:
         return float(values[0]), tally, table
 
     def point(self, records):
-        type_id, types = trajectory_types(records)
-        return self.fit(types, np.bincount(type_id, minlength=len(types)))[0]
+        panel = Panel.from_records(records)
+        return self.fit(panel.kinds, np.bincount(panel.kind, minlength=len(panel.kinds)))[0]
 
 
 class _CohortEstimator(_Estimator):
@@ -135,8 +114,8 @@ class _CohortEstimator(_Estimator):
         self.cohort_year = cohort_year
         self.horizon_year = horizon_year
 
-    def _check(self, types):
-        if not any(r.cohort_year == self.cohort_year for r in types):
+    def _check(self, kinds):
+        if not any(r.cohort_year == self.cohort_year for r in kinds):
             raise EmptyCohort(self.cohort_year)
 
 
@@ -178,8 +157,8 @@ class MarkovFullEstimator(_Estimator):
         self.horizon_year = horizon_year
         self.from_la_year = from_la_year
 
-    def _check(self, types):
-        if not types:
+    def _check(self, kinds):
+        if not kinds:
             raise NoRecords()
 
     def _row(self, r):

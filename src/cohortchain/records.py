@@ -23,10 +23,12 @@ kind. Any other text (quoted fields, a NUL, a lone carriage return), and
 any plain text with a row the line path would not accept, is read by
 `csv.reader`, row by row, which raises every ingest error. A row's validity
 depends only on its kind and its id, so every error still names the first
-offending row in file order. Both paths stream: `load_records` reads its
-file in pieces of `_PIECE_CHARS` characters, carrying a line cut by a
-piece's end over to the next, and `csv.reader` rereads the file from its
-start; neither holds the whole file, its text or its list of lines.
+offending row in file order. Both paths read every source, a file, bytes
+or a str, as one text stream: the line path in pieces of `_PIECE_CHARS`
+characters, carrying a line cut by a piece's end over to the next, and
+`csv.reader` from the stream's start again. Neither holds a file's text or
+its list of lines, and bytes are decoded piece by piece. UTF-8 input may
+start with a byte-order mark, as spreadsheet programs write it.
 """
 
 import csv
@@ -375,24 +377,23 @@ def parse_records(source, seen=None):
     with newline="\\n" and read from its start.
 
     The header must match the schema exactly; unknown extra columns are
-    rejected. Row numbers in errors are 1-based counting the header. Each
-    row's field count and id are checked; only the first row of each kind
-    (its text after the id) is parsed and validated. `seen` holds ids read
-    before this source, as from earlier files: a row repeating one is a
-    DuplicateId, and this source's ids are added to it. A row csv.reader
-    cannot read, as one with a field longer than csv.field_size_limit(), is
-    a ParseError of that row. A file is read _PIECE_CHARS characters at a
-    time, and a non-UTF-8 byte in it raises UnicodeDecodeError before any
-    row error, as it does in bytes.
+    rejected. UTF-8 bytes may start with a byte-order mark, which is not
+    part of the header. Row numbers in errors are 1-based counting the
+    header. Each row's field count and id are checked; only the first row of
+    each kind (its text after the id) is parsed and validated. `seen` holds
+    ids read before this source, as from earlier files: a row repeating one
+    is a DuplicateId, and this source's ids are added to it. A row
+    csv.reader cannot read, as one with a field longer than
+    csv.field_size_limit(), is a ParseError of that row. Every source is
+    read _PIECE_CHARS characters at a time, and a non-UTF-8 byte raises
+    UnicodeDecodeError, at its offset from the start of the bytes, before
+    any row error.
     """
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    seen = set() if seen is None else seen
+        return _parse_utf8(io.BytesIO(source), seen)
     if isinstance(source, str):
-        pieces = (source[i:i + _PIECE_CHARS] for i in range(0, len(source), _PIECE_CHARS))
-        panel = _parse_lines(pieces, seen)
-        return panel if panel is not None else _parse_rows(io.StringIO(source), seen)
-
+        source = io.StringIO(source)
+    seen = set() if seen is None else seen
     panel = _parse_lines(iter(partial(source.read, _PIECE_CHARS), ""), seen)
     if panel is not None:
         return panel
@@ -405,19 +406,34 @@ def parse_records(source, seen=None):
         raise
 
 
+def _parse_utf8(raw, seen):
+    """parse_records of a binary stream of UTF-8 text, read from its start,
+    less a leading byte-order mark."""
+    # newline="\n" splits lines at LF alone and translates nothing, so
+    # csv.reader sees the lines it sees in io.StringIO(text); the decoder
+    # drops the mark again when csv.reader rereads the text from its start
+    with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="\n") as text:
+        try:
+            return parse_records(text, seen)
+        except UnicodeDecodeError:
+            # the text layer counts a bad byte from the start of its last
+            # read; decoding the bytes whole counts it from their start
+            raw.seek(0)
+            raw.read().decode("utf-8")
+            raise
+
+
 def load_records(path, seen=None):
     """The Panel of a CSV file, read in pieces (see parse_records)."""
-    try:
-        # newline="\n" splits lines at LF alone and translates nothing, so
-        # csv.reader sees the lines it sees in io.StringIO(text)
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            return parse_records(fh, seen)
-    except UnicodeDecodeError:
-        # the text layer counts a bad byte from the start of its last read;
-        # decoding the bytes whole counts it from the start of the file
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8")
-        raise
+    with open(path, "rb") as fh:
+        return _parse_utf8(fh, seen)
+
+
+def _utf8_text(path):
+    """The text of a small UTF-8 file, less a leading byte-order mark; a bad
+    byte raises UnicodeDecodeError at its offset from the file's start."""
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8").removeprefix("\ufeff")
 
 
 def _csv_text(rows):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SpecFileError
 from .markov import TransitionMatrix
-from .records import Outcome, Panel, StudentRecord
+from .records import Outcome, Panel, StudentRecord, _utf8_text
 from .states import N_STATES, AcademicState
 
 
@@ -342,8 +342,7 @@ def parse_generator_spec(text):
 
 
 def load_generator_spec(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_generator_spec(fh.read())
+    return parse_generator_spec(_utf8_text(path))
 
 
 def _format_matrix_block(matrix):

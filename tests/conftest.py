@@ -111,12 +111,13 @@ def per_row_matrix(grid):
 
 
 def parse_records_by_row(data):
-    """Reference parser: UTF-8 CSV bytes to a list of records, every row
-    parsed and validated on its own. A row csv.reader cannot read is a
-    ParseError of that row, raised only if no earlier row fails."""
+    """Reference parser: UTF-8 CSV bytes, less a leading byte-order mark,
+    to a list of records, every row parsed and validated on its own. A row
+    csv.reader cannot read is a ParseError of that row, raised only if no
+    earlier row fails."""
     rows, unreadable = [], None
     try:
-        for row in csv.reader(io.StringIO(data.decode("utf-8"))):
+        for row in csv.reader(io.StringIO(data.decode("utf-8-sig"))):
             rows.append(row)
     except csv.Error as exc:
         unreadable = ParseError(len(rows) + 1, "row", str(exc))

@@ -16,6 +16,7 @@ from cohortchain import (
     MarkovFullEstimator,
     MarkovReducedEstimator,
     Outcome,
+    Panel,
     SubgroupSpec,
     TraditionalEstimator,
     bootstrap,
@@ -30,7 +31,7 @@ from cohortchain.bootstrap import (
     _BLOCK_DRAW_MAX,
     _percentiles,
     _seed_words,
-    _type_counts,
+    _kind_counts,
     resample_indices,
     silverman_bandwidth,
 )
@@ -41,7 +42,6 @@ from cohortchain.errors import (
     EstimationError,
     TooManyFailedReplicates,
 )
-from cohortchain.estimate import trajectory_types
 from cohortchain.states import ALLOWED_CELLS
 
 
@@ -237,14 +237,15 @@ class TestBootstrap:
         cfg = BootstrapConfig(seed=2**40 + 3, replicates=replicates)
         s = bootstrap(records, estimator, cfg)
 
-        type_id, types = trajectory_types(records)
-        table = estimator.table(types)
+        panel = Panel.from_records(records)
+        n_kinds = len(panel.kinds)
+        table = estimator.table(panel.kinds)
         original, *blocks = tallies
         np.testing.assert_array_equal(
-            original, [np.bincount(type_id, minlength=len(types)) @ table]
+            original, [np.bincount(panel.kind, minlength=n_kinds) @ table]
         )
         expected = [
-            np.bincount(type_id[resample_indices(cfg.seed, b, n)], minlength=len(types)) @ table
+            np.bincount(panel.kind[resample_indices(cfg.seed, b, n)], minlength=n_kinds) @ table
             for b in range(1, replicates + 1)
         ]
         np.testing.assert_array_equal(np.concatenate(blocks), expected)
@@ -254,15 +255,15 @@ class TestBootstrap:
         np.testing.assert_array_equal(s.ensemble, ensemble)
 
 
-def reference_type_counts(type_id, n_types, seed, ids):
+def reference_kind_counts(kind, n_kinds, seed, ids):
     return np.array([
-        np.bincount(type_id[resample_indices(seed, b, len(type_id))], minlength=n_types)
+        np.bincount(kind[resample_indices(seed, b, len(kind))], minlength=n_kinds)
         for b in ids
     ])
 
 
-def block_type_counts(type_id, n_types, seed, ids):
-    return np.concatenate(list(_type_counts(type_id, n_types, _seed_words(seed, ids))))
+def block_kind_counts(kind, n_kinds, seed, ids):
+    return np.concatenate(list(_kind_counts(kind, n_kinds, _seed_words(seed, ids))))
 
 
 def rejects_a_word(seed, b, n):
@@ -288,7 +289,7 @@ def rejected_draws(seed, b, n):
 
 class TestTypeCounts:
     """The block draw and the per-replicate draw, held to resample_indices.
-    Every record is its own type unless said otherwise, so a row's counts
+    Every record is its own kind unless said otherwise, so a row's counts
     are its whole resample as a multiset."""
 
     @pytest.mark.parametrize(
@@ -305,21 +306,21 @@ class TestTypeCounts:
         # 4056) or odd (2039, 3965), and within the block draw's limit
         assert n <= _BLOCK_DRAW_MAX
         assert [b for b in ids if rejects_a_word(7, b, n)] == rejecting
-        type_id = np.arange(n)
+        kind = np.arange(n)
         np.testing.assert_array_equal(
-            block_type_counts(type_id, n, 7, ids),
-            reference_type_counts(type_id, n, 7, ids),
+            block_kind_counts(kind, n, 7, ids),
+            reference_kind_counts(kind, n, 7, ids),
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 1500, _BLOCK_DRAW_MAX, _BLOCK_DRAW_MAX + 1])
     def test_sizes_match_resample_indices(self, n):
         # 300 replicates: three blocks, the last partial, each of one or
         # more chunks
-        type_id = np.arange(n)
+        kind = np.arange(n)
         ids = np.arange(1, 301)
         np.testing.assert_array_equal(
-            block_type_counts(type_id, n, 2**40 + 3, ids),
-            reference_type_counts(type_id, n, 2**40 + 3, ids),
+            block_kind_counts(kind, n, 2**40 + 3, ids),
+            reference_kind_counts(kind, n, 2**40 + 3, ids),
         )
 
     @pytest.mark.parametrize(
@@ -341,26 +342,26 @@ class TestTypeCounts:
     def test_pieced_draw_matches_resample_indices(self, n, ids, rejected):
         assert n > _BLOCK_DRAW_MAX
         assert {b: r for b in ids if (r := rejected_draws(7, b, n))} == rejected
-        type_id = np.arange(n)
+        kind = np.arange(n)
         np.testing.assert_array_equal(
-            block_type_counts(type_id, n, 7, ids),
-            reference_type_counts(type_id, n, 7, ids),
+            block_kind_counts(kind, n, 7, ids),
+            reference_kind_counts(kind, n, 7, ids),
         )
 
     @given(
         n=st.integers(1, 5000),
-        n_types=st.integers(1, 40),
+        n_kinds=st.integers(1, 40),
         seed=st.integers(0, 2**64 - 1),
         first=st.integers(0, 2**32 - 40),
         count=st.integers(1, 39),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_resample_indices(self, n, n_types, seed, first, count):
-        type_id = np.arange(n) * 7 % n_types
+    def test_matches_resample_indices(self, n, n_kinds, seed, first, count):
+        kind = np.arange(n) * 7 % n_kinds
         ids = np.arange(first, first + count)
         np.testing.assert_array_equal(
-            block_type_counts(type_id, n_types, seed, ids),
-            reference_type_counts(type_id, n_types, seed, ids),
+            block_kind_counts(kind, n_kinds, seed, ids),
+            reference_kind_counts(kind, n_kinds, seed, ids),
         )
 
 

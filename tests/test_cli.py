@@ -332,6 +332,76 @@ class TestPlot:
         assert filecmp.cmp(tmp_path / "a/kde.svg", tmp_path / "b/kde.svg", shallow=False)
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """Every input file may start with a UTF-8 byte-order mark, as
+    spreadsheet programs write it, and reads as its twin without one; a bad
+    byte's offset still counts from the start of the file."""
+
+    def test_panel(self, panel, tmp_path):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(BOM + panel.read_bytes().replace(b"\n", b"\r\n"))
+        run = ["estimate", "--horizon", "2021", "--cohort", "2013", "--replicates", "50"]
+        for path in (panel, bom):
+            assert main([*run, "--input", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        bom_summary, plain_summary = (tmp_path / d / "summary_full.csv" for d in ("bom", "panel"))
+        assert bom_summary.read_bytes() == plain_summary.read_bytes()
+
+    def test_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(BOM + b"seed = 7\nreplicates = 20\n")
+        args = cli._parse_args(cli.build_parser(), ["estimate", "--config", str(cfg)])
+        assert (args.seed, args.replicates) == (7, 20)
+
+    def test_spec(self, tmp_path):
+        plain, bom = tmp_path / "plain.spec", tmp_path / "bom.spec"
+        plain.write_text(GEN_SPEC)
+        bom.write_bytes(BOM + GEN_SPEC.replace("\n", "\r\n").encode())
+        for spec in (plain, bom):
+            assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / spec.stem)]) == 0
+        bom_panel, plain_panel = (tmp_path / d / "panel.csv" for d in ("bom", "plain"))
+        assert bom_panel.read_bytes() == plain_panel.read_bytes()
+
+    def test_ensemble(self, tmp_path):
+        text = "replicate,estimate\n" + "".join(f"{i},{0.5 + i / 1000}\n" for i in range(1, 51))
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "plain/e.csv").write_text(text)
+        (tmp_path / "bom/e.csv").write_bytes(BOM + text.encode())
+        for d in ("plain", "bom"):
+            assert main(["plot", "--input", str(tmp_path / d / "e.csv"),
+                         "--out", str(tmp_path / d / "out")]) == 0
+        for name in ("kde_e.csv", "kde.svg"):
+            assert ((tmp_path / "bom/out" / name).read_bytes()
+                    == (tmp_path / "plain/out" / name).read_bytes())
+
+    @pytest.mark.parametrize("reader", ["panel", "config", "spec", "ensemble"])
+    def test_bad_byte_offset_counts_from_the_file_start(self, panel, tmp_path, capsys, reader):
+        # each file runs past the 8 KiB that a text file decodes at a time,
+        # and its bad byte lies past them
+        path = tmp_path / f"bad.{reader}"
+        padding = b"# padding\n" * 1000
+        replicates = b"".join(b"%d,0.5\n" % i for i in range(1, 2000))
+        argv, body = {
+            "panel": (["estimate", "--input", str(path), "--horizon", "2021", "--cohort", "2013"],
+                      panel.read_bytes()),
+            "config": (["estimate", "--config", str(path)], b"seed = 7\n" + padding),
+            "spec": (["synth", "--spec", str(path)], GEN_SPEC.encode() + padding),
+            "ensemble": (["plot", "--input", str(path)], b"replicate,estimate\n" + replicates),
+        }[reader]
+        data = bytearray(BOM + body)
+        at = len(data) - 3
+        assert at > 8192
+        data[at] = 0xFF
+        path.write_bytes(data)
+        code, start = (1, f"usage error: config file {path}") if reader == "config" else (
+            2, f"error: {path}")
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == f"{start}: not UTF-8 text (byte {at})\n"
+
+
 class TestRounding:
     def test_round_half_up(self):
         assert round_pct(0.715) == 72

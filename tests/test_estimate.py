@@ -17,6 +17,7 @@ from cohortchain import (
     MarkovFullEstimator,
     MarkovReducedEstimator,
     Outcome,
+    Panel,
     TraditionalEstimator,
     generate_panel,
     persistence_rates,
@@ -29,7 +30,6 @@ from cohortchain.errors import (
     InsufficientData,
     NoRecords,
 )
-from cohortchain.estimate import trajectory_types
 from cohortchain.states import ALLOWED_CELLS, N_STATES
 
 N_CELLS = len(ALLOWED_CELLS)
@@ -235,9 +235,11 @@ class TestPersistence:
 
 @st.composite
 def panels(draw):
-    """Valid records from few enough trajectory types that records share
-    types, plus a from_la_year flag (all records exposed when set) and a
-    resample's indices."""
+    """Valid records from few enough kinds that records share kinds, and
+    kinds share a trajectory (cohort_year, outcome, outcome_year, la_year)
+    when they differ only in aalana, first_gen or college, plus a
+    from_la_year flag (all records exposed when set) and a resample's
+    indices."""
     from_la_year = draw(st.booleans())
     n = draw(st.integers(1, 30))
     records = []
@@ -249,6 +251,9 @@ def panels(draw):
         records.append(make_record(
             sid=f"s{i}",
             cohort_year=draw(st.integers(2013, 2016)),
+            aalana=draw(st.booleans()),
+            first_gen=draw(st.booleans()),
+            college=draw(st.sampled_from(["SCI", "ENG"])),
             la_year=draw(la_year if from_la_year else st.none() | la_year),
             outcome=outcome,
             outcome_year=outcome_year,
@@ -257,9 +262,9 @@ def panels(draw):
     return records, from_la_year, np.array(idx, dtype=np.int64)
 
 
-def type_tally(estimator, records, idx):
-    type_id, types = trajectory_types(records)
-    return np.bincount(type_id[idx], minlength=len(types)) @ estimator.table(types)
+def kind_tally(estimator, records, idx):
+    panel = Panel.from_records(records)
+    return np.bincount(panel.kind[idx], minlength=len(panel.kinds)) @ estimator.table(panel.kinds)
 
 
 def as_grid(cells):
@@ -277,8 +282,8 @@ def as_grid(cells):
 )
 @settings(max_examples=300, deadline=None)
 def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
-    """The trajectory-type tally of a resample, and of all records, equals
-    the per-record reference summed over the same records."""
+    """The kind tally of a resample, and of all records, equals the
+    per-record reference summed over the same records."""
     records, from_la_year, idx = panel
     cohort_horizon = cohort + 6 + lag
     full = MarkovFullEstimator(horizon, from_la_year=from_la_year)
@@ -287,18 +292,18 @@ def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
     for rows in (idx, np.arange(len(records))):
         chosen = [records[i] for i in rows]
         assert (
-            as_grid(type_tally(full, records, rows))
+            as_grid(kind_tally(full, records, rows))
             == per_record_grid(chosen, horizon, from_la_year)
         ).all()
         assert (
-            as_grid(type_tally(reduced, records, rows))
+            as_grid(kind_tally(reduced, records, rows))
             == per_record_grid(chosen, cohort_horizon, cohort_year=cohort)
         ).all()
         starters = [r for r in chosen if r.cohort_year == cohort]
         graduates = [
             r for r in starters if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
         ]
-        assert list(type_tally(trad, records, rows)) == [len(starters), len(graduates)]
+        assert list(kind_tally(trad, records, rows)) == [len(starters), len(graduates)]
 
 
 def reference_rates(estimator, tallies):
@@ -344,7 +349,7 @@ def test_stacked_rates_equal_single_matrix_readout(panel, resamples, raw, horizo
         TraditionalEstimator(cohort, cohort_horizon),
     )
     for estimator in estimators:
-        tallies = [type_tally(estimator, records, np.array(r, dtype=np.int64) % n)
+        tallies = [kind_tally(estimator, records, np.array(r, dtype=np.int64) % n)
                    for r in resamples]
         if isinstance(estimator, TraditionalEstimator):
             tallies += [[sum(r), r[0]] for r in raw]

@@ -40,6 +40,10 @@ S = AcademicState
 HEADER = "student_id,cohort_year,aalana,first_gen,college,la_year,outcome,outcome_year"
 
 
+# The UTF-8 byte-order mark, which spreadsheet programs write ahead of CSV.
+BOM = b"\xef\xbb\xbf"
+
+
 def csv_bytes(*rows):
     return ("\n".join([HEADER, *rows]) + "\n").encode("utf-8")
 
@@ -139,7 +143,8 @@ def mutated_csv(draw):
     odd value, a quoted field, a stray carriage return, a blank line, one
     field too few or too many. Half the files have distinct ids and break at
     most one row, so that more of them parse. Lines end in LF or CRLF, the
-    last one maybe in nothing."""
+    last one maybe in nothing, and a quarter of the files start with a
+    byte-order mark."""
     header = draw(st.sampled_from([HEADER] * 4 + [_quote("student_id") + HEADER[10:]]))
     lines = [header]
     n = draw(st.integers(0, 8))
@@ -167,7 +172,8 @@ def mutated_csv(draw):
             fields.append("x")
         lines.append("" if mutation == "blank" else ",".join(fields))
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
-    return (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode("utf-8")
+    text = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode("utf-8")
+    return draw(st.sampled_from([b"", b"", b"", BOM])) + text
 
 
 def _outcome(parse, data):
@@ -190,6 +196,7 @@ LIMIT = csv.field_size_limit()
 @example(data=csv_bytes("x" * (LIMIT + 1) + ",2013,true,false,SCI,2,G,4"))
 @example(data=csv_bytes("s1,2013,true,false," + "S" * LIMIT + ",2,G,4"))
 @example(data=csv_bytes("s1,2013,true,false,SCI,2,G,4", "s2,2013,true\x00,false,SCI,2,G,4"))
+@example(data=BOM + csv_bytes("s1,2013,true,false,SCI,2,G,4", "s2,2013,maybe,false,SCI,2,G,4"))
 @settings(max_examples=600)
 def test_parse_matches_row_by_row_reference(data):
     assert _outcome(parse_records, data) == _outcome(parse_records_by_row, data)
@@ -341,6 +348,55 @@ class TestLinePath:
         with pytest.raises(CohortChainError) as exc:
             _load_inputs([path])
         assert str(exc.value) == f"{path}: not UTF-8 text (byte {at})"
+
+
+class TestByteOrderMark:
+    """UTF-8 text may start with a byte-order mark, as spreadsheet programs
+    write it: a panel with one reads as its twin without."""
+
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("piece", [records_module._PIECE_CHARS, 1, 2])
+    def test_plain_panel_reads_by_lines(self, monkeypatch, tmp_path, crlf, piece):
+        plain = csv_bytes(*PLAIN)
+        if crlf:
+            plain = plain.replace(b"\n", b"\r\n")
+        path = tmp_path / "panel.csv"
+        path.write_bytes(BOM + plain)
+        expected = parse_records(plain)
+        monkeypatch.setattr(records_module, "_PIECE_CHARS", piece)
+        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
+        for panel in (parse_records(BOM + plain), load_records(path)):
+            assert list(panel) == list(expected)
+            assert panel.kind.tolist() == expected.kind.tolist()
+
+    def test_quoted_panel_reads_by_csv_reader(self, tmp_path):
+        # csv.reader rereads the text from its start, and the mark is
+        # dropped again there
+        plain = csv_bytes('"a",2013,true,false,SCI,2,G,4', *PLAIN[1:])
+        path = tmp_path / "panel.csv"
+        path.write_bytes(BOM + plain)
+        expected = parse_records_by_row(plain)
+        calls = []
+        reader = records_module.csv.reader
+        with patch.object(records_module.csv, "reader",
+                          lambda *args: calls.append(args) or reader(*args)):
+            for panel in (parse_records(BOM + plain), load_records(path)):
+                assert list(panel) == expected
+        assert len(calls) == 2
+
+    def test_bad_byte_offset_counts_the_mark(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(records_module, "_PIECE_CHARS", 1000)
+        data = bytearray(BOM + csv_bytes(*PLAIN[:2], *[
+            f"s{i},2013,true,false,SCI,2,G,4" for i in range(500)]))
+        for at in (len(BOM) + 1, len(data) - 10):
+            bad = bytearray(data)
+            bad[at] = 0xFF
+            path = tmp_path / "panel.csv"
+            path.write_bytes(bad)
+            for load in (load_records, parse_records):
+                with pytest.raises(UnicodeDecodeError) as exc:
+                    load(path if load is load_records else bytes(bad))
+                assert exc.value.start == at
 
 
 # Text that csv.writer quotes, passes through as it is, or writes as nothing.
