@@ -13,9 +13,10 @@ the chunk's draws, keys and counts are single numpy passes; a larger one,
 and one whose chunk draw rejects a word, is drawn one replicate at a time
 in pieces of at most `_CHUNK_DRAWS` draws, whose buffers stay in cache. Both
 give exactly the `default_rng([seed, b]).integers(0, n, size=n)` streams.
-A replicate is kept only as the counts of its records' `Panel` kinds;
-each estimator reads the pooled tallies of a block of replicates in one
-stacked pass (`rates`), so no replicate builds a matrix of its own.
+A replicate is kept only as the counts of its records' `Panel` kinds; a
+block of replicates' pooled tallies are their kind counts times each
+estimator's float64 table, one BLAS product, and each estimator reads them
+in one stacked pass (`rates`), so no replicate builds a matrix of its own.
 `bootstrap_each` draws each replicate once for several estimators, so every
 estimator of one command reads the same resamples; `bootstrap` is its
 one-estimator case. Each estimator is fitted once on the original records,
@@ -161,8 +162,9 @@ class EstimateSummary:
 
     replicate_ids[i] is the 1-based replicate index that produced
     ensemble[i]; gaps mark dropped replicates. tally is the estimator's
-    pooled integer tally of the original records, the one the point
-    estimate was read off.
+    pooled tally of the original records, the one the point estimate was
+    read off: whole numbers in float64, for a chain estimator its 8x8 count
+    grid, flattened (cell frm * 8 + to).
     """
 
     ensemble: np.ndarray = field(repr=False)

@@ -4,19 +4,21 @@ Three estimators: the traditional cohort ratio, the reduced-form chain
 restricted to one complete cohort (the positive control), and the full
 pooled chain that also absorbs partial-cohort evidence.
 
-All three read their estimate off pooled integer tallies. A record's tally
-depends only on its fields other than the id, so the rows of one `Panel`
-kind share one tally, and each estimator derives one tally row per kind
-(`table`, by the reference rules `derive_transitions` and `la_truncate`).
-Any resample's pooled tally is then its kind counts times the table,
-exactly the sum of its records' tallies, so the bootstrap counts each
-resample's kinds once for every estimator and re-derives nothing. `rates`
-is the one readout: it reads a whole stack of tallies at once
-(`sygr_markov_stack`), and the point estimate is the original tally read as
-a stack of one. Where that estimate is undefined, `fit` names the state
-without observations from the normaliser's gaps. `fit` also returns that
-tally, and `persistence_rates` reads a fitted tally. The tests hold `rates`
-to a per-row reference.
+All three read their estimate off pooled tallies of whole numbers, held in
+float64 (exact below 2**53). A chain estimator's tally is its 8x8 count
+grid, flattened: each step (frm, to) counts into cell frm * 8 + to. A
+record's tally depends only on its fields other than the id, so the rows of
+one `Panel` kind share one tally, and each estimator derives one tally row
+per kind (`table`, by the reference rules `derive_transitions` and
+`la_truncate`). Any resample's pooled tally is then its kind counts times
+the table, one BLAS product that is exactly the sum of its records'
+tallies, so the bootstrap counts each resample's kinds once for every
+estimator and re-derives nothing. `rates` is the one readout: it reads a
+whole stack of tallies at once (`sygr_markov_stack`), and the point
+estimate is the original tally read as a stack of one. Where that estimate
+is undefined, `fit` names the state without observations from the
+normaliser's gaps. `fit` also returns that tally, and `persistence_rates`
+reads a fitted tally. The tests hold `rates` to a per-row reference.
 """
 
 import numpy as np
@@ -24,39 +26,16 @@ import numpy as np
 from .errors import EmptyCohort, HorizonTooEarly, InsufficientData, NoRecords
 from .markov import normalise, sygr_markov_stack
 from .records import Outcome, Panel, derive_transitions, la_truncate
-from .states import ALLOWED_CELLS, N_STATES, AcademicState
-
-_CELL_INDEX = {cell: i for i, cell in enumerate(ALLOWED_CELLS)}
-_N_CELLS = len(ALLOWED_CELLS)
-_CELL_ROWS, _CELL_COLS = np.array(ALLOWED_CELLS).T
-
-
-def _chain_cells(r, horizon_year, from_la_year=False):
-    """One record's observable steps, counted per ALLOWED_CELLS entry."""
-    steps = derive_transitions(r, horizon_year)
-    if from_la_year:
-        steps = la_truncate(r, steps)
-    row = [0] * _N_CELLS
-    for t in steps:
-        row[_CELL_INDEX[t]] += 1
-    return row
-
-
-def _chain_grids(cells):
-    """(..., 8, 8) count grids from (..., ALLOWED_CELLS) tallies."""
-    cells = np.asarray(cells)
-    grids = np.zeros(cells.shape[:-1] + (N_STATES, N_STATES), dtype=np.int64)
-    grids[..., _CELL_ROWS, _CELL_COLS] = cells
-    return grids
+from .states import N_STATES, AcademicState
 
 
 def persistence_rates(tally):
-    """Year-to-year persistence probabilities of a pooled chain tally (one
-    count per ALLOWED_CELLS entry, as a chain estimator's `fit` returns it),
+    """Year-to-year persistence probabilities of a pooled chain tally, its
+    8x8 count grid, flat as a chain estimator's `fit` returns it or square,
     keyed by starting year of study (1..5). Full precision; rounding is a
     reporting concern. A year with no observed steps maps to None: the
     chain imputes drop-out for it, which is no estimate of persistence."""
-    counts = _chain_grids(tally)
+    counts = np.reshape(tally, (N_STATES, N_STATES))
     p, _gaps = normalise(counts)
     return {k: float(p[k - 1, k]) if counts[k - 1].any() else None for k in range(1, 6)}
 
@@ -65,10 +44,10 @@ class _Estimator:
     """A check, a tally table over a panel's kinds, and the readout of
     pooled tallies.
 
-    Subclasses supply `_row`, one record's integer tally (a count per
-    ALLOWED_CELLS entry unless `rates` reads another), and may override
-    `_check` and `rates`, which by default is the chain readout of
-    ALLOWED_CELLS counts.
+    Subclasses supply `_steps`, one record's observable chain steps, and
+    may override `_check`; an estimator of another tally overrides `table`
+    and `rates`, which by default build and read flattened 8x8 chain count
+    grids.
     """
 
     def _check(self, kinds):
@@ -79,12 +58,16 @@ class _Estimator:
         """(values, ok) for a (b, tally width) stack of pooled tallies:
         ok[k] is False exactly where the estimate is undefined on tallies[k],
         and values[k] is the estimate elsewhere."""
-        return sygr_markov_stack(_chain_grids(tallies))
+        return sygr_markov_stack(np.reshape(tallies, (-1, N_STATES, N_STATES)))
 
     def table(self, kinds):
-        """One integer tally row per kind. Runs after `_check`, which raises
+        """One float64 tally row per kind. Runs after `_check`, which raises
         on no kinds."""
-        return np.array([self._row(r) for r in kinds], dtype=np.int64)
+        width = N_STATES * N_STATES
+        cells = [k * width + frm * N_STATES + to
+                 for k, r in enumerate(kinds) for frm, to in self._steps(r)]
+        counts = np.bincount(np.array(cells, dtype=np.intp), minlength=len(kinds) * width)
+        return counts.reshape(len(kinds), width).astype(float)
 
     def fit(self, kinds, kind_counts):
         """(point estimate, pooled tally, table) on the original records,
@@ -96,7 +79,7 @@ class _Estimator:
         values, ok = self.rates(tally[None])
         if not ok[0]:
             # past _check, only a chain state without observations is left
-            _p, gaps = normalise(_chain_grids(tally))
+            _p, gaps = normalise(tally.reshape(N_STATES, N_STATES))
             raise InsufficientData(AcademicState(int(np.argmax(gaps))))
         return float(values[0]), tally, table
 
@@ -123,10 +106,12 @@ class TraditionalEstimator(_CohortEstimator):
     """Graduated-within-six-years fraction of one fully observed cohort.
     Tally: (starters, graduates)."""
 
-    def _row(self, r):
-        start = r.cohort_year == self.cohort_year
-        deg = start and r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
-        return [int(start), int(deg)]
+    def table(self, kinds):
+        rows = []
+        for r in kinds:
+            start = r.cohort_year == self.cohort_year
+            rows.append((start, start and r.outcome is Outcome.GRADUATED and r.outcome_year <= 6))
+        return np.array(rows, dtype=float)
 
     def rates(self, tallies):
         n_start, n_deg = np.asarray(tallies).T
@@ -139,10 +124,8 @@ class MarkovReducedEstimator(_CohortEstimator):
     estimate uses; agrees with it to floating-point precision on complete
     cohorts (the path probabilities telescope)."""
 
-    def _row(self, r):
-        if r.cohort_year != self.cohort_year:
-            return [0] * _N_CELLS
-        return _chain_cells(r, self.horizon_year)
+    def _steps(self, r):
+        return derive_transitions(r, self.horizon_year) if r.cohort_year == self.cohort_year else []
 
 
 class MarkovFullEstimator(_Estimator):
@@ -161,5 +144,6 @@ class MarkovFullEstimator(_Estimator):
         if not kinds:
             raise NoRecords()
 
-    def _row(self, r):
-        return _chain_cells(r, self.horizon_year, self.from_la_year)
+    def _steps(self, r):
+        steps = derive_transitions(r, self.horizon_year)
+        return la_truncate(r, steps) if self.from_la_year else steps

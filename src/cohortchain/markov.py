@@ -1,6 +1,7 @@
 """Transition matrices and the chain readout of transition counts.
 
-Counts stay exact integers, so pooling cohorts never loses precision.
+Counts are whole numbers held in float64, exact below 2**53, so pooling
+cohorts never loses precision.
 `normalise` is the one rule that turns a stack of counts into
 probabilities: a transient row without observations is filled with
 drop-out when the chain cannot reach it, and makes the estimate undefined
@@ -110,8 +111,8 @@ class TransitionMatrix:
 
 
 def normalise(counts):
-    """Row-normalise a (..., 8, 8) stack of integer counts into probability
-    grids; the one place counts become probabilities.
+    """Row-normalise a (..., 8, 8) stack of whole-number counts into
+    probability grids; the one place counts become probabilities.
 
     Returns (p, gaps). gaps[..., i] is True where transient row i has no
     observations although the chain can reach it (it is Y1, or some count
@@ -137,7 +138,7 @@ def normalise(counts):
 
 def sygr_markov_stack(counts):
     """The six-year graduation rate of every grid in a (b, 8, 8) stack of
-    integer counts, read in one stacked pass.
+    whole-number counts, read in one stacked pass.
 
     Returns (values, ok). ok[k] is False exactly where normalise finds a
     gap in counts[k], and values[k] is then meaningless. Elsewhere values[k]

@@ -23,12 +23,13 @@ kind. Any other text (quoted fields, a NUL, a lone carriage return), and
 any plain text with a row the line path would not accept, is read by
 `csv.reader`, row by row, which raises every ingest error. A row's validity
 depends only on its kind and its id, so every error still names the first
-offending row in file order. Both paths read every source, a file, bytes
-or a str, as one text stream: the line path in pieces of `_PIECE_CHARS`
-characters, carrying a line cut by a piece's end over to the next, and
-`csv.reader` from the stream's start again. Neither holds a file's text or
-its list of lines, and bytes are decoded piece by piece. UTF-8 input may
-start with a byte-order mark, as spreadsheet programs write it.
+offending row in file order. Both paths read the source, bytes or a
+binary file, as one decoded text stream: the line path in pieces of
+`_PIECE_CHARS` characters, carrying a line cut by a piece's end over to the
+next, and `csv.reader` from the stream's start again. Neither holds a
+file's text or its list of lines, and bytes are decoded piece by piece.
+The input may start with a byte-order mark, as spreadsheet programs write
+it.
 """
 
 import csv
@@ -215,11 +216,15 @@ def _parse_bool(raw, row, column):
     raise ParseError(row, column, f"expected 'true' or 'false', got {raw!r}")
 
 
+# ASCII digits with an optional leading "-": int() would also read "1_0",
+# " 4", "+4" and digits of other scripts.
+_INTEGER = re.compile("-?[0-9]+").fullmatch
+
+
 def _parse_int(raw, row, column):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(row, column, f"expected an integer, got {raw!r}") from None
+    if not _INTEGER(raw):
+        raise ParseError(row, column, f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_kind(row, row_no):
@@ -373,48 +378,38 @@ def _parse_rows(lines, seen):
 
 
 def parse_records(source, seen=None):
-    """Parse CSV into a Panel: UTF-8 bytes, a str, or a text file opened
-    with newline="\\n" and read from its start.
+    """Parse UTF-8 CSV into a Panel: bytes, or a binary file read from its
+    start.
 
     The header must match the schema exactly; unknown extra columns are
-    rejected. UTF-8 bytes may start with a byte-order mark, which is not
-    part of the header. Row numbers in errors are 1-based counting the
-    header. Each row's field count and id are checked; only the first row of
-    each kind (its text after the id) is parsed and validated. `seen` holds
-    ids read before this source, as from earlier files: a row repeating one
-    is a DuplicateId, and this source's ids are added to it. A row
-    csv.reader cannot read, as one with a field longer than
-    csv.field_size_limit(), is a ParseError of that row. Every source is
-    read _PIECE_CHARS characters at a time, and a non-UTF-8 byte raises
-    UnicodeDecodeError, at its offset from the start of the bytes, before
-    any row error.
+    rejected. The text may start with a byte-order mark, which is not part
+    of the header. Row numbers in errors are 1-based counting the header.
+    Each row's field count and id are checked; only the first row of each
+    kind (its text after the id) is parsed and validated. `seen` holds ids
+    read before this source, as from earlier files: a row repeating one is
+    a DuplicateId, and this source's ids are added to it. A row csv.reader
+    cannot read, as one with a field longer than csv.field_size_limit(), is
+    a ParseError of that row. The text is read _PIECE_CHARS characters at a
+    time, and a non-UTF-8 byte raises UnicodeDecodeError, at its offset
+    from the start of the bytes, before any row error.
     """
-    if isinstance(source, bytes):
-        return _parse_utf8(io.BytesIO(source), seen)
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    raw = io.BytesIO(source) if isinstance(source, bytes) else source
     seen = set() if seen is None else seen
-    panel = _parse_lines(iter(partial(source.read, _PIECE_CHARS), ""), seen)
-    if panel is not None:
-        return panel
-    source.seek(0)
-    try:
-        return _parse_rows(source, seen)
-    except (ParseError, DuplicateId, InvariantViolation):
-        while source.read(_PIECE_CHARS):  # to the first non-UTF-8 byte, if any
-            pass
-        raise
-
-
-def _parse_utf8(raw, seen):
-    """parse_records of a binary stream of UTF-8 text, read from its start,
-    less a leading byte-order mark."""
     # newline="\n" splits lines at LF alone and translates nothing, so
     # csv.reader sees the lines it sees in io.StringIO(text); the decoder
     # drops the mark again when csv.reader rereads the text from its start
     with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="\n") as text:
         try:
-            return parse_records(text, seen)
+            panel = _parse_lines(iter(partial(text.read, _PIECE_CHARS), ""), seen)
+            if panel is not None:
+                return panel
+            text.seek(0)
+            try:
+                return _parse_rows(text, seen)
+            except (ParseError, DuplicateId, InvariantViolation):
+                while text.read(_PIECE_CHARS):  # to the first non-UTF-8 byte, if any
+                    pass
+                raise
         except UnicodeDecodeError:
             # the text layer counts a bad byte from the start of its last
             # read; decoding the bytes whole counts it from their start
@@ -426,7 +421,7 @@ def _parse_utf8(raw, seen):
 def load_records(path, seen=None):
     """The Panel of a CSV file, read in pieces (see parse_records)."""
     with open(path, "rb") as fh:
-        return _parse_utf8(fh, seen)
+        return parse_records(fh, seen)
 
 
 def _utf8_text(path):

@@ -134,10 +134,10 @@ def test_pooled_estimator_consistency():
     )
 
 
-def _world_spec(seed):
+def _world_spec(seed, size=250):
     return GeneratorSpec(
         true_matrix=BASE_MATRIX,
-        cohort_sizes={2013: 250, 2014: 250, 2016: 250, 2018: 250},
+        cohort_sizes={2013: size, 2014: size, 2016: size, 2018: size},
         horizon_year=2021,
         seed=seed,
     )
@@ -175,6 +175,45 @@ def test_interval_coverage_full():
         "95% interval coverage (full)",
         0.91 <= coverage <= 0.98 and elapsed < 900.0,
         f"coverage = {coverage:.3f}, {elapsed:.1f}s",
+    )
+
+
+def delta_method_se(tally):
+    """Standard error of the six-year rate read off a pooled chain tally, by
+    the delta method: the rows of the chain's estimate are independent
+    multinomials (Anderson & Goodman 1957), and with f(P) = [P^6]_{Y1,G}
+    the gradient is df/dP_ij = sum_{k=0..5} [P^k]_{Y1,i} [P^(5-k)]_{j,G}.
+    Var f = sum_i g_i' (diag(p_i) - p_i p_i') g_i / n_i over the transient
+    rows i with n_i > 0."""
+    counts = np.reshape(tally, (8, 8))
+    n = counts[:6].sum(axis=1)
+    p = np.zeros((8, 8))
+    seen = n > 0
+    p[:6][seen] = counts[:6][seen] / n[seen, None]
+    p[6, 6] = p[7, 7] = 1.0
+    powers = [np.linalg.matrix_power(p, k) for k in range(6)]
+    grad = sum(np.outer(powers[k][0], powers[5 - k][:, 7]) for k in range(6))
+    var = sum(g @ (np.diag(row) - np.outer(row, row)) @ g / total
+              for g, row, total in zip(grad[:6], p[:6], n[:6]) if total > 0)
+    return float(np.sqrt(var))
+
+
+@pytest.mark.parametrize("size", [25, 250, 2_500])
+def test_bootstrap_sd_matches_delta_method_se(size):
+    """The bootstrap ensemble's SD agrees with the delta-method standard
+    error on 12 coverage-design worlds per cohort size. An SD of 1,000
+    replicates carries about 2.2% noise, so each ratio is held to about 3
+    of its SEs, and each size's median to 2%."""
+    ratios = []
+    for seed in range(7000, 7012):
+        records = generate_panel(_world_spec(seed, size))
+        s = bootstrap(records, MarkovFullEstimator(2021), BootstrapConfig(seed=seed))
+        ratios.append(s.ensemble.std(ddof=1) / delta_method_se(s.tally))
+    median = float(np.median(ratios))
+    report(
+        f"bootstrap SD vs delta-method SE, 4 x {size}",
+        all(0.93 <= r <= 1.07 for r in ratios) and 0.98 <= median <= 1.02,
+        f"SD / SE in {min(ratios):.3f}..{max(ratios):.3f}, median {median:.3f}",
     )
 
 

@@ -481,6 +481,8 @@ def _error_cases(panel, tmp):
     header = ",".join(CSV_HEADER)
     bad_row = tmp / "bad_row.csv"
     bad_row.write_text(f"{header}\nr1,2013,true,false,SCI,,G,4\nr2,2013,maybe,false,SCI,,G,4\n")
+    underscore_year = tmp / "underscore_year.csv"
+    underscore_year.write_text(f"{header}\nr1,20_13,true,false,SCI,,G,1_0\n")
     # the exposed group's resamples lose every row out of Y2 whenever they
     # hold only the censored e1, about one in four
     small = tmp / "small.csv"
@@ -557,6 +559,10 @@ def _error_cases(panel, tmp):
          f"error: {panel}: duplicate student_id "),
         ("input_error_names_its_file", [*estimate, "--input", str(bad_row)], 2,
          f"error: {bad_row}: row 3, column 'aalana': "),
+        ("input_integer_with_underscore", ["estimate", "--input", str(underscore_year),
+                                           *estimate[3:]], 2,
+         f"error: {underscore_year}: row 2, column 'cohort_year': "
+         "expected an integer, got '20_13'\n"),
         ("input_field_too_long", ["estimate", "--input", str(long_id), *estimate[3:]], 2,
          f"error: {long_id}: row 2, column 'row': field larger than field limit (131072)\n"),
         ("compare_group_bootstrap_fails", ["compare", "--input", str(small), "--out",

@@ -182,10 +182,9 @@ def test_raising_first_year_persistence_never_lowers_sygr(rng):
 
 
 def chain_tally(records, from_la_year=False):
-    """Reference pooled tally of the full chain: per-record counts read at
-    ALLOWED_CELLS."""
-    grid = per_record_grid(records, 2021, from_la_year)
-    return grid[tuple(np.array(ALLOWED_CELLS).T)]
+    """Reference pooled tally of the full chain: the per-record count grid,
+    flattened as a chain estimator's tally is."""
+    return per_record_grid(records, 2021, from_la_year).ravel()
 
 
 class TestPersistence:
@@ -267,11 +266,15 @@ def kind_tally(estimator, records, idx):
     return np.bincount(panel.kind[idx], minlength=len(panel.kinds)) @ estimator.table(panel.kinds)
 
 
-def as_grid(cells):
+def as_grid(tally):
+    return np.reshape(tally, (N_STATES, N_STATES))
+
+
+def allowed_tally(cells):
+    """The flat chain tally holding one count per ALLOWED_CELLS entry."""
     grid = np.zeros((N_STATES, N_STATES), dtype=np.int64)
-    for (i, j), n in zip(ALLOWED_CELLS, cells):
-        grid[i, j] = n
-    return grid
+    grid[tuple(np.array(ALLOWED_CELLS).T)] = cells
+    return grid.ravel()
 
 
 @given(
@@ -354,8 +357,8 @@ def test_stacked_rates_equal_single_matrix_readout(panel, resamples, raw, horizo
         if isinstance(estimator, TraditionalEstimator):
             tallies += [[sum(r), r[0]] for r in raw]
         else:
-            tallies += raw
-        tallies = np.array(tallies, dtype=np.int64)
+            tallies += [allowed_tally(r) for r in raw]
+        tallies = np.array(tallies, dtype=float)
         values, ok = estimator.rates(tallies)
         ref_values, ref_ok = reference_rates(estimator, tallies)
         assert (ok == ref_ok).all()
