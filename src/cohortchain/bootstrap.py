@@ -11,8 +11,9 @@ draw that `Generator.integers` makes (Lemire 2019). A resample of at most
 `_BLOCK_DRAW_MAX` records is drawn a chunk of replicates at a time, so that
 the chunk's draws, keys and counts are single numpy passes; a larger one,
 and one whose chunk draw rejects a word, is drawn one replicate at a time
-in pieces of at most `_CHUNK_DRAWS` draws, whose buffers stay in cache. Both
-give exactly the `default_rng([seed, b]).integers(0, n, size=n)` streams.
+in pieces of at most `_CHUNK_DRAWS` draws. Each chunk or piece is computed
+into arrays of its own. Both give exactly the
+`default_rng([seed, b]).integers(0, n, size=n)` streams.
 A replicate is kept only as the counts of its records' `Panel` kinds; a
 block of replicates' pooled tallies are their kind counts times each
 estimator's float64 table, one BLAS product, and each estimator reads them
@@ -42,15 +43,15 @@ FAILURE_CEILING = 0.10
 # however many replicates are drawn, while still amortizing its per-call cost.
 REPLICATE_BLOCK = 128
 # Index draws made per numpy pass of the block draw, and at most per piece
-# of the pieced draw: the block draw's buffers take 320 KB, and its raw
-# words 64 KB.
+# of the pieced draw: a chunk's raw words take 64 KB, and the arrays computed
+# afresh from them 320 KB.
 _CHUNK_DRAWS = 2**14
 # Resamples of more records than this (fewer than 4 per chunk) are drawn in
 # pieces: the block draw saves the pieced draw's fixed cost per replicate
 # but spends more per record, and its time over that of the pieced draw
-# measured 0.51-0.53 at 1,000 records, 0.73-0.79 at 2,048, 0.88-0.92 at
-# 4,096, 0.96-1.00 at 5,000 and 1.05-1.06 at 5,462 (medians of 7, two
-# rounds, 63 kinds).
+# measured 0.56-0.63 at 1,000 records, 0.74-0.79 at 2,048, 0.95-1.02 at
+# 4,096, 0.91-1.00 at 5,000 and 1.03-1.10 at 5,462 (medians of 7, six
+# rounds, 1,000 replicates, 63 kinds).
 _BLOCK_DRAW_MAX = 4096
 KDE_GRID_POINTS = 256
 
@@ -240,11 +241,6 @@ def _kind_counts(kind, n_kinds, words):
     # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
     # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
     threshold = (2**32 - n) % n
-    # the pieced draw's buffers, one set for the whole call
-    size = min(n + 1, _CHUNK_DRAWS)
-    piece_low = np.empty(size, dtype=np.uint32)
-    piece_m = np.empty(size, dtype=np.uint64)
-    piece_keys = np.empty(size, dtype=kind.dtype)
 
     def drawn(w):
         """The kind counts of one replicate, drawn in pieces of at most
@@ -256,15 +252,13 @@ def _kind_counts(kind, n_kinds, words):
         while left:
             raw = bits.random_raw(min(left + 1, _CHUNK_DRAWS) // 2)
             draws = raw.astype("<u8", copy=False).view("<u4")  # see the chunk draw
-            k = len(draws)
-            if np.multiply(draws, np.uint32(n), out=piece_low[:k]).min() < threshold:
-                draws = draws[piece_low[:k] >= threshold]
-            k = min(len(draws), left)
-            m = np.multiply(draws[:k], np.uint64(n), out=piece_m[:k])
+            low = draws * np.uint32(n)
+            if low.min() < threshold:
+                draws = draws[low >= threshold]
+            m = draws[:left] * np.uint64(n)
             m >>= 32
-            kind.take(m.view(np.int64), out=piece_keys[:k], mode="clip")
-            counts += np.bincount(piece_keys[:k], minlength=n_kinds)
-            left -= k
+            counts += np.bincount(kind.take(m.view(np.int64), mode="clip"), minlength=n_kinds)
+            left -= len(m)
         return counts
 
     if n > _BLOCK_DRAW_MAX:
@@ -274,11 +268,6 @@ def _kind_counts(kind, n_kinds, words):
 
     rows = _CHUNK_DRAWS // n
     offsets = np.arange(rows)[:, None] * n_kinds
-    # one set of buffers for the whole call: arrays this size allocated
-    # afresh would be mapped and page-faulted anew for every chunk
-    low = np.empty((rows, n), dtype=np.uint32)
-    m = np.empty((rows, n), dtype=np.uint64)
-    keys = np.empty((rows, n), dtype=kind.dtype)
     for block in blocks:
         counts = np.empty((len(block), n_kinds), dtype=np.int64)
         for start in range(0, len(block), rows):
@@ -290,16 +279,16 @@ def _kind_counts(kind, n_kinds, words):
             # on any host, and makes no copy on a little-endian one
             draws = raw.astype("<u8", copy=False).view("<u4")[:, :n]
             # m mod 2**32, as uint32 products wrap
-            rejected = np.multiply(draws, np.uint32(n), out=low[:r]).min(axis=1) < threshold
-            np.multiply(draws, np.uint64(n), out=m[:r])
-            m[:r] >>= 32
+            rejected = (draws * np.uint32(n)).min(axis=1) < threshold
+            m = draws * np.uint64(n)
+            m >>= 32
             # indices are below n: their uint64 bits read the same as int64,
             # and "clip" changes none of them (the default "raise" would
             # copy through a buffer)
-            kind.take(m[:r].view(np.int64), out=keys[:r], mode="clip")
-            keys[:r] += offsets[:r]
+            keys = kind.take(m.view(np.int64), mode="clip")
+            keys += offsets[:r]
             counts[start:start + r] = np.bincount(
-                keys[:r].ravel(), minlength=r * n_kinds
+                keys.ravel(), minlength=r * n_kinds
             ).reshape(r, n_kinds)
             # a rejected word (under n / 2**32 per draw) shifts every later
             # index of its stream: draw that replicate again in pieces

@@ -51,6 +51,7 @@ from .synth import brute_force_sygr, format_generator_spec, generate_panel, load
 POSITIVE_CONTROL_TOL = 1e-9
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _REPEATABLE = ("input", "method")  # config keys whose flags collect every value
+_NOT_FLAGS = ("command", "func")  # parsed attributes that no flag sets
 
 
 class UsageError(CohortChainError):
@@ -490,7 +491,7 @@ def _parse_args(parser, argv):
     tokens = []
     first_line = {}
     for line_no, key, value in _config_items(args.config):
-        if not hasattr(args, key):
+        if key in _NOT_FLAGS or not hasattr(args, key):
             continue
         first = first_line.setdefault(key, line_no)
         if first != line_no and key not in _REPEATABLE:

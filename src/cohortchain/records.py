@@ -288,9 +288,10 @@ def _parse_lines(pieces, seen):
     line by line, or None to leave the text to csv.reader.
 
     With no '"' or NUL in the text, and each CR followed by LF, csv.reader
-    yields exactly each line split on commas. On any text or row this path
-    would not accept it declines, raising nothing and leaving seen as it
-    was.
+    yields exactly each line split on commas, and an empty row for a blank
+    line, which both paths skip after the header. On any text or row this
+    path would not accept it declines, raising nothing and leaving seen as
+    it was.
     """
     ids, kind, index, first = [], [], {}, []
     header = False
@@ -303,6 +304,8 @@ def _parse_lines(pieces, seen):
             header = True
             del lines[0]
         for line in lines:
+            if not line:
+                continue
             sid, _, rest = line.partition(",")
             k = index.get(rest)
             if k is None:

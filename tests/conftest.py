@@ -15,7 +15,6 @@ from cohortchain import (
     la_truncate,
 )
 from cohortchain.errors import DuplicateId, InsufficientData, InvariantViolation, ParseError
-from cohortchain.records import CSV_HEADER, _parse_bool, _parse_int
 from cohortchain.states import ABSORBING, N_STATES, TRANSIENT
 from cohortchain.synth import _walks
 
@@ -110,6 +109,30 @@ def per_row_matrix(grid):
     return a
 
 
+# README's Input format, restated here so that the reference parser shares
+# no field rule with the parser it checks.
+CSV_HEADER = [
+    "student_id", "cohort_year", "aalana", "first_gen", "college", "la_year", "outcome",
+    "outcome_year",
+]
+BOOLEANS = {"true": True, "false": False}
+
+
+def _integer(raw, row_no, column):
+    """An integer field: ASCII digits with an optional leading '-'."""
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise ParseError(row_no, column, f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def _boolean(raw, row_no, column):
+    """A boolean field: exactly 'true' or 'false'."""
+    if raw not in BOOLEANS:
+        raise ParseError(row_no, column, f"expected 'true' or 'false', got {raw!r}")
+    return BOOLEANS[raw]
+
+
 def parse_records_by_row(data):
     """Reference parser: UTF-8 CSV bytes, less a leading byte-order mark,
     to a list of records, every row parsed and validated on its own. A row
@@ -146,13 +169,13 @@ def parse_records_by_row(data):
             raise ParseError(row_no, "outcome", f"expected one of G, D, E, got {outcome!r}") from None
         fields = dict(
             student_id=sid,
-            cohort_year=_parse_int(cohort, row_no, "cohort_year"),
-            aalana=_parse_bool(aalana, row_no, "aalana"),
-            first_gen=_parse_bool(first_gen, row_no, "first_gen"),
+            cohort_year=_integer(cohort, row_no, "cohort_year"),
+            aalana=_boolean(aalana, row_no, "aalana"),
+            first_gen=_boolean(first_gen, row_no, "first_gen"),
             college=college,
-            la_year=None if la_year == "" else _parse_int(la_year, row_no, "la_year"),
+            la_year=None if la_year == "" else _integer(la_year, row_no, "la_year"),
             outcome=outcome_val,
-            outcome_year=_parse_int(outcome_year, row_no, "outcome_year"),
+            outcome_year=_integer(outcome_year, row_no, "outcome_year"),
         )
         try:
             records.append(StudentRecord(**fields))

@@ -66,6 +66,10 @@ class TestPercentileCi:
         with pytest.raises(EnsembleTooSmall):
             percentile_ci([0.5], 0.95)
 
+    def test_level_outside_unit_interval(self):
+        with pytest.raises(ValueError, match=r"level must be in \(0, 1\), got 1.5"):
+            percentile_ci([0.2, 0.4, 0.6], 1.5)
+
     @given(
         values=st.lists(st.floats(0, 1), min_size=2, max_size=40),
         narrow=st.floats(0.05, 0.5),

@@ -154,6 +154,19 @@ class TestEstimate:
         assert read_csv(out_a / "summary_full.csv")[0]["cohort"] == "2013"
         assert read_csv(out_b / "summary_full.csv")[0]["cohort"] == "2014"
 
+    def test_config_ignores_command_and_func(self, panel, tmp_path):
+        # one config path, as the metadata's configuration hash covers it
+        cfg = tmp_path / "run.cfg"
+        settings = (f"input = {panel}\nhorizon = 2021\ncohort = 2013\nreplicates = 20\n"
+                    "method = traditional\n")
+        for text, out in ((settings, "a"), (settings + "command = synth\nfunc = x\n", "b")):
+            cfg.write_text(text)
+            assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False), name
+
     @pytest.mark.parametrize("word, on", [("YES", True), ("1", True), ("No", False),
                                           ("false", False)])
     def test_config_switch_words(self, panel, tmp_path, word, on):
@@ -516,6 +529,22 @@ def _error_cases(panel, tmp):
     repeated_key.write_text(cfg.read_text() + "seed = 1\nseed = 2\n")
     repeated_input = tmp / "repeated_input.cfg"
     repeated_input.write_text(cfg.read_text() + f"input = {panel}\n")
+    wrong_header = tmp / "wrong_header.csv"
+    wrong_header.write_text("replicate,rate\n1,0.5\n2,0.6\n")
+    no_equals_cfg = tmp / "no_equals.cfg"
+    no_equals_cfg.write_text(cfg.read_text() + "seed 3\n")
+    no_equals = tmp / "no_equals.spec"
+    no_equals.write_text(GEN_SPEC.replace("la_rate = 0.3\n", "la_rate 0.3\n"))
+    inline_matrix = tmp / "inline_matrix.spec"
+    inline_matrix.write_text(GEN_SPEC.replace("matrix =\n0 0.86", "matrix = 0.1\n0 0.86", 1))
+    pair_without_colon = tmp / "pair_without_colon.spec"
+    pair_without_colon.write_text(GEN_SPEC.replace("1:0.7 2:0.3", "1:0.7 2=0.3"))
+    pair_not_a_number = tmp / "pair_not_a_number.spec"
+    pair_not_a_number.write_text(GEN_SPEC.replace("1:0.7 2:0.3", "1:0.7 2:x"))
+    zero_size = tmp / "zero_size.spec"
+    zero_size.write_text(GEN_SPEC.replace("2013:300 ", "2013:0 "))
+    la_year_sum = tmp / "la_year_sum.spec"
+    la_year_sum.write_text(GEN_SPEC.replace("1:0.7 2:0.3", "1:0.7 2:0.2"))
     long_id = tmp / "long_id.csv"
     long_id.write_text(f"{header}\n{'s' * 200_000},2013,true,false,SCI,,G,4\n")
     plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
@@ -535,6 +564,12 @@ def _error_cases(panel, tmp):
         ("config_repeated_input", ["estimate", "--config", str(repeated_input),
                                    "--out", str(tmp / "repeated_input")], 2,
          f"error: {panel}: duplicate student_id "),
+        ("config_line_without_equals", ["estimate", "--config", str(no_equals_cfg),
+                                        "--out", str(tmp / "no_equals")], 1,
+         f"usage error: {no_equals_cfg}:6: expected key = value\n"),
+        ("estimate_no_input", ["estimate", "--out", str(tmp / "noinput"), "--horizon", "2021",
+                               "--cohort", "2013"], 1,
+         "usage error: estimate requires at least one --input\n"),
         ("replicates_1", [*estimate, "--replicates", "1"], 1),
         ("replicates_2_32", [*estimate, "--replicates", str(2**32)], 1,
          "usage error: replicates must be below 2**32, got 4294967296\n"),
@@ -600,6 +635,28 @@ def _error_cases(panel, tmp):
         ("spec_repeated_matrix", ["synth", "--spec", str(repeated_matrix),
                                   "--out", str(tmp / "s8")],
          2, f"error: {repeated_matrix}: line 26: matrix repeats line 8\n"),
+        ("spec_line_without_equals", ["synth", "--spec", str(no_equals),
+                                      "--out", str(tmp / "s9")],
+         2, f"error: {no_equals}: line 6: expected key = value, got 'la_rate 0.3'\n"),
+        ("spec_inline_matrix", ["synth", "--spec", str(inline_matrix),
+                                "--out", str(tmp / "s10")],
+         2, f"error: {inline_matrix}: line 8: matrix block must start on the next line\n"),
+        ("spec_pair_without_colon", ["synth", "--spec", str(pair_without_colon),
+                                     "--out", str(tmp / "s11")],
+         2, f"error: {pair_without_colon}: line 7: expected key:value, got '2=0.3'\n"),
+        ("spec_pair_not_a_number", ["synth", "--spec", str(pair_not_a_number),
+                                    "--out", str(tmp / "s12")],
+         2, f"error: {pair_not_a_number}: line 7: bad pair '2:x'\n"),
+        ("spec_zero_cohort_size", ["synth", "--spec", str(zero_size),
+                                   "--out", str(tmp / "s13")],
+         2, f"error: {zero_size}: cohort 2013 size must be positive, got 0\n"),
+        ("spec_la_year_dist_sum", ["synth", "--spec", str(la_year_sum),
+                                   "--out", str(tmp / "s14")],
+         2, f"error: {la_year_sum}: la_year_dist probabilities must sum to 1\n"),
+        ("plot_no_input", ["plot", "--out", str(tmp / "plot")], 1,
+         "usage error: plot requires at least one --input ensemble CSV\n"),
+        ("plot_wrong_header", ["plot", "--input", str(wrong_header), "--out", str(tmp / "plot")],
+         2, f"error: {wrong_header}: expected header 'replicate,estimate'\n"),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
         ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),

@@ -218,6 +218,8 @@ LIMIT = csv.field_size_limit()
 @example(data=csv_bytes("s1,2013,true,false," + "S" * LIMIT + ",2,G,4"))
 @example(data=csv_bytes("s1,2013,true,false,SCI,2,G,4", "s2,2013,true\x00,false,SCI,2,G,4"))
 @example(data=BOM + csv_bytes("s1,2013,true,false,SCI,2,G,4", "s2,2013,maybe,false,SCI,2,G,4"))
+@example(data=csv_bytes("s1,2013,True,false,SCI,2,G,4"))
+@example(data=csv_bytes("s1,20_13,true,false,SCI,2,G,4"))
 @settings(max_examples=600)
 def test_parse_matches_row_by_row_reference(data):
     assert _outcome(parse_records, data) == _outcome(parse_records_by_row, data)
@@ -250,6 +252,8 @@ def stream_path(tmp_path_factory):
 @given(data=mutated_csv(), piece=st.integers(1, 9))
 @example(data=csv_bytes(*PLAIN[:3]).replace(b"\n", b"\r\n"), piece=1)
 @example(data=csv_bytes(PLAIN[0], "b,2013,true,false,SCI\r,2,G,4"), piece=4)
+@example(data=csv_bytes(PLAIN[0], "b,2013,True,false,SCI,2,G,4"), piece=5)
+@example(data=csv_bytes(PLAIN[0], "b,+2013,true,false,SCI,2,G,4"), piece=5)
 @settings(max_examples=300)
 def test_streamed_parse_matches_row_by_row_reference(stream_path, data, piece):
     # pieces of a few characters, so that a piece ends at every place in
@@ -266,10 +270,12 @@ class TestLinePath:
     and text the line path declines, which it leaves as it found it."""
 
     def test_plain_text_skips_csv_reader(self, monkeypatch, tmp_path):
-        # LF or CRLF line endings, as bytes or as a file, in pieces of any
-        # size: pieces of 79 characters end between the header's CR and LF
+        # LF or CRLF line endings, with or without a blank line between rows
+        # or at the end, as bytes or as a file, in pieces of any size:
+        # pieces of 79 characters end between the header's CR and LF
         path = tmp_path / "panel.csv"
-        for data, piece in product([csv_bytes(*PLAIN), csv_bytes(*PLAIN).replace(b"\n", b"\r\n")],
+        texts = [csv_bytes(*PLAIN), csv_bytes(PLAIN[0], "", *PLAIN[1:]), csv_bytes(*PLAIN, "")]
+        for data, piece in product(texts + [text.replace(b"\n", b"\r\n") for text in texts],
                                    [records_module._PIECE_CHARS, 1, 79]):
             expected = parse_records_by_row(data)
             path.write_bytes(data)
@@ -296,7 +302,7 @@ class TestLinePath:
         ["a,2013,true,false,SCI,2,G,4", "b,2013,true,false,SCI,2,G,4", "a,2014,true,false,SCI,,G,4"],
         ["a,2013,true,false,SCI,2,G,4", "z,2013,true,false,SCI,2,G,4"],
         ["a,2013,true,false,SCI,2,G,4", ",2013,true,false,SCI,2,G,4"],
-        ["a,2013,true,false,SCI,2,G,4", "", "b,2013,true,false,SCI,2,G,4"],
+        ["a,2013,true,false,SCI,2,G,4", " ", "b,2013,true,false,SCI,2,G,4"],
         ["a,2013,true,false,SCI,2,G,4", "b,2013,maybe,false,SCI,2,G,4"],
         ["a,2013,true,false,SCI,5,G,3"],
         ["a,2013,true,false,SCI,2,G"],
@@ -311,6 +317,11 @@ class TestLinePath:
         with pytest.raises(_CsvReaderCalled):
             parse_records(csv_bytes(*rows), seen)
         assert seen == {"z"}
+
+    def test_leading_blank_line_fails_the_header_check(self):
+        with pytest.raises(ParseError) as exc:
+            parse_records(b"\n" + csv_bytes(*PLAIN))
+        assert str(exc.value) == "row 1, column 'header': expected '" + HEADER + "', got ''"
 
     def test_id_of_an_earlier_file_names_the_later_row(self, tmp_path):
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"

@@ -205,6 +205,16 @@ class TestValidateStructure:
         with pytest.raises(ValueError, match="forbidden"):
             TransitionMatrix(a)
 
+    def test_constructor_rejects_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"expected an 8x8 grid, got shape \(7, 8\)"):
+            TransitionMatrix(np.zeros((7, 8)))
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_year_of_study_outside_1_to_6(k):
+    with pytest.raises(ValueError, match=f"year of study must be 1..6, got {k}"):
+        S.year(k)
+
 
 def per_cell_violations(a):
     """Reference for validate_structure's messages: every cell and row
