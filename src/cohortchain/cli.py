@@ -40,6 +40,7 @@ from .records import (
     LaGroup,
     Panel,
     SubgroupSpec,
+    _key_value_lines,
     _utf8_text,
     filter_subgroup,
     format_records,
@@ -187,6 +188,9 @@ def _ensemble_csv(summary):
 def cmd_estimate(args):
     cfg = _prepare(args)
     methods = args.method or ["traditional", "markov-full"]
+    for i, method in enumerate(methods):
+        if method in methods[:i]:
+            raise UsageError(f"--method {method} is given twice")
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
     # only the filtered panel is kept, so the loaded one is freed before the bootstrap
@@ -461,21 +465,15 @@ def build_parser():
 def _config_items(path):
     """(line number, key, value) of each `key = value` line, in file order."""
     try:
-        lines = _utf8_text(path).splitlines()
+        text = _utf8_text(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {path}: not UTF-8 text (byte {exc.start})") from None
-    items = []
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for line_no, key, value in _key_value_lines(text):
+        if key is None:
             raise UsageError(f"{path}:{line_no}: expected key = value")
-        key, _, value = stripped.partition("=")
-        items.append((line_no, key.strip().replace("-", "_"), value.strip()))
-    return items
+        yield line_no, key.replace("-", "_"), value
 
 
 def _parse_args(parser, argv):

@@ -434,6 +434,17 @@ def _utf8_text(path):
         return fh.read().decode("utf-8").removeprefix("\ufeff")
 
 
+def _key_value_lines(text):
+    """(line number, key, value) of each line of `key = value` text, less
+    blank and `#` lines: split at the first `=`, both sides stripped. A
+    line without `=` comes as (line number, None, the stripped line)."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            key, eq, value = stripped.partition("=")
+            yield (line_no, key.strip(), value.strip()) if eq else (line_no, None, stripped)
+
+
 def _csv_text(rows):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)

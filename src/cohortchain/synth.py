@@ -14,13 +14,14 @@ Also home to the path-enumeration oracle for the six-year graduation
 rate, kept deliberately free of matrix multiplication.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
 from .errors import SpecFileError
 from .markov import TransitionMatrix
-from .records import Outcome, Panel, StudentRecord, _utf8_text
+from .records import Outcome, Panel, StudentRecord, _key_value_lines, _utf8_text
 from .states import N_STATES, AcademicState
 
 
@@ -224,29 +225,7 @@ def generate_panel(spec):
     return Panel.concat(_cohort_panel(spec, year, walk) for year, walk in _walks(spec))
 
 
-def _parse_matrix_block(lines, start, label):
-    values = []
-    idx = start
-    while idx < len(lines) and len(values) < N_STATES * N_STATES:
-        stripped = lines[idx].strip()
-        if stripped and "=" in stripped:
-            break
-        for tok in stripped.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise SpecFileError(idx + 1, f"bad number {tok!r} in {label} block") from None
-        idx += 1
-    if len(values) != N_STATES * N_STATES:
-        raise SpecFileError(start, f"{label} block needs 64 numbers, got {len(values)}")
-    try:
-        matrix = TransitionMatrix(np.array(values).reshape(N_STATES, N_STATES))
-    except ValueError as exc:
-        raise SpecFileError(start, f"{label}: {exc}") from None
-    return matrix, idx
-
-
-def _parse_pairs(raw, line_no, cast_key):
+def _parse_pairs(cast_key, raw, line_no):
     out = {}
     for tok in raw.replace(",", " ").split():
         if ":" not in tok:
@@ -269,74 +248,107 @@ def _whole(x):
     return int(x)
 
 
+def _one_line(cast):
+    """Reader of a value on its key's line, cast(value, line number), which
+    raises ValueError for a bad value; a key-less line below it is an error."""
+    def read(key, line_no, value, rows):
+        if rows:
+            raise SpecFileError(rows[0][0], f"expected key = value, got {rows[0][1]!r}")
+        try:
+            return cast(value, line_no)
+        except ValueError:
+            raise SpecFileError(line_no, f"bad value for {key}: {value!r}") from None
+    return read
+
+
+def _matrix(key, line_no, value, rows):
+    """Reader of an 8x8 block: 64 whitespace-separated numbers, row-major, on
+    the key-less lines below the key's own empty value."""
+    if value:
+        raise SpecFileError(line_no, f"{key} block must start on the next line")
+    values = []
+    for row_no, row in rows:
+        for tok in row.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise SpecFileError(row_no, f"bad number {tok!r} in {key} block") from None
+    if len(values) != N_STATES * N_STATES:
+        raise SpecFileError(line_no, f"{key} block needs 64 numbers, got {len(values)}")
+    try:
+        return TransitionMatrix(np.array(values).reshape(N_STATES, N_STATES))
+    except ValueError as exc:
+        raise SpecFileError(line_no, f"{key}: {exc}") from None
+
+
+def _pairs_text(pairs):
+    return "".join(f" {k}:{pairs[k]}" for k in sorted(pairs))
+
+
+def _matrix_text(matrix):
+    return "".join("\n" + " ".join(format(v, ".17g") for v in row) for row in matrix.p)
+
+
+_INT = _one_line(lambda v, _: int(v))
+_RATE = _one_line(lambda v, _: float(v))
+_VALUE_TEXT = " {}".format
+
+# Each spec key, in the order format_generator_spec writes them: its
+# GeneratorSpec field, its reader (key, line number, value, key-less lines
+# below it) and its writer of the text after `key =`.
+_SPEC_KEYS = (
+    ("seed", "seed", _INT, _VALUE_TEXT),
+    ("horizon_year", "horizon_year", _INT, _VALUE_TEXT),
+    ("cohort_sizes", "cohort_sizes", _one_line(
+        lambda v, ln: {y: _whole(n) for y, n in _parse_pairs(int, v, ln).items()}
+    ), _pairs_text),
+    ("aalana_rate", "aalana_rate", _RATE, _VALUE_TEXT),
+    ("first_gen_rate", "first_gen_rate", _RATE, _VALUE_TEXT),
+    ("la_rate", "la_rate", _RATE, _VALUE_TEXT),
+    ("slow_finisher_rate", "slow_finisher_rate", _RATE, _VALUE_TEXT),
+    ("colleges", "colleges", _one_line(partial(_parse_pairs, str)), _pairs_text),
+    ("la_year_dist", "la_year_dist", _one_line(partial(_parse_pairs, int)), _pairs_text),
+    ("matrix", "true_matrix", _matrix, _matrix_text),
+    ("effect_matrix", "effect_matrix", _matrix, _matrix_text),
+)
+_REQUIRED = {f.name for f in fields(GeneratorSpec)
+             if f.default is MISSING and f.default_factory is MISSING}
+
+
 def parse_generator_spec(text):
     """Parse the plain-text `key = value` generator configuration.
 
     The `matrix` (and optional `effect_matrix`) keys introduce an inline
-    8x8 block of 64 whitespace-separated numbers, row-major. A key given
-    twice, at the top level or within a `key:value` list, is an error.
+    8x8 block of 64 whitespace-separated numbers, row-major, on the key-less
+    lines below them. A key given twice, at the top level or within a
+    `key:value` list, is an error; a key not given takes GeneratorSpec's
+    default.
     """
-    lines = text.splitlines()
-    fields = {}
-    matrices = {}
-    seen = {}  # key: the line that first gives it
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped or stripped.startswith("#"):
-            i += 1
-            continue
-        if "=" not in stripped:
-            raise SpecFileError(i + 1, f"expected key = value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if (first := seen.setdefault(key, i + 1)) != i + 1:
-            raise SpecFileError(i + 1, f"{key} repeats line {first}")
-        if key in ("matrix", "effect_matrix"):
-            if value:
-                raise SpecFileError(i + 1, f"{key} block must start on the next line")
-            matrices[key], i = _parse_matrix_block(lines, i + 1, key)
-            continue
-        fields[key] = value
-        i += 1
-
-    def take(key, cast, default=None, required=False):
-        if key not in fields:
-            if required:
-                raise SpecFileError(None, f"missing required key {key!r}")
-            return default
-        raw, line_no = fields.pop(key), seen[key]
-        try:
-            return cast(raw, line_no)
-        except (TypeError, ValueError):
-            raise SpecFileError(line_no, f"bad value for {key}: {raw!r}") from None
-
-    if "matrix" not in matrices:
+    given = {}  # key: (its line number, its value, the key-less lines below it)
+    rows = None
+    for line_no, key, value in _key_value_lines(text):
+        if key is None:
+            if rows is None:
+                raise SpecFileError(line_no, f"expected key = value, got {value!r}")
+            rows.append((line_no, value))
+        elif key in given:
+            raise SpecFileError(line_no, f"{key} repeats line {given[key][0]}")
+        else:
+            rows = []
+            given[key] = (line_no, value, rows)
+    if "matrix" not in given:
         raise SpecFileError(None, "missing required matrix block")
-    spec_kwargs = dict(
-        true_matrix=matrices["matrix"],
-        effect_matrix=matrices.get("effect_matrix"),
-        seed=take("seed", lambda v, _ln: int(v), required=True),
-        horizon_year=take("horizon_year", lambda v, _ln: int(v), required=True),
-        cohort_sizes=take(
-            "cohort_sizes",
-            lambda v, ln: {y: _whole(n) for y, n in _parse_pairs(v, ln, int).items()},
-            required=True,
-        ),
-        aalana_rate=take("aalana_rate", lambda v, _ln: float(v), 0.0),
-        first_gen_rate=take("first_gen_rate", lambda v, _ln: float(v), 0.0),
-        la_rate=take("la_rate", lambda v, _ln: float(v), 0.0),
-        slow_finisher_rate=take("slow_finisher_rate", lambda v, _ln: float(v), 0.0),
-        la_year_dist=take("la_year_dist", lambda v, ln: _parse_pairs(v, ln, int)),
-    )
-    colleges = take("colleges", lambda v, ln: _parse_pairs(v, ln, str))
-    if colleges is not None:
-        spec_kwargs["colleges"] = colleges
-    if fields:
-        key = next(iter(fields))
-        raise SpecFileError(seen[key], f"unknown key {key!r}")
+    kwargs = {}
+    for key, name, read, _ in _SPEC_KEYS:
+        if key in given:
+            kwargs[name] = read(key, *given.pop(key))
+        elif name in _REQUIRED:
+            raise SpecFileError(None, f"missing required key {key!r}")
+    if given:
+        key = next(iter(given))
+        raise SpecFileError(given[key][0], f"unknown key {key!r}")
     try:
-        return GeneratorSpec(**spec_kwargs)
+        return GeneratorSpec(**kwargs)
     except ValueError as exc:
         raise SpecFileError(None, str(exc)) from None
 
@@ -345,35 +357,11 @@ def load_generator_spec(path):
     return parse_generator_spec(_utf8_text(path))
 
 
-def _format_matrix_block(matrix):
-    return "\n".join(
-        " ".join(format(v, ".17g") for v in row) for row in matrix.p
-    )
-
-
 def format_generator_spec(spec):
-    """Serialize a GeneratorSpec back into the config-file format;
-    round-trips through parse_generator_spec."""
-    lines = [
-        f"seed = {spec.seed}",
-        f"horizon_year = {spec.horizon_year}",
-        "cohort_sizes = "
-        + " ".join(f"{y}:{spec.cohort_sizes[y]}" for y in sorted(spec.cohort_sizes)),
-        f"aalana_rate = {spec.aalana_rate}",
-        f"first_gen_rate = {spec.first_gen_rate}",
-        f"la_rate = {spec.la_rate}",
-        f"slow_finisher_rate = {spec.slow_finisher_rate}",
-        "colleges = "
-        + " ".join(f"{c}:{spec.colleges[c]}" for c in sorted(spec.colleges)),
-    ]
-    if spec.la_year_dist is not None:
-        lines.append(
-            "la_year_dist = "
-            + " ".join(f"{y}:{spec.la_year_dist[y]}" for y in sorted(spec.la_year_dist))
-        )
-    lines.append("matrix =")
-    lines.append(_format_matrix_block(spec.true_matrix))
-    if spec.effect_matrix is not None:
-        lines.append("effect_matrix =")
-        lines.append(_format_matrix_block(spec.effect_matrix))
-    return "\n".join(lines) + "\n"
+    """Serialize a GeneratorSpec back into the config-file format, leaving
+    out a key whose value is None; round-trips through parse_generator_spec."""
+    return "".join(
+        f"{key} ={write(value)}\n"
+        for key, name, _, write in _SPEC_KEYS
+        if (value := getattr(spec, name)) is not None
+    )

@@ -455,6 +455,8 @@ def test_commands_leave_numpy_ma_unloaded(panel, tmp_path):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 1
+    assert main(["--help"]) == 0
+    assert main(["estimate", "--help"]) == 0
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
@@ -545,6 +547,17 @@ def _error_cases(panel, tmp):
     zero_size.write_text(GEN_SPEC.replace("2013:300 ", "2013:0 "))
     la_year_sum = tmp / "la_year_sum.spec"
     la_year_sum.write_text(GEN_SPEC.replace("1:0.7 2:0.3", "1:0.7 2:0.2"))
+    commented_cfg = tmp / "commented.cfg"
+    commented_cfg.write_text("# a run\n\n" + cfg.read_text() + "seed 3\n")
+    blank_line_ensemble = tmp / "blank_line.csv"
+    blank_line_ensemble.write_text("replicate,estimate\n1,0.5\n\n2,x\n")
+    # the matrix block's last row is left out, with a `#` and a blank line
+    # in its place, and the block ends at `effect_matrix =`
+    short_matrix = tmp / "short_matrix.spec"
+    short_matrix.write_text(GEN_SPEC.replace("0 0 0 0 0 0 0 1\neffect_matrix =",
+                                             "# Y8\n\neffect_matrix ="))
+    no_sizes = tmp / "no_sizes.spec"
+    no_sizes.write_text(GEN_SPEC.replace("2013:300 2014:300 2015:300 2017:200 2019:200", ""))
     long_id = tmp / "long_id.csv"
     long_id.write_text(f"{header}\n{'s' * 200_000},2013,true,false,SCI,,G,4\n")
     plot = ["plot", "--input", str(tmp / "x" / "e.csv"), "--out", str(tmp / "plot")]
@@ -567,9 +580,19 @@ def _error_cases(panel, tmp):
         ("config_line_without_equals", ["estimate", "--config", str(no_equals_cfg),
                                         "--out", str(tmp / "no_equals")], 1,
          f"usage error: {no_equals_cfg}:6: expected key = value\n"),
+        ("config_comment_and_blank_lines", ["estimate", "--config", str(commented_cfg),
+                                            "--out", str(tmp / "commented")], 1,
+         f"usage error: {commented_cfg}:8: expected key = value\n"),
+        ("config_and_flag_repeat_method", ["estimate", "--config", str(cfg),
+                                           "--method", "traditional",
+                                           "--out", str(tmp / "cfg_method")], 1,
+         "usage error: --method traditional is given twice\n"),
         ("estimate_no_input", ["estimate", "--out", str(tmp / "noinput"), "--horizon", "2021",
                                "--cohort", "2013"], 1,
          "usage error: estimate requires at least one --input\n"),
+        ("estimate_repeated_method", [*estimate, "--method", "markov-full", "--method",
+                                      "markov-full", "--export-ensemble"], 1,
+         "usage error: --method markov-full is given twice\n"),
         ("replicates_1", [*estimate, "--replicates", "1"], 1),
         ("replicates_2_32", [*estimate, "--replicates", str(2**32)], 1,
          "usage error: replicates must be below 2**32, got 4294967296\n"),
@@ -653,12 +676,22 @@ def _error_cases(panel, tmp):
         ("spec_la_year_dist_sum", ["synth", "--spec", str(la_year_sum),
                                    "--out", str(tmp / "s14")],
          2, f"error: {la_year_sum}: la_year_dist probabilities must sum to 1\n"),
+        ("spec_short_matrix_block", ["synth", "--spec", str(short_matrix),
+                                     "--out", str(tmp / "s15")],
+         2, f"error: {short_matrix}: line 8: matrix block needs 64 numbers, got 56\n"),
+        ("spec_empty_cohort_sizes", ["synth", "--spec", str(no_sizes),
+                                     "--out", str(tmp / "s16")],
+         2, f"error: {no_sizes}: cohort_sizes must be non-empty\n"),
         ("plot_no_input", ["plot", "--out", str(tmp / "plot")], 1,
          "usage error: plot requires at least one --input ensemble CSV\n"),
         ("plot_wrong_header", ["plot", "--input", str(wrong_header), "--out", str(tmp / "plot")],
          2, f"error: {wrong_header}: expected header 'replicate,estimate'\n"),
         ("plot_malformed_ensemble", ["plot", "--input", str(bad_ensemble),
                                      "--out", str(tmp / "plot")], 2),
+        ("plot_blank_line_counted", ["plot", "--input", str(blank_line_ensemble),
+                                     "--out", str(tmp / "plot")], 2,
+         f"error: {blank_line_ensemble}: line 4: expected 'replicate,estimate' "
+         "with an estimate in [0, 1]\n"),
         ("plot_nan_estimate", ["plot", "--input", str(nan_ensemble),
                                "--out", str(tmp / "plot")], 2),
         ("plot_inf_estimate", ["plot", "--input", str(inf_ensemble),

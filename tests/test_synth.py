@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,6 +259,12 @@ class TestSpecFile:
         assert spec.cohort_sizes == {2013: 30, 2014: 20}
         assert spec.la_year_dist == {1: 0.5, 2: 0.5}
         assert spec.true_matrix[0, 1] == 0.9
+        # blank and `#` lines are skipped everywhere, a matrix block included
+        commented = "# a generator spec\n\n" + SPEC_TEXT.replace(
+            "matrix =\n", "matrix =\n# from Y1\n\n"
+        ).replace("0 0 0 0 1 0\n", "0 0 0 0 1 0\n  # Y6 and the absorbing rows\n\n", 1)
+        assert commented.count("#") == 3
+        assert parse_generator_spec(commented) == spec
 
     def test_format_round_trip(self, rng):
         spec = GeneratorSpec(
@@ -269,7 +276,10 @@ class TestSpecFile:
             la_rate=0.5,
             la_year_dist={1: 0.25, 3: 0.75},
         )
-        assert parse_generator_spec(format_generator_spec(spec)) == spec
+        parsed = parse_generator_spec(format_generator_spec(spec))
+        assert parsed == spec
+        # a TransitionMatrix is not equal to a None effect matrix
+        assert parsed != replace(spec, effect_matrix=None)
 
     def test_missing_matrix(self):
         with pytest.raises(SpecFileError, match="matrix"):
