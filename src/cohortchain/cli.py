@@ -128,12 +128,8 @@ def _prepare(args):
 
 
 def _subgroup_spec(args):
-    return SubgroupSpec(
-        aalana_only=args.aalana,
-        first_gen_only=args.first_gen,
-        college=args.college,
-        la_group=LaGroup(args.la),
-    )
+    la_group = LaGroup(getattr(args, "la", "all"))  # compare has no --la
+    return SubgroupSpec(args.aalana, args.first_gen, args.college, la_group)
 
 
 def _select(records, spec):
@@ -144,23 +140,21 @@ def _select(records, spec):
     return members
 
 
-def _bootstrap_cfg(args, seed=None):
+def _bootstrap_cfg(args):
     try:
-        return BootstrapConfig(
-            seed=args.seed if seed is None else seed,
-            replicates=args.replicates,
-            ci_level=args.ci,
-        )
+        return BootstrapConfig(seed=args.seed, replicates=args.replicates, ci_level=args.ci)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _estimator_for(method, args):
+def _estimator_for(method, spec, horizon, cohort=None):
+    """method's estimator of the group spec selects: an exposed group's full
+    chain starts at each student's first LA year."""
     if method == "traditional":
-        return TraditionalEstimator(args.cohort, args.horizon)
+        return TraditionalEstimator(cohort, horizon)
     if method == "markov-reduced":
-        return MarkovReducedEstimator(args.cohort, args.horizon)
-    return MarkovFullEstimator(args.horizon, from_la_year=(args.la == "exposed"))
+        return MarkovReducedEstimator(cohort, horizon)
+    return MarkovFullEstimator(horizon, from_la_year=spec.la_group is LaGroup.EXPOSED)
 
 
 def _summary_table(rows):
@@ -193,9 +187,11 @@ def cmd_estimate(args):
             raise UsageError(f"--method {method} is given twice")
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
+    spec = _subgroup_spec(args)
     # only the filtered panel is kept, so the loaded one is freed before the bootstrap
-    records = _select(_load_inputs(args.input), _subgroup_spec(args))
-    summaries = bootstrap_each(records, [_estimator_for(m, args) for m in methods], cfg)
+    records = _select(_load_inputs(args.input), spec)
+    estimators = [_estimator_for(m, spec, args.horizon, args.cohort) for m in methods]
+    summaries = bootstrap_each(records, estimators, cfg)
     label = args.cohort if args.cohort is not None else "all"
     rows = [(label, method, summary) for method, summary in zip(methods, summaries)]
     files = {}
@@ -250,36 +246,36 @@ def _paired_difference(s_a, s_b):
     return s_b.ensemble[i_b] - s_a.ensemble[i_a]
 
 
-def run_comparison(records, args, stratum, extra_spec):
-    """One exposed-vs-unexposed comparison within a stratum; returns
-    (unexposed, exposed, (lo, median, hi)), each group (n, summary,
-    persistence_rates) and the triple the percentile interval of the paired
-    per-replicate difference, exposed minus unexposed. A group's persistence
-    is read off the pooled tally its bootstrap fitted."""
-    seeds = np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64)
+def run_comparison(records, spec, horizon, cfg, stratum):
+    """One exposed-vs-unexposed comparison within the stratum spec selects,
+    each group run as `estimate --la <group> --method markov-full` with a seed
+    of its own; returns (unexposed, exposed, (lo, median, hi)), each group
+    (n, summary, persistence_rates of the tally its bootstrap fitted) and the
+    percentile interval of the paired differences, exposed minus unexposed."""
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(2, dtype=np.uint64)
     groups = []
-    for name, seed in zip(("unexposed", "exposed"), seeds):
-        estimator = MarkovFullEstimator(args.horizon, from_la_year=(name == "exposed"))
-        cfg = _bootstrap_cfg(args, int(seed))
+    for la_group, seed in zip((LaGroup.UNEXPOSED, LaGroup.EXPOSED), seeds):
+        arm = replace(spec, la_group=la_group)
         try:
-            members = _select(records, replace(extra_spec, la_group=LaGroup(name)))
-            summary = bootstrap(members, estimator, cfg)
+            members = _select(records, arm)
+            summary = bootstrap(members, _estimator_for("markov-full", arm, horizon),
+                                replace(cfg, seed=int(seed)))
         except CohortChainError as exc:
-            raise CohortChainError(f"{stratum}: {name} group: {exc}") from None
+            raise CohortChainError(f"{stratum}: {la_group.value} group: {exc}") from None
         groups.append((len(members), summary, persistence_rates(summary.tally)))
     (_, s_un, _), (_, s_ex, _) = groups
-    return (*groups, percentile_ci(_paired_difference(s_un, s_ex), args.ci))
+    return (*groups, percentile_ci(_paired_difference(s_un, s_ex), cfg.ci_level))
 
 
 def cmd_compare(args):
-    _prepare(args)  # checks the flags; each group draws from a seed of its own
+    cfg = _prepare(args)
     records = _load_inputs(args.input)
 
-    strata = [("all", SubgroupSpec(aalana_only=args.aalana, first_gen_only=args.first_gen,
-                                   college=args.college))]
-    if args.strata:
-        strata += [("aalana", SubgroupSpec(aalana_only=True, college=args.college)),
-                   ("first_gen", SubgroupSpec(first_gen_only=True, college=args.college))]
+    spec = _subgroup_spec(args)
+    strata = [("all", spec)]
+    if args.strata:  # within the records the other subgroup flags select
+        strata += [("aalana", replace(spec, aalana_only=True)),
+                   ("first_gen", replace(spec, first_gen_only=True))]
 
     comparison = [("stratum", "group", "n", "p2_5", "median", "p97_5", "width")]
     difference = [("stratum", "median_diff", "diff_p2_5", "diff_median", "diff_p97_5",
@@ -288,7 +284,7 @@ def cmd_compare(args):
     txt = ["Stratum     Transition  no-LA  LA  Difference (LA - no-LA)"]
     ensembles, stdout = {}, []
     for stratum, spec in strata:
-        *groups, diff = run_comparison(records, args, stratum, spec)
+        *groups, diff = run_comparison(records, spec, args.horizon, cfg, stratum)
         for group, (n, s, _) in zip(("unexposed", "exposed"), groups):
             comparison.append((stratum, group, n, s.lo, s.median, s.hi, s.width))
             if args.export_ensemble:
@@ -329,10 +325,7 @@ def cmd_synth(args):
         raise UsageError("synth requires --spec")
     spec = _read(args.spec, load_generator_spec)
     panel = generate_panel(spec)
-    extra = [
-        ("students", len(panel)),
-        ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix))),
-    ]
+    extra = [("students", len(panel)), ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix)))]
     if spec.effect_matrix is not None:
         extra.append(("true_effect_sygr", _fmt(brute_force_sygr(spec.effect_matrix))))
     extra.append(("generator_seed", spec.seed))
@@ -346,8 +339,7 @@ def _read_ensemble_csv(path):
     lines = io.StringIO(_utf8_text(path), newline=None)
     if lines.readline().strip() != "replicate,estimate":
         raise CohortChainError("expected header 'replicate,estimate'")
-    values = []
-    first_line = {}
+    values, first_line = [], {}
     for line_no, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
@@ -380,9 +372,7 @@ def cmd_plot(args):
                 "a density file and a legend entry"
             )
 
-    files = {}
-    curves = []
-    markers = []
+    files, curves, markers = {}, [], []
     for path, label in zip(args.input, labels):
         values = _read(path, _read_ensemble_csv)
         try:
@@ -405,6 +395,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Once(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise UsageError(f"{option_string} may be given once")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser():
     parser = _Parser(prog="cohortchain", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
@@ -412,7 +409,8 @@ def build_parser():
     def common(p, bootstrap_flags=True):
         p.add_argument("--input", action="append", default=None, help="input CSV (repeatable)")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--config", default=None, help="key = value config file; flags override")
+        p.add_argument("--config", action=_Once, help="key = value config file, given once; "
+                       "flags override")
         p.add_argument("--seed", type=int, default=0)
         if bootstrap_flags:
             p.add_argument("--replicates", type=int, default=1000)
@@ -445,7 +443,7 @@ def build_parser():
     p.add_argument("--first-gen", dest="first_gen", action="store_true")
     p.add_argument("--college", default=None)
     p.add_argument("--strata", action="store_true",
-                   help="also compare within aalana and first-gen strata")
+                   help="also compare aalana and first-gen strata within the other filters")
     p.add_argument("--export-ensemble", dest="export_ensemble", action="store_true")
     p.set_defaults(func=cmd_compare)
 
@@ -480,15 +478,16 @@ def _parse_args(parser, argv):
     """Parse argv; with --config, parse again with the file's settings
     inserted as flags right after the command name. Explicit flags come
     later and so win, and repeatable flags (--input, --method) collect the
-    file's values first; any other key the file repeats is a usage error.
-    Keys the command does not take are ignored; an on/off switch takes 1,
-    true, yes, 0, false or no, in any case."""
+    file's values first; a config key, or any other key the file repeats, is
+    a usage error. Keys the command does not take are ignored; an on/off
+    switch takes 1, true, yes, 0, false or no, in any case."""
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
-    tokens = []
-    first_line = {}
+    tokens, first_line = [], {}
     for line_no, key, value in _config_items(args.config):
+        if key == "config":
+            raise UsageError(f"{args.config}:{line_no}: a config file cannot name another")
         if key in _NOT_FLAGS or not hasattr(args, key):
             continue
         first = first_line.setdefault(key, line_no)

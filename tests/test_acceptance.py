@@ -9,8 +9,6 @@ import filecmp
 import time
 from collections import Counter
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from conftest import generate_panel_with_log, matrix_from_rows
@@ -311,8 +309,8 @@ def test_null_effect_difference_covers_zero():
             la_year_dist={1: 1.0},
         )
         records = generate_panel(spec)
-        args = SimpleNamespace(seed=6000 + t, horizon=2021, replicates=300, ci=0.95)
-        _, _, (lo, _, hi) = run_comparison(records, args, "all", SubgroupSpec())
+        cfg = BootstrapConfig(seed=6000 + t, replicates=300, ci_level=0.95)
+        _, _, (lo, _, hi) = run_comparison(records, SubgroupSpec(), 2021, cfg, "all")
         covered += lo <= 0.0 <= hi
     report(
         "null-effect interval covers zero",

@@ -242,6 +242,45 @@ class TestCompare:
         strata = {r["stratum"] for r in read_csv(tmp_path / "comparison.csv")}
         assert strata == {"all", "aalana", "first_gen"}
 
+    @pytest.mark.parametrize("flag, column", [("--aalana", "aalana"), ("--first-gen", "first_gen")])
+    def test_strata_follow_the_subgroup_flags(self, panel, tmp_path, flag, column):
+        code = main([
+            "compare", "--input", str(panel), "--out", str(tmp_path), "--horizon", "2021",
+            "--seed", "3", "--replicates", "30", "--strata", flag,
+        ])
+        assert code == 0
+        # every stratum lies within the rows the flag selects
+        students = [r for r in read_csv(panel) if r[column] == "true"]
+        within = {"all": lambda r: True, "aalana": lambda r: r["aalana"] == "true",
+                  "first_gen": lambda r: r["first_gen"] == "true"}
+        rows = read_csv(tmp_path / "comparison.csv")
+        assert [(r["stratum"], r["group"]) for r in rows] == [
+            (stratum, group) for stratum in within for group in ("unexposed", "exposed")]
+        for row in rows:
+            exposed = row["group"] == "exposed"
+            n = sum(within[row["stratum"]](r) and (r["la_year"] != "") == exposed
+                    for r in students)
+            assert int(row["n"]) == n, row
+
+    def test_each_group_is_an_estimate_la_run(self, panel, tmp_path):
+        # a group is `estimate --la <group> --method markov-full` run with
+        # its own seed, drawn from the compare seed
+        argv = ["--input", str(panel), "--horizon", "2021", "--replicates", "60", "--aalana",
+                "--export-ensemble"]
+        cmp_ = tmp_path / "cmp"
+        assert main(["compare", *argv, "--seed", "17", "--out", str(cmp_)]) == 0
+        rows = {r["group"]: r for r in read_csv(cmp_ / "comparison.csv")}
+        seeds = np.random.SeedSequence(17).generate_state(2, dtype=np.uint64)
+        for group, seed in zip(("unexposed", "exposed"), seeds):
+            out = tmp_path / group
+            assert main(["estimate", *argv, "--seed", str(seed), "--la", group,
+                         "--method", "markov-full", "--out", str(out)]) == 0
+            assert ((out / "ensemble_markov-full.csv").read_bytes()
+                    == (cmp_ / f"ensemble_all_{group}.csv").read_bytes())
+            (summary,) = read_csv(out / "summary_full.csv")
+            for k in ("p2_5", "median", "p97_5", "width"):
+                assert summary[k] == rows[group][k], (group, k)
+
     def test_unobserved_year_reported_as_na(self, tmp_path):
         # under the effect matrix every exposed student leaves by year 4, so
         # the exposed chain never visits Y5 and its Y5 row is imputed
@@ -531,6 +570,10 @@ def _error_cases(panel, tmp):
     repeated_key.write_text(cfg.read_text() + "seed = 1\nseed = 2\n")
     repeated_input = tmp / "repeated_input.cfg"
     repeated_input.write_text(cfg.read_text() + f"input = {panel}\n")
+    seed_cfg = tmp / "seed.cfg"
+    seed_cfg.write_text("seed = 3\n")
+    nested_cfg = tmp / "nested.cfg"
+    nested_cfg.write_text(cfg.read_text() + f"config = {seed_cfg}\n")
     wrong_header = tmp / "wrong_header.csv"
     wrong_header.write_text("replicate,rate\n1,0.5\n2,0.6\n")
     no_equals_cfg = tmp / "no_equals.cfg"
@@ -583,6 +626,12 @@ def _error_cases(panel, tmp):
         ("config_comment_and_blank_lines", ["estimate", "--config", str(commented_cfg),
                                             "--out", str(tmp / "commented")], 1,
          f"usage error: {commented_cfg}:8: expected key = value\n"),
+        ("config_given_twice", ["estimate", "--config", str(seed_cfg), "--config", str(cfg),
+                                "--out", str(tmp / "two_configs")], 1,
+         "usage error: --config may be given once\n"),
+        ("config_names_a_config", ["estimate", "--config", str(nested_cfg),
+                                   "--out", str(tmp / "nested")], 1,
+         f"usage error: {nested_cfg}:6: a config file cannot name another\n"),
         ("config_and_flag_repeat_method", ["estimate", "--config", str(cfg),
                                            "--method", "traditional",
                                            "--out", str(tmp / "cfg_method")], 1,
