@@ -9,8 +9,11 @@ replace, the full-precision CSVs.
 Each `cmd_<command>` only computes: it returns (exit code, files, stdout
 text), files mapping output names to their text, and `main` alone creates
 --out and writes the files and then stdout once the command has returned.
-A run that fails creates no --out; validate's FAIL (exit 3) still writes
-its report.
+A file's text is a str, or an iterable of str pieces that `main` writes in
+order as it draws them: synth's panel comes as pieces, so that no one holds
+its whole text. Formatting a validated panel cannot raise, so drawing the
+pieces only once --out exists keeps the rule that a run that fails creates
+no --out; validate's FAIL (exit 3) still writes its report.
 
 Exit codes: 0 success, 1 usage error, 2 data or estimation error or an
 unwritable --out, 3 validation failure.
@@ -40,10 +43,10 @@ from .records import (
     LaGroup,
     Panel,
     SubgroupSpec,
+    _format_pieces,
     _key_value_lines,
     _utf8_text,
     filter_subgroup,
-    format_records,
     load_records,
 )
 from .svgplot import render_line_chart
@@ -282,9 +285,12 @@ def cmd_compare(args):
                    "ci_overlap")]
     persistence = [("stratum", "transition", "unexposed", "exposed", "difference")]
     txt = ["Stratum     Transition  no-LA  LA  Difference (LA - no-LA)"]
-    ensembles, stdout = {}, []
+    ensembles, stdout, results = {}, [], {}
     for stratum, spec in strata:
-        *groups, diff = run_comparison(records, spec, args.horizon, cfg, stratum)
+        # a stratum whose filter repeats an earlier one's reuses its result
+        if spec not in results:
+            results[spec] = run_comparison(records, spec, args.horizon, cfg, stratum)
+        *groups, diff = results[spec]
         for group, (n, s, _) in zip(("unexposed", "exposed"), groups):
             comparison.append((stratum, group, n, s.lo, s.median, s.hi, s.width))
             if args.export_ensemble:
@@ -330,7 +336,7 @@ def cmd_synth(args):
         extra.append(("true_effect_sygr", _fmt(brute_force_sygr(spec.effect_matrix))))
     extra.append(("generator_seed", spec.seed))
     extra.append(("generator_spec", repr(format_generator_spec(spec))))
-    files = {"panel.csv": format_records(panel), "metadata.txt": _metadata(args, extra)}
+    files = {"panel.csv": _format_pieces(panel), "metadata.txt": _metadata(args, extra)}
     return 0, files, f"wrote {len(panel)} records to {Path(args.out) / 'panel.csv'}\n"
 
 
@@ -527,7 +533,8 @@ def main(argv=None):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines((text,) if isinstance(text, str) else text)
     except OSError as exc:
         sys.stderr.write(f"error: cannot write {exc.filename}: {exc.strerror or exc}\n")
         return 2

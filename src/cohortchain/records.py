@@ -39,7 +39,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple
 
 import numpy as np
@@ -456,16 +456,32 @@ def _csv_text(rows):
 _MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
 
 
-def format_records(records):
-    """Serialize records back to the CSV schema (LF endings, UTF-8 safe).
+def _csv_ids(ids):
+    """A list of ids as CSV fields: only an id that csv.writer might quote
+    goes through the writer."""
+    if not any(map(_MAY_NEED_QUOTES, ids)):
+        return ids
+    return [_csv_text([[sid]])[:-1] if _MAY_NEED_QUOTES(sid) else sid for sid in ids]
 
-    Writes by kind: the text after the id is written once per kind, and each
-    row is its id, a comma and its kind's text. Only an id that csv.writer
-    might quote goes through the writer.
+
+# Rows per piece of a panel's CSV text: about 600 KB of text on a
+# synthetic panel.
+_PIECE_ROWS = 2**14
+
+
+def _format_pieces(records):
+    """The CSV text of records in pieces, in order: the header, then the
+    rows in blocks of _PIECE_ROWS.
+
+    Writes by kind: the text after the id is written once per kind, and a
+    block is one join of its ids interleaved with their kinds' texts, so no
+    row has a string of its own. A piece is built only when it is drawn,
+    and leaves nothing behind but its text, so a writer that writes each
+    piece as it comes holds one block's text at a time.
     """
     panel = Panel.from_records(records)
     texts = [
-        _csv_text([[
+        "," + _csv_text([[
             r.cohort_year,
             "true" if r.aalana else "false",
             "true" if r.first_gen else "false",
@@ -476,11 +492,20 @@ def format_records(records):
         ]])
         for r in panel.kinds
     ]
-    rows = (
-        (_csv_text([[sid]])[:-1] if _MAY_NEED_QUOTES(sid) else sid) + "," + texts[k]
-        for sid, k in zip(panel.ids, panel.kind.tolist())
-    )
-    return _csv_text([CSV_HEADER]) + "".join(rows)
+    yield _csv_text([CSV_HEADER])
+    # one expression, so that a suspended piece keeps nothing but its text
+    for start in range(0, len(panel.ids), _PIECE_ROWS):
+        yield "".join(chain.from_iterable(zip(
+            _csv_ids(panel.ids[start:start + _PIECE_ROWS]),
+            map(texts.__getitem__, panel.kind[start:start + _PIECE_ROWS].tolist()),
+        )))
+
+
+def format_records(records):
+    """Serialize records back to the CSV schema (LF endings, UTF-8 safe):
+    the pieces of _format_pieces joined into one str. The CLI writes synth's
+    panel from the pieces themselves."""
+    return "".join(_format_pieces(records))
 
 
 def derive_transitions(r, horizon_year):

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,17 @@ def make_record(
         outcome=outcome,
         outcome_year=outcome_year,
     )
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

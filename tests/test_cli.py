@@ -7,11 +7,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import format_records_by_record, traced_peak
 
 from cohortchain import cli
-from cohortchain.bootstrap import percentile_ci
+from cohortchain.bootstrap import bootstrap, percentile_ci
 from cohortchain.cli import main, round_pct
-from cohortchain.records import CSV_HEADER
+from cohortchain.records import _PIECE_ROWS, CSV_HEADER, format_records
+from cohortchain.synth import generate_panel, load_generator_spec
 
 GEN_SPEC = """\
 seed = 11
@@ -40,6 +42,12 @@ effect_matrix =
 0 0 0 0 0 0 1 0
 0 0 0 0 0 0 0 1
 """
+
+# 6 x 3,334 students: more than one piece of the panel writer's text
+LARGE_SPEC = GEN_SPEC.replace(
+    "cohort_sizes = 2013:300 2014:300 2015:300 2017:200 2019:200",
+    "cohort_sizes = 2013:3334 2014:3334 2015:3334 2016:3334 2017:3334 2018:3334",
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +79,32 @@ class TestSynth:
         for d in ("a", "b"):
             assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / d)]) == 0
         assert filecmp.cmp(tmp_path / "a/panel.csv", tmp_path / "b/panel.csv", shallow=False)
+
+    def test_panel_of_several_pieces_is_written_whole(self, tmp_path):
+        spec_path = tmp_path / "large.spec"
+        spec_path.write_text(LARGE_SPEC)
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "o")]) == 0
+        panel = generate_panel(load_generator_spec(spec_path))
+        assert len(panel) > _PIECE_ROWS
+        written = (tmp_path / "o/panel.csv").read_bytes()
+        assert written == format_records(panel).encode()
+        assert written == format_records_by_record(panel).encode()
+
+    def test_peak_memory_beyond_the_panel_bounded_by_text_size(self, tmp_path):
+        # The run's traced peak, less that of generate_panel alone, over the
+        # panel text's size on these 20,004 students: 3.26 holding a string
+        # per row, the joined text and its encoded copy at once; 1.32
+        # writing the text in pieces of _PIECE_ROWS (16,384) rows.
+        spec_path = tmp_path / "large.spec"
+        spec_path.write_text(LARGE_SPEC)
+        synth = ["synth", "--spec", str(spec_path), "--out"]
+        # a first run, untraced, so that neither peak counts one-time set-up
+        assert main([*synth, str(tmp_path / "warm")]) == 0
+        spec = load_generator_spec(spec_path)
+        panel_peak = traced_peak(lambda: generate_panel(spec))[1]
+        code, peak = traced_peak(lambda: main([*synth, str(tmp_path / "o")]))
+        assert code == 0
+        assert peak - panel_peak < 2.0 * (tmp_path / "o/panel.csv").stat().st_size
 
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path)]) == 1
@@ -261,6 +295,41 @@ class TestCompare:
             n = sum(within[row["stratum"]](r) and (r["la_year"] != "") == exposed
                     for r in students)
             assert int(row["n"]) == n, row
+
+    @pytest.mark.parametrize("flag, repeated, other", [
+        ("--aalana", "aalana", "first_gen"), ("--first-gen", "first_gen", "aalana")])
+    def test_repeated_stratum_is_read_once(self, panel, tmp_path, monkeypatch, flag, repeated,
+                                           other):
+        # the flag makes one stratum select all's records: its groups are
+        # bootstrapped once, and its rows repeat all's under its own name
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bootstrap", counted)
+        argv = ["compare", "--input", str(panel), "--horizon", "2021", "--seed", "3",
+                "--replicates", "30", "--export-ensemble", "--aalana", "--first-gen"]
+        both, strata = tmp_path / "both", tmp_path / "strata"
+        assert main([*argv, "--out", str(both)]) == 0
+        del calls[:]
+        assert main([*argv[:-2], flag, "--strata", "--out", str(strata)]) == 0
+        assert len(calls) == 4
+
+        def rows(out, name, stratum):
+            return [{k: v for k, v in r.items() if k != "stratum"}
+                    for r in read_csv(out / name) if r["stratum"] == stratum]
+
+        # the other stratum selects the records both flags select
+        for name in ("comparison.csv", "difference.csv", "persistence.csv"):
+            assert rows(strata, name, repeated) == rows(strata, name, "all"), name
+            assert rows(strata, name, other) == rows(both, name, "all"), name
+        for group in ("unexposed", "exposed"):
+            ensemble = (strata / f"ensemble_all_{group}.csv").read_bytes()
+            assert (strata / f"ensemble_{repeated}_{group}.csv").read_bytes() == ensemble
+            assert ((strata / f"ensemble_{other}_{group}.csv").read_bytes()
+                    == (both / f"ensemble_all_{group}.csv").read_bytes())
 
     def test_each_group_is_an_estimate_la_run(self, panel, tmp_path):
         # a group is `estimate --la <group> --method markov-full` run with

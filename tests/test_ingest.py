@@ -1,12 +1,11 @@
 import csv
 import gc
-import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from itertools import product
 from unittest.mock import patch
 
 import pytest
-from conftest import format_records_by_record, make_record, parse_records_by_row
+from conftest import format_records_by_record, make_record, parse_records_by_row, traced_peak
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -336,12 +335,7 @@ class TestLinePath:
         # path, and 5.7 with csv.reader (the same rows with one quoted
         # field). Both decode the bytes a piece at a time.
         data = plain_rows(20_000)
-        tracemalloc.start()
-        try:
-            panel = parse_records(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        panel, peak = traced_peak(lambda: parse_records(data))
         assert len(panel) == 20_000
         assert peak < 9 * len(data)
 
@@ -351,12 +345,7 @@ class TestLinePath:
         # once.
         path = tmp_path / "panel.csv"
         path.write_bytes(plain_rows(100_000))
-        tracemalloc.start()
-        try:
-            panel = load_records(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        panel, peak = traced_peak(lambda: load_records(path))
         assert len(panel) == 100_000
         assert peak < 5 * path.stat().st_size
 
@@ -456,6 +445,16 @@ def awkward_record(draw):
 @settings(max_examples=300)
 def test_format_matches_per_record_writer(records):
     assert format_records(records) == format_records_by_record(records)
+
+
+@given(records=st.lists(awkward_record(), max_size=12))
+@settings(max_examples=300)
+def test_format_matches_per_record_writer_in_pieces_of_3_rows(records):
+    # piece boundaries fall inside the panel, next to quoted and plain ids
+    with patch.object(records_module, "_PIECE_ROWS", 3):
+        assert format_records(records) == format_records_by_record(records)
+        pieces = list(records_module._format_pieces(records))
+    assert len(pieces) == 1 + -(-len(records) // 3)
 
 
 class TestPanel:
