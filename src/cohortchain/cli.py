@@ -127,7 +127,10 @@ def _prepare(args):
         raise UsageError(f"{args.command} requires at least one --input")
     if args.horizon is None:
         raise UsageError(f"{args.command} requires --horizon")
-    return _bootstrap_cfg(args)
+    try:
+        return BootstrapConfig(seed=args.seed, replicates=args.replicates, ci_level=args.ci)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _subgroup_spec(args):
@@ -141,13 +144,6 @@ def _select(records, spec):
     if not members:
         raise CohortChainError(f"no records match the subgroup filters ({len(records)} loaded)")
     return members
-
-
-def _bootstrap_cfg(args):
-    try:
-        return BootstrapConfig(seed=args.seed, replicates=args.replicates, ci_level=args.ci)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _estimator_for(method, spec, horizon, cohort=None):

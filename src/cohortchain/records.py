@@ -24,12 +24,10 @@ any plain text with a row the line path would not accept, is read by
 `csv.reader`, row by row, which raises every ingest error. A row's validity
 depends only on its kind and its id, so every error still names the first
 offending row in file order. Both paths read the source, bytes or a
-binary file, as one decoded text stream: the line path in pieces of
-`_PIECE_CHARS` characters, carrying a line cut by a piece's end over to the
-next, and `csv.reader` from the stream's start again. Neither holds a
-file's text or its list of lines, and bytes are decoded piece by piece.
-The input may start with a byte-order mark, as spreadsheet programs write
-it.
+binary file, as one decoded text stream, and neither holds a file's text
+or its list of lines; `parse_records` gives the order of the two passes
+and where a non-UTF-8 byte raises. The input may start with a byte-order
+mark, as spreadsheet programs write it.
 """
 
 import csv
@@ -257,50 +255,43 @@ _HEADER_LINE = ",".join(CSV_HEADER)
 _PIECE_CHARS = 2**18
 
 
-def _line_batches(pieces):
-    """The lines of text given in successive str pieces, a list per piece,
-    without their LF or CRLF endings; None in place of a list, and nothing
-    after it, once the text shows a '"', a NUL, a CR not followed by LF, or
-    a line longer than csv.field_size_limit().
-    """
-    limit = csv.field_size_limit()
-    rest = ""  # the text after the last LF so far
-    for piece in pieces:
-        text = rest + piece
-        # a CR ending the text may meet its LF in the next piece
-        if '"' in piece or "\0" in piece or (
-            "\r" in text and text.count("\r") - text.endswith("\r") != text.count("\r\n")
-        ):
-            yield None
-            return
-        lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
-        rest = lines.pop()
-        if len(rest) > limit or max(map(len, lines), default=0) > limit:
-            yield None
-            return
-        yield lines
-    if rest:
-        yield None if "\r" in rest else [rest]
-
-
 def _parse_lines(pieces, seen):
     """The Panel of plain CSV text, given in successive str pieces and read
     line by line, or None to leave the text to csv.reader.
 
-    With no '"' or NUL in the text, and each CR followed by LF, csv.reader
-    yields exactly each line split on commas, and an empty row for a blank
-    line, which both paths skip after the header. On any text or row this
-    path would not accept it declines, raising nothing and leaving seen as
-    it was.
+    Each piece is split into its lines, less their LF or CRLF endings; a
+    line cut by the piece's end is carried over to the next. With no '"' or
+    NUL in the text, and each CR followed by LF, csv.reader yields exactly
+    each line split on commas, and an empty row for a blank line, which both
+    paths skip after the header. On any text or row this path would not
+    accept, a line longer than csv.field_size_limit() too, it declines,
+    raising nothing and leaving seen as it was. It draws every piece even
+    then, so that a non-UTF-8 byte anywhere raises here.
     """
+    limit = csv.field_size_limit()
     ids, kind, index, first = [], [], {}, []
     header = False
-    for lines in _line_batches(pieces):
-        if lines is None:
-            return None
+    tail = ""  # the text after the last LF so far
+    pieces = chain(pieces, [None])  # None: the text's end
+    for piece in pieces:
+        if piece is None:  # the text after the last LF is its last line
+            if "\r" in tail:
+                break
+            lines = [tail]
+        else:
+            text = tail + piece
+            # a CR ending the text may meet its LF in the next piece
+            if '"' in piece or "\0" in piece or (
+                "\r" in text and text.count("\r") - text.endswith("\r") != text.count("\r\n")
+            ):
+                break
+            lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+            tail = lines.pop()
+            if len(tail) > limit or max(map(len, lines), default=0) > limit:
+                break
         if not header and lines:
             if lines[0] != _HEADER_LINE:
-                return None
+                break
             header = True
             del lines[0]
         for line in lines:
@@ -313,70 +304,65 @@ def _parse_lines(pieces, seen):
                 first.append(len(ids))
             ids.append(sid)
             kind.append(k)
-    if not header:
-        return None
-    kinds = []
-    for rest, i in zip(index, first):
-        if rest.count(",") != len(CSV_HEADER) - 2:
+    else:  # every line read
+        kinds = []
+        for rest, i in zip(index, first):
+            if rest.count(",") != len(CSV_HEADER) - 2:
+                return None
+            try:
+                kinds.append(_parse_kind([ids[i], *rest.split(",")], i + 2))
+            except (ParseError, InvariantViolation):
+                return None
+        kind = np.array(kind, dtype=np.intp)
+        # the ids go into seen itself, and out again if one repeats or is
+        # empty, so that no second set of them adds to the peak
+        if not seen.isdisjoint(ids):
             return None
-        try:
-            kinds.append(_parse_kind([ids[i], *rest.split(",")], i + 2))
-        except (ParseError, InvariantViolation):
+        size = len(seen)
+        seen.update(ids)
+        if len(seen) != size + len(ids) or "" in seen:
+            seen.difference_update(ids)
             return None
-    kind = np.array(kind, dtype=np.intp)
-    # the ids go into seen itself, and out again if one repeats or is
-    # empty, so that no second set of them adds to the peak
-    if not seen.isdisjoint(ids):
-        return None
-    size = len(seen)
-    seen.update(ids)
-    if len(seen) != size + len(ids) or "" in seen:
-        seen.difference_update(ids)
-        return None
-    return Panel(ids, kind, kinds)
-
-
-def _csv_rows(lines):
-    """(row number, row) for each CSV row of an iterable of text lines, from
-    1; a csv.Error is a ParseError of the row it stopped in."""
-    row_no = 0
-    try:
-        for row_no, row in enumerate(csv.reader(lines), start=1):
-            yield row_no, row
-    except csv.Error as exc:
-        raise ParseError(row_no + 1, "row", str(exc)) from None
+        return Panel(ids, kind, kinds)
+    for _ in pieces:  # declined before the end: decode the rest all the same
+        pass
+    return None
 
 
 def _parse_rows(lines, seen):
     """The Panel of CSV text read row by row by csv.reader; raises every
-    ingest error, naming the first offending row."""
-    rows = _csv_rows(lines)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ParseError(1, "student_id", "missing header row") from None
-    if header != CSV_HEADER:
-        raise ParseError(1, "header", f"expected {_HEADER_LINE!r}, got {','.join(header)!r}")
-
+    ingest error, naming the first offending row. A row csv.reader cannot
+    read is a ParseError of that row."""
+    rows = enumerate(csv.reader(lines), start=1)
     ids, kind, index, kinds = [], [], {}, []
-    for row_no, row in rows:
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ParseError(row_no, "row", f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-        sid = row[0]
-        if not sid:
-            raise ParseError(row_no, "student_id", "must be non-empty")
-        if sid in seen:
-            raise DuplicateId(sid, row_no)
-        seen.add(sid)
-        ids.append(sid)
-        key = tuple(row[1:])
-        k = index.get(key)
-        if k is None:
-            k = index[key] = len(kinds)
-            kinds.append(_parse_kind(row, row_no))
-        kind.append(k)
+    row_no = 0  # the last row read
+    try:
+        row_no, header = next(rows, (1, None))
+        if header is None:
+            raise ParseError(1, "student_id", "missing header row")
+        if header != CSV_HEADER:
+            raise ParseError(1, "header", f"expected {_HEADER_LINE!r}, got {','.join(header)!r}")
+        for row_no, row in rows:
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise ParseError(row_no, "row",
+                                 f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            sid = row[0]
+            if not sid:
+                raise ParseError(row_no, "student_id", "must be non-empty")
+            if sid in seen:
+                raise DuplicateId(sid, row_no)
+            seen.add(sid)
+            ids.append(sid)
+            key = tuple(row[1:])
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(kinds)
+                kinds.append(_parse_kind(row, row_no))
+            kind.append(k)
+    except csv.Error as exc:
+        raise ParseError(row_no + 1, "row", str(exc)) from None
     return Panel(ids, np.array(kind, dtype=np.intp), kinds)
 
 
@@ -392,9 +378,13 @@ def parse_records(source, seen=None):
     read before this source, as from earlier files: a row repeating one is
     a DuplicateId, and this source's ids are added to it. A row csv.reader
     cannot read, as one with a field longer than csv.field_size_limit(), is
-    a ParseError of that row. The text is read _PIECE_CHARS characters at a
-    time, and a non-UTF-8 byte raises UnicodeDecodeError, at its offset
-    from the start of the bytes, before any row error.
+    a ParseError of that row.
+
+    The text is read in two passes at most. The line pass decodes it all,
+    _PIECE_CHARS characters at a time, so a non-UTF-8 byte raises
+    UnicodeDecodeError there, at its offset from the start of the bytes,
+    before any row error. Only text that pass declines is read again, from
+    its start, by csv.reader, which then only parses.
     """
     raw = io.BytesIO(source) if isinstance(source, bytes) else source
     seen = set() if seen is None else seen
@@ -404,21 +394,16 @@ def parse_records(source, seen=None):
     with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="\n") as text:
         try:
             panel = _parse_lines(iter(partial(text.read, _PIECE_CHARS), ""), seen)
-            if panel is not None:
-                return panel
-            text.seek(0)
-            try:
-                return _parse_rows(text, seen)
-            except (ParseError, DuplicateId, InvariantViolation):
-                while text.read(_PIECE_CHARS):  # to the first non-UTF-8 byte, if any
-                    pass
-                raise
         except UnicodeDecodeError:
             # the text layer counts a bad byte from the start of its last
             # read; decoding the bytes whole counts it from their start
             raw.seek(0)
             raw.read().decode("utf-8")
             raise
+        if panel is None:
+            text.seek(0)
+            panel = _parse_rows(text, seen)
+        return panel
 
 
 def load_records(path, seen=None):

@@ -370,6 +370,23 @@ class TestLinePath:
             _load_inputs([path])
         assert str(exc.value) == f"{path}: not UTF-8 text (byte {at})"
 
+    def test_declined_text_is_decoded_before_csv_reader(self, monkeypatch, tmp_path):
+        # The line pass declines at the quoted first row, in the first
+        # piece, and still decodes the pieces after it: the bad byte raises
+        # there, and csv.reader never reads the text.
+        monkeypatch.setattr(records_module, "_PIECE_CHARS", 1000)
+        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
+        data = bytearray(csv_bytes('"a",2013,true,false,SCI,2,G,4', *[
+            f"s{i},2013,true,false,SCI,2,G,4" for i in range(2000)]))
+        at = len(data) - 10
+        data[at] = 0xFF
+        path = tmp_path / "panel.csv"
+        path.write_bytes(data)
+        for load in (load_records, parse_records):
+            with pytest.raises(UnicodeDecodeError) as exc:
+                load(path if load is load_records else bytes(data))
+            assert exc.value.start == at
+
 
 class TestByteOrderMark:
     """UTF-8 text may start with a byte-order mark, as spreadsheet programs
