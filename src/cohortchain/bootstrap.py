@@ -6,13 +6,12 @@ bit-for-bit regardless of execution order. `bootstrap` computes the PCG64
 seed words of all its replicates in one vectorised pass of SeedSequence's
 algorithm (`_seed_words`) instead of hashing each replicate's
 `SeedSequence([seed, b])` in Python; `resample_indices` is the per-replicate
-reference. Every resample is drawn from PCG64's raw words by the bounded
-draw that `Generator.integers` makes (Lemire 2019). A resample of at most
-`_BLOCK_DRAW_MAX` records is drawn a chunk of replicates at a time, so that
-the chunk's draws, keys and counts are single numpy passes; a larger one,
-and one whose chunk draw rejects a word, is drawn one replicate at a time
-in pieces of at most `_CHUNK_DRAWS` draws. Each chunk or piece is computed
-into arrays of its own. Both give exactly the
+reference. A resample of at most `_BLOCK_DRAW_MAX` records is drawn a chunk
+of replicates at a time from PCG64's raw words, by the bounded draw that
+`Generator.integers` makes (Lemire 2019), so that the chunk's draws, keys
+and counts are single numpy passes. A larger one, and one whose chunk draw
+rejects a word, is drawn by numpy's own `Generator.integers` on a PCG64
+seeded with the replicate's words. Both give exactly the
 `default_rng([seed, b]).integers(0, n, size=n)` streams.
 A replicate is kept only as the counts of its records' `Panel` kinds; a
 block of replicates' pooled tallies are their kind counts times each
@@ -42,16 +41,15 @@ FAILURE_CEILING = 0.10
 # matrices per replicate, so a block of 128 keeps it under half a megabyte
 # however many replicates are drawn, while still amortizing its per-call cost.
 REPLICATE_BLOCK = 128
-# Index draws made per numpy pass of the block draw, and at most per piece
-# of the pieced draw: a chunk's raw words take 64 KB, and the arrays computed
-# afresh from them 320 KB.
+# Index draws made per numpy pass of the block draw: a chunk's raw words take
+# 64 KB, and the arrays computed afresh from them 320 KB.
 _CHUNK_DRAWS = 2**14
-# Resamples of more records than this (fewer than 4 per chunk) are drawn in
-# pieces: the block draw saves the pieced draw's fixed cost per replicate
-# but spends more per record, and its time over that of the pieced draw
-# measured 0.56-0.63 at 1,000 records, 0.74-0.79 at 2,048, 0.95-1.02 at
-# 4,096, 0.91-1.00 at 5,000 and 1.03-1.10 at 5,462 (medians of 7, six
-# rounds, 1,000 replicates, 63 kinds).
+# Resamples of more records than this (fewer than 4 per chunk) are drawn one
+# replicate at a time by Generator.integers: the block draw saves that
+# draw's fixed cost per replicate but spends more per record, and its time
+# over that of the per-replicate draw measured 0.66-0.69 at 1,000 records,
+# 0.82-0.83 at 2,048, 0.94-0.97 at 4,096, 0.94-0.96 at 5,000 and 0.84-1.12
+# at 8,192 (medians of 5, three rounds, 1,000 replicates, 63 kinds).
 _BLOCK_DRAW_MAX = 4096
 KDE_GRID_POINTS = 256
 
@@ -232,40 +230,27 @@ def _kind_counts(kind, n_kinds, words):
     Row k equals `np.bincount(kind[Generator(PCG64(words[k])).integers(0, n,
     size=n)], minlength=n_kinds)` with n = len(kind).
     """
-    from numpy.random import PCG64
+    from numpy.random import Generator, PCG64
     from numpy.random.bit_generator import ISeedSequence
 
     ISeedSequence.register(_SeedWords)
     n = len(kind)
     blocks = [words[s:s + REPLICATE_BLOCK] for s in range(0, len(words), REPLICATE_BLOCK)]
-    # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
-    # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
-    threshold = (2**32 - n) % n
 
     def drawn(w):
-        """The kind counts of one replicate, drawn in pieces of at most
-        _CHUNK_DRAWS 32-bit draws of its stream: a piece keeps the draws it
-        accepts, in order, and the next piece goes on where it ended."""
-        bits = PCG64(_SeedWords(w))
-        counts = np.zeros(n_kinds, dtype=np.int64)
-        left = n
-        while left:
-            raw = bits.random_raw(min(left + 1, _CHUNK_DRAWS) // 2)
-            draws = raw.astype("<u8", copy=False).view("<u4")  # see the chunk draw
-            low = draws * np.uint32(n)
-            if low.min() < threshold:
-                draws = draws[low >= threshold]
-            m = draws[:left] * np.uint64(n)
-            m >>= 32
-            counts += np.bincount(kind.take(m.view(np.int64), mode="clip"), minlength=n_kinds)
-            left -= len(m)
-        return counts
+        """The kind counts of one replicate, drawn by numpy's own bounded
+        draw; the kinds are taken into the index array itself."""
+        idx = Generator(PCG64(_SeedWords(w))).integers(0, n, size=n)
+        return np.bincount(kind.take(idx, mode="clip", out=idx), minlength=n_kinds)
 
     if n > _BLOCK_DRAW_MAX:
         for block in blocks:
             yield np.array([drawn(w) for w in block])
         return
 
+    # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
+    # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
+    threshold = (2**32 - n) % n
     rows = _CHUNK_DRAWS // n
     offsets = np.arange(rows)[:, None] * n_kinds
     for block in blocks:
@@ -291,7 +276,7 @@ def _kind_counts(kind, n_kinds, words):
                 keys.ravel(), minlength=r * n_kinds
             ).reshape(r, n_kinds)
             # a rejected word (under n / 2**32 per draw) shifts every later
-            # index of its stream: draw that replicate again in pieces
+            # index of its stream: draw that replicate again on its own
             for k in np.flatnonzero(rejected):
                 counts[start + k] = drawn(chunk[k])
         yield counts

@@ -56,6 +56,12 @@ def report(name, ok, detail=""):
     assert ok, f"{name}{suffix}"
 
 
+def with_mcse(share, n):
+    """A share of n Monte Carlo trials with its standard error,
+    sqrt(p (1 - p) / n) (Morris, White & Crowther 2019)."""
+    return f"{share:.3f} (MCSE {np.sqrt(share * (1 - share) / n):.3f})"
+
+
 def test_complete_cohort_identity():
     """Reduced-chain and traditional estimates coincide on any fully
     observed single cohort, across 100 random worlds."""
@@ -190,7 +196,7 @@ def test_interval_coverage_smoke():
     report(
         "95% interval coverage (smoke)",
         0.88 <= coverage <= 1.00 and elapsed < 60.0,
-        f"coverage = {coverage:.3f}, {elapsed:.1f}s",
+        f"coverage = {with_mcse(coverage, 100)}, {elapsed:.1f}s",
     )
 
 
@@ -202,7 +208,7 @@ def test_interval_coverage_full():
     report(
         "95% interval coverage (full)",
         0.91 <= coverage <= 0.98 and elapsed < 900.0,
-        f"coverage = {coverage:.3f}, {elapsed:.1f}s",
+        f"coverage = {with_mcse(coverage, 500)}, {elapsed:.1f}s",
     )
 
 
@@ -269,7 +275,8 @@ def test_full_chain_narrows_interval():
     report(
         "full-chain interval narrowing",
         narrower >= 90,
-        f"narrower in {narrower}/100, median narrowing {100 * median_frac:.1f}%",
+        f"narrower in {narrower}/100 = {with_mcse(narrower / 100, 100)}, "
+        f"median narrowing {100 * median_frac:.1f}%",
     )
 
 
@@ -345,7 +352,7 @@ def test_null_effect_difference_covers_zero():
     report(
         "null-effect interval covers zero",
         covered >= 90,
-        f"covered in {covered}/100 trials",
+        f"covered in {covered}/100 trials = {with_mcse(covered / 100, 100)}",
     )
 
 

@@ -335,14 +335,16 @@ class TestTypeCounts:
             # even n: the rejection takes one more word, whose high half
             # is spare
             (10_002, [135, 136, 137], {136: [2314]}),
-            # four whole pieces of _CHUNK_DRAWS draws, then a piece of one
+            # odd n and no rejection: the last word's high half is spare
             (65_537, [1, 2], {}),
-            # most replicates reject a word; replicate 30 in the last piece,
-            # which starts at draw 6 * 2**14
+            # every replicate rejects a word, replicate 30 within its last
+            # 1,300 draws and replicate 31 three times
             (100_000, [29, 30, 31], {29: [65_140], 30: [98_733], 31: [33_305, 38_664, 90_728]}),
         ],
     )
-    def test_pieced_draw_matches_resample_indices(self, n, ids, rejected):
+    def test_numpy_draw_matches_resample_indices(self, n, ids, rejected):
+        # above the block draw's limit each replicate is drawn by numpy's
+        # Generator.integers; the rejections it meets are numpy's own
         assert n > _BLOCK_DRAW_MAX
         assert {b: r for b in ids if (r := rejected_draws(7, b, n))} == rejected
         kind = np.arange(n)
@@ -350,6 +352,15 @@ class TestTypeCounts:
             block_kind_counts(kind, n, 7, ids),
             reference_kind_counts(kind, n, 7, ids),
         )
+
+    @pytest.mark.parametrize("n, ids", [(2000, range(600, 700)), (4_097, [2313, 2314])])
+    def test_draw_leaves_kind_unchanged(self, n, ids):
+        # the per-replicate draw takes the kinds into its own index array:
+        # above the block draw's limit, and for the block draw's replicate
+        # 673, which rejects a word (see above)
+        kind = np.arange(n) * 7 % 40
+        block_kind_counts(kind, 40, 7, ids)
+        np.testing.assert_array_equal(kind, np.arange(n) * 7 % 40)
 
     @given(
         n=st.integers(1, 5000),

@@ -256,7 +256,9 @@ def stream_path(tmp_path_factory):
 @settings(max_examples=300)
 def test_streamed_parse_matches_row_by_row_reference(stream_path, data, piece):
     # pieces of a few characters, so that a piece ends at every place in
-    # the text, between a CR and its LF too
+    # the text, between a CR and its LF too. Each case writes a new file:
+    # truncating one that holds data costs tens of milliseconds on ext4.
+    stream_path.unlink(missing_ok=True)
     stream_path.write_bytes(data)
     expected = _outcome(parse_records_by_row, data)
     with patch.object(records_module, "_PIECE_CHARS", piece):
@@ -277,6 +279,7 @@ class TestLinePath:
         for data, piece in product(texts + [text.replace(b"\n", b"\r\n") for text in texts],
                                    [records_module._PIECE_CHARS, 1, 79]):
             expected = parse_records_by_row(data)
+            path.unlink(missing_ok=True)
             path.write_bytes(data)
             with monkeypatch.context() as m:
                 m.setattr(records_module, "_PIECE_CHARS", piece)
@@ -430,6 +433,7 @@ class TestByteOrderMark:
             bad = bytearray(data)
             bad[at] = 0xFF
             path = tmp_path / "panel.csv"
+            path.unlink(missing_ok=True)
             path.write_bytes(bad)
             for load in (load_records, parse_records):
                 with pytest.raises(UnicodeDecodeError) as exc:
