@@ -6,11 +6,11 @@ bit-for-bit regardless of execution order. `bootstrap` computes the PCG64
 seed words of all its replicates in one vectorised pass of SeedSequence's
 algorithm (`_seed_words`) instead of hashing each replicate's
 `SeedSequence([seed, b])` in Python; `resample_indices` is the per-replicate
-reference. A resample of at most `_BLOCK_DRAW_MAX` records is drawn a chunk
-of replicates at a time from PCG64's raw words, by the bounded draw that
-`Generator.integers` makes (Lemire 2019), so that the chunk's draws, keys
-and counts are single numpy passes. A larger one, and one whose chunk draw
-rejects a word, is drawn by numpy's own `Generator.integers` on a PCG64
+reference. A resample of at most `_CHUNK_DRAWS` (16,384) records is drawn a
+chunk of replicates at a time from PCG64's raw words, by the bounded draw
+that `Generator.integers` makes (Lemire 2019), so that the chunk's draws,
+keys and counts are single numpy passes. A larger one, and one whose chunk
+draw rejects a word, is drawn by numpy's own `Generator.integers` on a PCG64
 seeded with the replicate's words. Both give exactly the
 `default_rng([seed, b]).integers(0, n, size=n)` streams.
 A replicate is kept only as the counts of its records' `Panel` kinds; a
@@ -42,15 +42,9 @@ FAILURE_CEILING = 0.10
 # however many replicates are drawn, while still amortizing its per-call cost.
 REPLICATE_BLOCK = 128
 # Index draws made per numpy pass of the block draw: a chunk's raw words take
-# 64 KB, and the arrays computed afresh from them 320 KB.
+# 64 KB, and the arrays computed afresh from them 320 KB. A larger resample,
+# which no chunk holds whole, is drawn one replicate at a time.
 _CHUNK_DRAWS = 2**14
-# Resamples of more records than this (fewer than 4 per chunk) are drawn one
-# replicate at a time by Generator.integers: the block draw saves that
-# draw's fixed cost per replicate but spends more per record, and its time
-# over that of the per-replicate draw measured 0.66-0.69 at 1,000 records,
-# 0.82-0.83 at 2,048, 0.94-0.97 at 4,096, 0.94-0.96 at 5,000 and 0.84-1.12
-# at 8,192 (medians of 5, three rounds, 1,000 replicates, 63 kinds).
-_BLOCK_DRAW_MAX = 4096
 KDE_GRID_POINTS = 256
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx), whose algorithm NumPy
@@ -235,7 +229,6 @@ def _kind_counts(kind, n_kinds, words):
 
     ISeedSequence.register(_SeedWords)
     n = len(kind)
-    blocks = [words[s:s + REPLICATE_BLOCK] for s in range(0, len(words), REPLICATE_BLOCK)]
 
     def drawn(w):
         """The kind counts of one replicate, drawn by numpy's own bounded
@@ -243,17 +236,16 @@ def _kind_counts(kind, n_kinds, words):
         idx = Generator(PCG64(_SeedWords(w))).integers(0, n, size=n)
         return np.bincount(kind.take(idx, mode="clip", out=idx), minlength=n_kinds)
 
-    if n > _BLOCK_DRAW_MAX:
-        for block in blocks:
-            yield np.array([drawn(w) for w in block])
-        return
-
     # integers(0, n) for n < 2**32 draws 32-bit words u and accepts
     # m = u * n unless m mod 2**32 < (2**32 - n) % n; the index is m >> 32
     threshold = (2**32 - n) % n
     rows = _CHUNK_DRAWS // n
     offsets = np.arange(rows)[:, None] * n_kinds
-    for block in blocks:
+    for s in range(0, len(words), REPLICATE_BLOCK):
+        block = words[s:s + REPLICATE_BLOCK]
+        if not rows:
+            yield np.array([drawn(w) for w in block])
+            continue
         counts = np.empty((len(block), n_kinds), dtype=np.int64)
         for start in range(0, len(block), rows):
             chunk = block[start:start + rows]

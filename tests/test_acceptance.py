@@ -1,17 +1,22 @@
 """End-to-end acceptance gate.
 
 Each test covers one release criterion and prints a single PASS/FAIL line
-(visible with -s or -rP). Tolerances and runtime budgets are asserted, not
-just reported.
+(visible with -s or -rP, and added to the GitHub job summary when
+GITHUB_STEP_SUMMARY names it). The Monte Carlo tests are studies of
+`studies.py`: a world, a method run on the panel of each seed's world, and a
+bound on a share or a mean, whose line gives the figure with its MCSE.
+Tolerances and runtime budgets are asserted, not just reported.
 """
 
 import filecmp
+import os
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
 from conftest import generate_panel_with_log, matrix_from_rows
+from studies import mean, run, share, world
 
 from cohortchain import (
     BootstrapConfig,
@@ -52,14 +57,17 @@ EFFECT_MATRIX = matrix_from_rows({
 
 def report(name, ok, detail=""):
     suffix = f" ({detail})" if detail else ""
-    print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}{suffix}")
+    line = f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}{suffix}"
+    print(line)
+    if summary := os.environ.get("GITHUB_STEP_SUMMARY"):
+        with open(summary, "a", encoding="utf-8") as out:
+            out.write(f"- {line}\n")
     assert ok, f"{name}{suffix}"
 
 
-def with_mcse(share, n):
-    """A share of n Monte Carlo trials with its standard error,
-    sqrt(p (1 - p) / n) (Morris, White & Crowther 2019)."""
-    return f"{share:.3f} (MCSE {np.sqrt(share * (1 - share) / n):.3f})"
+def coverage_world(size):
+    """The coverage study's design: two complete and two partial cohorts."""
+    return world(BASE_MATRIX, dict.fromkeys((2013, 2014, 2016, 2018), size))
 
 
 def test_complete_cohort_identity():
@@ -70,12 +78,7 @@ def test_complete_cohort_identity():
     worst = 0.0
     for i in range(100):
         n = int(rng.integers(20, 5001))
-        spec = GeneratorSpec(
-            true_matrix=random_transition_matrix(rng),
-            cohort_sizes={2013: n},
-            horizon_year=2019,
-            seed=1000 + i,
-        )
+        spec = world(random_transition_matrix(rng), {2013: n}, horizon_year=2019)(1000 + i)
         records = generate_panel(spec)
         gap = abs(
             MarkovReducedEstimator(2013, 2019).point(records)
@@ -122,13 +125,7 @@ def test_pooled_estimator_consistency():
     """
     start = time.perf_counter()
     truth = brute_force_sygr(BASE_MATRIX)
-    spec = GeneratorSpec(
-        true_matrix=BASE_MATRIX,
-        cohort_sizes={year: 16_667 for year in range(2013, 2019)},
-        horizon_year=2021,
-        seed=77,
-    )
-    records = generate_panel(spec)
+    records = generate_panel(world(BASE_MATRIX, dict.fromkeys(range(2013, 2019), 16_667))(77))
     est = MarkovFullEstimator(2021).point(records)
     elapsed = time.perf_counter() - start
     report(
@@ -151,64 +148,45 @@ def test_partial_cohorts_final_year_is_unbiased():
     of year m dropped instead.
     """
     truth = brute_force_sygr(BASE_MATRIX)
-    errors = []
-    for seed in range(3):
-        spec = GeneratorSpec(
-            true_matrix=BASE_MATRIX,
-            cohort_sizes={year: 100_000 for year in (2013, 2014, 2016, 2018)},
-            horizon_year=2021,
-            seed=seed,
-        )
-        errors.append(MarkovFullEstimator(2021).point(generate_panel(spec)) - truth)
-    bias = float(np.mean(errors))
+    bias, mcse = mean(run(range(3), coverage_world(100_000),
+                          lambda panel, _seed: MarkovFullEstimator(2021).point(panel) - truth))
     report(
         "partial cohorts' final year unbiased",
         abs(bias) <= 0.0025,
-        f"mean error = {100 * bias:+.2f} pp over seeds 0-2",
+        f"mean error = {100 * bias:+.2f} pp (MCSE {100 * mcse:.2f}) over seeds 0-2",
     )
 
 
-def _world_spec(seed, size=250):
-    return GeneratorSpec(
-        true_matrix=BASE_MATRIX,
-        cohort_sizes={2013: size, 2014: size, 2016: size, 2018: size},
-        horizon_year=2021,
-        seed=seed,
-    )
-
-
-def _interval_coverage(n_worlds, replicates, seed0):
+def covers_truth(replicates):
+    """Method: whether the full chain's interval holds the generator truth."""
     truth = brute_force_sygr(BASE_MATRIX)
-    estimator = MarkovFullEstimator(2021)
-    covered = 0
-    for w in range(n_worlds):
-        records = generate_panel(_world_spec(seed0 + w))
-        cfg = BootstrapConfig(seed=seed0 + w, replicates=replicates)
-        s = bootstrap(records, estimator, cfg)
-        covered += s.lo <= truth <= s.hi
-    return covered / n_worlds
+
+    def method(panel, seed):
+        s = bootstrap(panel, MarkovFullEstimator(2021), BootstrapConfig(seed, replicates))
+        return s.lo <= truth <= s.hi
+    return method
 
 
 def test_interval_coverage_smoke():
     start = time.perf_counter()
-    coverage = _interval_coverage(100, 200, seed0=5000)
+    coverage, text = share(run(range(5000, 5100), coverage_world(250), covers_truth(200)))
     elapsed = time.perf_counter() - start
     report(
         "95% interval coverage (smoke)",
         0.88 <= coverage <= 1.00 and elapsed < 60.0,
-        f"coverage = {with_mcse(coverage, 100)}, {elapsed:.1f}s",
+        f"coverage = {text}, {elapsed:.1f}s",
     )
 
 
 @pytest.mark.slow
 def test_interval_coverage_full():
     start = time.perf_counter()
-    coverage = _interval_coverage(500, 1000, seed0=9000)
+    coverage, text = share(run(range(9000, 9500), coverage_world(250), covers_truth(1000)))
     elapsed = time.perf_counter() - start
     report(
         "95% interval coverage (full)",
         0.91 <= coverage <= 0.98 and elapsed < 900.0,
-        f"coverage = {with_mcse(coverage, 500)}, {elapsed:.1f}s",
+        f"coverage = {text}, {elapsed:.1f}s",
     )
 
 
@@ -238,11 +216,11 @@ def test_bootstrap_sd_matches_delta_method_se(size):
     error on 12 coverage-design worlds per cohort size. An SD of 1,000
     replicates carries about 2.2% noise, so each ratio is held to about 3
     of its SEs, and each size's median to 2%."""
-    ratios = []
-    for seed in range(7000, 7012):
-        records = generate_panel(_world_spec(seed, size))
-        s = bootstrap(records, MarkovFullEstimator(2021), BootstrapConfig(seed=seed))
-        ratios.append(s.ensemble.std(ddof=1) / delta_method_se(s.tally))
+    def sd_over_se(panel, seed):
+        s = bootstrap(panel, MarkovFullEstimator(2021), BootstrapConfig(seed=seed))
+        return s.ensemble.std(ddof=1) / delta_method_se(s.tally)
+
+    ratios = run(range(7000, 7012), coverage_world(size), sd_over_se)
     median = float(np.median(ratios))
     report(
         f"bootstrap SD vs delta-method SE, 4 x {size}",
@@ -255,38 +233,26 @@ def test_full_chain_narrows_interval():
     """Pooling partial cohorts through the chain tightens the interval
     relative to the complete-cohort-only estimate in at least 90 of 100
     panels."""
-    narrower = 0
-    fracs = []
-    for i in range(100):
-        spec = GeneratorSpec(
-            true_matrix=BASE_MATRIX,
-            cohort_sizes={year: 250 for year in range(2015, 2021)},
-            horizon_year=2021,
-            seed=3000 + i,
-        )
-        records = generate_panel(spec)
-        cfg = BootstrapConfig(seed=3000 + i, replicates=300)
-        s_trad = bootstrap(records, TraditionalEstimator(2015, 2021), cfg)
-        s_full = bootstrap(records, MarkovFullEstimator(2021), cfg)
-        narrower += s_full.width < s_trad.width
-        if s_trad.width > 0:
-            fracs.append(1.0 - s_full.width / s_trad.width)
-    median_frac = float(np.median(fracs))
+    def widths(panel, seed):
+        cfg = BootstrapConfig(seed=seed, replicates=300)
+        return (bootstrap(panel, TraditionalEstimator(2015, 2021), cfg).width,
+                bootstrap(panel, MarkovFullEstimator(2021), cfg).width)
+
+    pairs = run(range(3000, 3100), world(BASE_MATRIX, dict.fromkeys(range(2015, 2021), 250)),
+                widths)
+    narrower, text = share([full < trad for trad, full in pairs])
+    median_frac = float(np.median([1.0 - full / trad for trad, full in pairs if trad > 0]))
     report(
         "full-chain interval narrowing",
-        narrower >= 90,
-        f"narrower in {narrower}/100 = {with_mcse(narrower / 100, 100)}, "
-        f"median narrowing {100 * median_frac:.1f}%",
+        narrower >= 0.90,
+        f"narrower in {text}, median narrowing {100 * median_frac:.1f}%",
     )
 
 
 def test_ensemble_size_stability():
     """Bootstrap medians on one fixed cohort are stable as the replicate
     count doubles from 1000 to 8000."""
-    spec = GeneratorSpec(
-        true_matrix=BASE_MATRIX, cohort_sizes={2013: 800}, horizon_year=2021, seed=55
-    )
-    records = generate_panel(spec)
+    records = generate_panel(world(BASE_MATRIX, {2013: 800})(55))
     estimator = MarkovFullEstimator(2021)
     medians = [
         bootstrap(records, estimator, BootstrapConfig(seed=11, replicates=b)).median
@@ -305,15 +271,8 @@ def test_injected_effect_recovery(tmp_path):
     about nine percentage points within three."""
     truth_gap = brute_force_sygr(EFFECT_MATRIX) - brute_force_sygr(BASE_MATRIX)
     assert 0.06 <= truth_gap <= 0.12  # design guard on the chosen matrices
-    spec = GeneratorSpec(
-        true_matrix=BASE_MATRIX,
-        effect_matrix=EFFECT_MATRIX,
-        cohort_sizes={2013: 7000, 2014: 7000, 2016: 6000},
-        horizon_year=2021,
-        seed=13,
-        la_rate=0.5,
-        la_year_dist={1: 1.0},
-    )
+    spec = world(BASE_MATRIX, {2013: 7000, 2014: 7000, 2016: 6000}, effect_matrix=EFFECT_MATRIX,
+                 la_rate=0.5, la_year_dist={1: 1.0})(13)
     spec_path = tmp_path / "gen.spec"
     spec_path.write_text(format_generator_spec(spec))
     assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
@@ -335,25 +294,15 @@ def test_injected_effect_recovery(tmp_path):
 def test_null_effect_difference_covers_zero():
     """With no injected effect, the paired-difference interval contains
     zero in at least 90 of 100 trials."""
-    covered = 0
-    for t in range(100):
-        spec = GeneratorSpec(
-            true_matrix=BASE_MATRIX,
-            cohort_sizes={2013: 700, 2016: 700, 2018: 600},
-            horizon_year=2021,
-            seed=6000 + t,
-            la_rate=0.5,
-            la_year_dist={1: 1.0},
-        )
-        records = generate_panel(spec)
-        cfg = BootstrapConfig(seed=6000 + t, replicates=300, ci_level=0.95)
-        _, _, (lo, _, hi) = run_comparison(records, SubgroupSpec(), 2021, cfg, "all")
-        covered += lo <= 0.0 <= hi
-    report(
-        "null-effect interval covers zero",
-        covered >= 90,
-        f"covered in {covered}/100 trials = {with_mcse(covered / 100, 100)}",
-    )
+    def covers_zero(panel, seed):
+        cfg = BootstrapConfig(seed=seed, replicates=300, ci_level=0.95)
+        _, _, (lo, _, hi) = run_comparison(panel, SubgroupSpec(), 2021, cfg, "all")
+        return lo <= 0.0 <= hi
+
+    null = world(BASE_MATRIX, {2013: 700, 2016: 700, 2018: 600}, la_rate=0.5,
+                 la_year_dist={1: 1.0})
+    covered, text = share(run(range(6000, 6100), null, covers_zero))
+    report("null-effect interval covers zero", covered >= 0.90, f"covered in {text}")
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: a student who leaves before their "
@@ -369,25 +318,18 @@ def test_later_exposure_shows_no_null_gain():
     student, and -0.07 pp with each step counted to the arm its student was
     in when taking it.
     """
-    gaps = []
-    for seed in range(3):
-        spec = GeneratorSpec(
-            true_matrix=BASE_MATRIX,
-            cohort_sizes={year: 100_000 for year in range(2013, 2019)},
-            horizon_year=2021,
-            seed=seed,
-            la_rate=0.3,
-            la_year_dist={1: 0.6, 2: 0.4},
-        )
-        cfg = BootstrapConfig(seed=seed, replicates=2)
+    def arm_gap(panel, seed):
         (_, unexposed, _), (_, exposed, _), _ = run_comparison(
-            generate_panel(spec), SubgroupSpec(), 2021, cfg, "all")
-        gaps.append(exposed.point - unexposed.point)
-    gap = float(np.mean(gaps))
+            panel, SubgroupSpec(), 2021, BootstrapConfig(seed=seed, replicates=2), "all")
+        return exposed.point - unexposed.point
+
+    later = world(BASE_MATRIX, dict.fromkeys(range(2013, 2019), 100_000), la_rate=0.3,
+                  la_year_dist={1: 0.6, 2: 0.4})
+    gap, mcse = mean(run(range(3), later, arm_gap))
     report(
         "later exposure shows no null gain",
         abs(gap) <= 0.003,
-        f"mean gap = {100 * gap:+.2f} pp over seeds 0-2",
+        f"mean gap = {100 * gap:+.2f} pp (MCSE {100 * mcse:.2f}) over seeds 0-2",
     )
 
 
@@ -418,16 +360,8 @@ def test_command_determinism(tmp_path):
     """Every command rerun with the same configuration and seed produces
     byte-identical tables and charts. The metadata sidecar is excluded: its
     config_hash covers the input paths, which differ between the two roots."""
-    spec = GeneratorSpec(
-        true_matrix=BASE_MATRIX,
-        cohort_sizes={2013: 400, 2015: 300, 2018: 300},
-        horizon_year=2021,
-        seed=31,
-        la_rate=0.4,
-        la_year_dist={1: 0.6, 2: 0.4},
-        aalana_rate=0.25,
-        first_gen_rate=0.3,
-    )
+    spec = world(BASE_MATRIX, {2013: 400, 2015: 300, 2018: 300}, la_rate=0.4,
+                 la_year_dist={1: 0.6, 2: 0.4}, aalana_rate=0.25, first_gen_rate=0.3)(31)
     spec_path = tmp_path / "gen.spec"
     spec_path.write_text(format_generator_spec(spec))
     _run_all_commands(spec_path, tmp_path / "a")

@@ -28,7 +28,7 @@ from cohortchain import (
     persistence_rates,
 )
 from cohortchain.bootstrap import (
-    _BLOCK_DRAW_MAX,
+    _CHUNK_DRAWS,
     _percentiles,
     _seed_words,
     _kind_counts,
@@ -307,7 +307,7 @@ class TestTypeCounts:
     def test_rejected_words_match_resample_indices(self, n, ids, rejecting):
         # a replicate whose draw rejects a word is redrawn; n is even (2000,
         # 4056) or odd (2039, 3965), and within the block draw's limit
-        assert n <= _BLOCK_DRAW_MAX
+        assert n <= _CHUNK_DRAWS
         assert [b for b in ids if rejects_a_word(7, b, n)] == rejecting
         kind = np.arange(n)
         np.testing.assert_array_equal(
@@ -315,10 +315,11 @@ class TestTypeCounts:
             reference_kind_counts(kind, n, 7, ids),
         )
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 1500, _BLOCK_DRAW_MAX, _BLOCK_DRAW_MAX + 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1500, 4096, 4097, _CHUNK_DRAWS, _CHUNK_DRAWS + 1])
     def test_sizes_match_resample_indices(self, n):
         # 300 replicates: three blocks, the last partial, each of one or
-        # more chunks
+        # more chunks; above _CHUNK_DRAWS records no chunk holds a whole
+        # replicate, and each is drawn on its own
         kind = np.arange(n)
         ids = np.arange(1, 301)
         np.testing.assert_array_equal(
@@ -329,11 +330,11 @@ class TestTypeCounts:
     @pytest.mark.parametrize(
         "n, ids, rejected",
         [
-            # odd n: the rejection makes the draw take the spare high half
-            # of its last word
+            # odd n, in the block draw: the rejection makes numpy's redraw
+            # take the spare high half of its last word
             (4_097, [2313, 2314, 2315], {2314: [1583]}),
-            # even n: the rejection takes one more word, whose high half
-            # is spare
+            # even n, in the block draw: the rejection takes numpy's redraw
+            # one more word, whose high half is spare
             (10_002, [135, 136, 137], {136: [2314]}),
             # odd n and no rejection: the last word's high half is spare
             (65_537, [1, 2], {}),
@@ -343,9 +344,9 @@ class TestTypeCounts:
         ],
     )
     def test_numpy_draw_matches_resample_indices(self, n, ids, rejected):
-        # above the block draw's limit each replicate is drawn by numpy's
-        # Generator.integers; the rejections it meets are numpy's own
-        assert n > _BLOCK_DRAW_MAX
+        # a replicate that rejects a word, and above the block draw's limit
+        # every replicate, is drawn by numpy's Generator.integers; the
+        # rejections it meets are numpy's own
         assert {b: r for b in ids if (r := rejected_draws(7, b, n))} == rejected
         kind = np.arange(n)
         np.testing.assert_array_equal(
@@ -353,11 +354,13 @@ class TestTypeCounts:
             reference_kind_counts(kind, n, 7, ids),
         )
 
-    @pytest.mark.parametrize("n, ids", [(2000, range(600, 700)), (4_097, [2313, 2314])])
+    @pytest.mark.parametrize(
+        "n, ids", [(2000, range(600, 700)), (4_097, [2313, 2314]), (_CHUNK_DRAWS + 1, [1, 2])]
+    )
     def test_draw_leaves_kind_unchanged(self, n, ids):
         # the per-replicate draw takes the kinds into its own index array:
-        # above the block draw's limit, and for the block draw's replicate
-        # 673, which rejects a word (see above)
+        # above the block draw's limit, and for the block draw's replicates
+        # 673 of 2,000 and 2314 of 4,097, which reject a word (see above)
         kind = np.arange(n) * 7 % 40
         block_kind_counts(kind, 40, 7, ids)
         np.testing.assert_array_equal(kind, np.arange(n) * 7 % 40)

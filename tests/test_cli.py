@@ -647,6 +647,8 @@ def _error_cases(panel, tmp):
     wrong_header.write_text("replicate,rate\n1,0.5\n2,0.6\n")
     no_equals_cfg = tmp / "no_equals.cfg"
     no_equals_cfg.write_text(cfg.read_text() + "seed 3\n")
+    first_no_equals = tmp / "first_no_equals.spec"
+    first_no_equals.write_text(GEN_SPEC.replace("seed = 11\n", "seed 11\n"))
     no_equals = tmp / "no_equals.spec"
     no_equals.write_text(GEN_SPEC.replace("la_rate = 0.3\n", "la_rate 0.3\n"))
     inline_matrix = tmp / "inline_matrix.spec"
@@ -779,6 +781,9 @@ def _error_cases(panel, tmp):
         ("spec_line_without_equals", ["synth", "--spec", str(no_equals),
                                       "--out", str(tmp / "s9")],
          2, f"error: {no_equals}: line 6: expected key = value, got 'la_rate 0.3'\n"),
+        ("spec_first_line_without_equals", ["synth", "--spec", str(first_no_equals),
+                                            "--out", str(tmp / "s17")],
+         2, f"error: {first_no_equals}: line 1: expected key = value, got 'seed 11'\n"),
         ("spec_inline_matrix", ["synth", "--spec", str(inline_matrix),
                                 "--out", str(tmp / "s10")],
          2, f"error: {inline_matrix}: line 8: matrix block must start on the next line\n"),

@@ -105,6 +105,15 @@ class TestParseRecords:
         assert (exc.value.row, exc.value.column) == (2, column)
         assert exc.value.reason == f"expected an integer, got {value!r}"
 
+    @pytest.mark.parametrize("la_year", [0, 7])
+    @pytest.mark.parametrize("college", ["SCI", '"SCI"'])
+    def test_la_year_outside_one_to_six(self, la_year, college):
+        # an enrolled student in year 6 may take LA up to year 7 by the
+        # trajectory rule, so only the range rule rejects 7
+        with pytest.raises(InvariantViolation) as exc:
+            parse_records(csv_bytes(f"s1,2013,false,false,{college},{la_year},E,6"))
+        assert (exc.value.row, exc.value.rule) == (2, f"la_year must be in 1..6, got {la_year}")
+
     def test_negative_integer_reaches_the_invariants(self):
         with pytest.raises(InvariantViolation, match="outcome_year must be >= 1, got -4"):
             parse_records(csv_bytes("s1,2013,true,false,SCI,,G,-4"))
