@@ -115,9 +115,14 @@ def _read(path, load):
 
 def _load_inputs(paths):
     """One panel of the rows of every input in turn, one row per student
-    across them all; a data error names its file."""
-    seen = set()
-    return Panel.concat([_read(path, partial(load_records, seen=seen)) for path in paths])
+    across them all; a data error names its file. A lone input's panel is
+    returned as it was read."""
+    seen, panels = set(), []
+    for n, path in enumerate(paths, start=1):
+        panels.append(_read(path, partial(load_records, seen=seen)))
+        if n < len(paths):  # a later input reads the ids of those before it
+            seen.update(panels[-1].ids)
+    return Panel.concat(panels)
 
 
 def _prepare(args):
@@ -187,7 +192,8 @@ def cmd_estimate(args):
     if any(m in ("traditional", "markov-reduced") for m in methods) and args.cohort is None:
         raise UsageError("--cohort is required for traditional and markov-reduced")
     spec = _subgroup_spec(args)
-    # only the filtered panel is kept, so the loaded one is freed before the bootstrap
+    # only the filtered panel is kept, so a loaded one that the filter cuts is freed
+    # before the bootstrap; with no filter it is the loaded panel itself
     records = _select(_load_inputs(args.input), spec)
     estimators = [_estimator_for(m, spec, args.horizon, args.cohort) for m in methods]
     summaries = bootstrap_each(records, estimators, cfg)

@@ -14,7 +14,8 @@ only a row's fields other than its student_id, and a panel holds few
 distinct such contents (a "kind"; 63 on a 100k synthetic panel). So
 `parse_records` checks per row only its id, and parses and validates the
 first row of each kind into the one StudentRecord of that kind. It returns
-a columnar `Panel`: the ids, a kind index per row, and the kinds.
+a columnar `Panel`: the ids packed into one text, a kind index per row, and
+the kinds.
 
 Plain text, holding no '"' or NUL and no carriage return but in a CRLF
 line ending, is read by its lines: each line is split at its first comma
@@ -33,7 +34,10 @@ mark, as spreadsheet programs write it.
 import csv
 import gc
 import io
+import operator
 import re
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -125,22 +129,81 @@ class SubgroupSpec:
         return True
 
 
+# Strings an _Ids column builds at a time when it is iterated.
+_ITER_CHUNK = 2**12
+
+
+class _Ids(Sequence):
+    """A read-only sequence of str held as one column: `text`, the strings
+    joined, and `bounds`, an np.intp array of each string's start in it and,
+    last, the end of the text. An index or iteration builds each
+    str when it is read. A slice, or an np.ndarray of indices or a boolean
+    mask, reads a list."""
+
+    __slots__ = ("text", "bounds")
+
+    def __init__(self, text, bounds):
+        self.text = text
+        self.bounds = bounds
+
+    @classmethod
+    def pack(cls, strings):
+        """The column of an iterable of str; a column is returned as it is."""
+        if isinstance(strings, cls):
+            return strings
+        strings = strings if isinstance(strings, list) else list(strings)
+        bounds = np.zeros(len(strings) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, strings), np.intp, len(strings)), out=bounds[1:])
+        return cls("".join(strings), bounds)
+
+    @classmethod
+    def concat(cls, columns):
+        """One column of the strings of each column in turn."""
+        if len(columns) == 1:
+            return columns[0]
+        offsets = np.cumsum([0] + [len(c.text) for c in columns[:-1]])
+        return cls("".join(c.text for c in columns), np.concatenate(
+            [np.zeros(1, dtype=np.intp), *(c.bounds[1:] + o for c, o in zip(columns, offsets))]))
+
+    def __len__(self):
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            text = self.text
+            return [text[start:end] for start, end in zip(self.bounds[:-1][i].tolist(),
+                                                          self.bounds[1:][i].tolist())]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("index out of range")
+        return self.text[self.bounds[i]:self.bounds[i + 1]]
+
+    def __iter__(self):
+        # a list of _ITER_CHUNK strings at a time, never one of them all
+        for start in range(0, len(self), _ITER_CHUNK):
+            yield from self[start:start + _ITER_CHUNK]
+
+
 class Panel:
     """Student rows stored by kind: the rows of one kind share every field
     but the student_id. `parse_records` keys a kind by the row text after
     the id, `synth.generate_panel` by the row's content.
 
-    `ids` holds the student ids in row order, `kind` an np.intp kind index
-    per row, and `kinds` one StudentRecord per kind, the kind's first row,
-    in order of first appearance. Every kind has at least one row. len() is
-    the row count. Iteration yields each row's full StudentRecord, built on
-    the first iteration and kept, so a later one yields the same objects.
+    `ids` holds the student ids in row order, as one packed read-only
+    sequence of str (any other iterable of ids given is packed), `kind` an
+    np.intp kind index per row, and `kinds` one StudentRecord per kind, the
+    kind's first row, in order of first appearance. Every kind has at least
+    one row. len() is the row count. Iteration yields each row's full
+    StudentRecord, built on the first iteration and kept, so a later one
+    yields the same objects.
     """
 
     __slots__ = ("ids", "kind", "kinds", "_rows")
 
     def __init__(self, ids, kind, kinds):
-        self.ids = ids
+        self.ids = _Ids.pack(ids)
         self.kind = kind
         self.kinds = kinds
         self._rows = None
@@ -158,7 +221,9 @@ class Panel:
     @classmethod
     def concat(cls, panels):
         """One panel of the rows of one or more panels in turn; kinds of
-        equal content merge into the first of them."""
+        equal content merge into the first of them. A lone panel whose
+        kinds all differ in content is returned as it is. The panels are
+        drawn one at a time, so an iterator of them need not hold them all."""
         index, kinds, ids, columns = {}, [], [], []
         for panel in panels:
             renumber = []
@@ -170,9 +235,14 @@ class Panel:
                     index[key] = len(kinds)
                     kinds.append(r)
                 renumber.append(index[key])
-            ids += panel.ids
-            columns.append(np.array(renumber, dtype=np.intp)[panel.kind])
-        return cls(ids, np.concatenate(columns), kinds)
+            ids.append(panel.ids)
+            if renumber == list(range(len(renumber))):  # each kind keeps its index
+                columns.append(panel.kind)
+            else:
+                columns.append(np.array(renumber, dtype=np.intp)[panel.kind])
+        if len(columns) == 1 and columns[0] is panel.kind:
+            return panel
+        return cls(_Ids.concat(ids), np.concatenate(columns), kinds)
 
     def __len__(self):
         return len(self.ids)
@@ -188,7 +258,7 @@ class Panel:
             enabled = gc.isenabled()
             gc.disable()
             try:
-                rows = [new(StudentRecord) for _ in self.ids]
+                rows = [new(StudentRecord) for _ in range(len(self))]
                 for r, sid, k in zip(rows, self.ids, self.kind.tolist()):
                     vars(r).update(fields[k], student_id=sid)
             finally:
@@ -265,11 +335,19 @@ def _parse_lines(pieces, seen):
     each line split on commas, and an empty row for a blank line, which both
     paths skip after the header. On any text or row this path would not
     accept, a line longer than csv.field_size_limit() too, it declines,
-    raising nothing and leaving seen as it was. It draws every piece even
-    then, so that a non-UTF-8 byte anywhere raises here.
+    raising nothing. It draws every piece even then, so that a non-UTF-8
+    byte anywhere raises here.
+
+    A piece's ids are packed as it is read: joined into one text, with an
+    array of their lengths and one of their hashes, so no id's str outlives
+    its piece. A repeated or empty id shows as a tie among the sorted
+    hashes, or as the hash of "", and only such a candidate builds a set of
+    the ids to decide. An id in seen, or a repeated or empty one, declines.
     """
     limit = csv.field_size_limit()
-    ids, kind, index, first = [], [], {}, []
+    # lengths starts with the 0 that becomes the first id's start
+    texts, lengths, hashes, kind = [], array("q", [0]), array("q"), array("q")
+    index, first = {}, []  # first: the id and row index of each kind's first row
     header = False
     tail = ""  # the text after the last LF so far
     pieces = chain(pieces, [None])  # None: the text's end
@@ -294,6 +372,7 @@ def _parse_lines(pieces, seen):
                 break
             header = True
             del lines[0]
+        ids = []
         for line in lines:
             if not line:
                 continue
@@ -301,29 +380,40 @@ def _parse_lines(pieces, seen):
             k = index.get(rest)
             if k is None:
                 k = index[rest] = len(first)
-                first.append(len(ids))
+                first.append((sid, len(kind)))
             ids.append(sid)
             kind.append(k)
+        if seen and not seen.isdisjoint(ids):
+            break
+        texts.append("".join(ids))
+        # numpy converts the ints, and the arrays take its bytes
+        lengths.frombytes(np.fromiter(map(len, ids), np.int64, len(ids)).view(np.uint8))
+        hashes.frombytes(np.fromiter(map(hash, ids), np.int64, len(ids)).view(np.uint8))
     else:  # every line read
         kinds = []
-        for rest, i in zip(index, first):
+        for rest, (sid, i) in zip(index, first):
             if rest.count(",") != len(CSV_HEADER) - 2:
                 return None
             try:
-                kinds.append(_parse_kind([ids[i], *rest.split(",")], i + 2))
+                kinds.append(_parse_kind([sid, *rest.split(",")], i + 2))
             except (ParseError, InvariantViolation):
                 return None
-        kind = np.array(kind, dtype=np.intp)
-        # the ids go into seen itself, and out again if one repeats or is
-        # empty, so that no second set of them adds to the peak
-        if not seen.isdisjoint(ids):
-            return None
-        size = len(seen)
-        seen.update(ids)
-        if len(seen) != size + len(ids) or "" in seen:
-            seen.difference_update(ids)
-            return None
-        return Panel(ids, kind, kinds)
+        # the lengths become the bounds, and the hashes are sorted, in place;
+        # the pieces' texts are freed once joined, to lower the peak
+        bounds = np.frombuffer(lengths, dtype=np.int64)
+        np.cumsum(bounds, out=bounds)
+        ids = _Ids("".join(texts), bounds.astype(np.intp, copy=False))
+        del texts
+        hashes = np.frombuffer(hashes, dtype=np.int64)
+        hashes.sort()
+        empty = hashes.searchsorted(hash(""))
+        if (hashes[1:] == hashes[:-1]).any() or (
+            empty < len(hashes) and hashes[empty] == hash("")
+        ):
+            distinct = set(ids)
+            if len(distinct) != len(ids) or "" in distinct:
+                return None
+        return Panel(ids, np.frombuffer(kind, dtype=np.int64).astype(np.intp, copy=False), kinds)
     for _ in pieces:  # declined before the end: decode the rest all the same
         pass
     return None
@@ -334,7 +424,7 @@ def _parse_rows(lines, seen):
     ingest error, naming the first offending row. A row csv.reader cannot
     read is a ParseError of that row."""
     rows = enumerate(csv.reader(lines), start=1)
-    ids, kind, index, kinds = [], [], {}, []
+    ids, kind, index, kinds, own = [], [], {}, [], set()
     row_no = 0  # the last row read
     try:
         row_no, header = next(rows, (1, None))
@@ -351,9 +441,9 @@ def _parse_rows(lines, seen):
             sid = row[0]
             if not sid:
                 raise ParseError(row_no, "student_id", "must be non-empty")
-            if sid in seen:
+            if sid in own or sid in seen:
                 raise DuplicateId(sid, row_no)
-            seen.add(sid)
+            own.add(sid)
             ids.append(sid)
             key = tuple(row[1:])
             k = index.get(key)
@@ -376,9 +466,9 @@ def parse_records(source, seen=None):
     Each row's field count and id are checked; only the first row of each
     kind (its text after the id) is parsed and validated. `seen` holds ids
     read before this source, as from earlier files: a row repeating one is
-    a DuplicateId, and this source's ids are added to it. A row csv.reader
-    cannot read, as one with a field longer than csv.field_size_limit(), is
-    a ParseError of that row.
+    a DuplicateId. `seen` is only read: this source's ids are not added to
+    it. A row csv.reader cannot read, as one with a field longer than
+    csv.field_size_limit(), is a ParseError of that row.
 
     The text is read in two passes at most. The line pass decodes it all,
     _PIECE_CHARS characters at a time, so a non-UTF-8 byte raises
@@ -387,7 +477,7 @@ def parse_records(source, seen=None):
     its start, by csv.reader, which then only parses.
     """
     raw = io.BytesIO(source) if isinstance(source, bytes) else source
-    seen = set() if seen is None else seen
+    seen = frozenset() if seen is None else seen
     # newline="\n" splits lines at LF alone and translates nothing, so
     # csv.reader sees the lines it sees in io.StringIO(text); the decoder
     # drops the mark again when csv.reader rereads the text from its start
@@ -441,17 +531,18 @@ def _csv_text(rows):
 _MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
 
 
-def _csv_ids(ids):
+def _csv_ids(ids, may_need_quotes):
     """A list of ids as CSV fields: only an id that csv.writer might quote
-    goes through the writer."""
-    if not any(map(_MAY_NEED_QUOTES, ids)):
+    goes through the writer, and none when may_need_quotes is false."""
+    if not (may_need_quotes and any(map(_MAY_NEED_QUOTES, ids))):
         return ids
     return [_csv_text([[sid]])[:-1] if _MAY_NEED_QUOTES(sid) else sid for sid in ids]
 
 
-# Rows per piece of a panel's CSV text: about 600 KB of text on a
-# synthetic panel.
-_PIECE_ROWS = 2**14
+# Rows per piece of a panel's CSV text: about 150 KB of text on a
+# synthetic panel. A piece builds a str for each of its ids, which the
+# packed column does not hold.
+_PIECE_ROWS = 2**12
 
 
 def _format_pieces(records):
@@ -477,11 +568,13 @@ def _format_pieces(records):
         ]])
         for r in panel.kinds
     ]
+    # one search of the joined ids spares a search of each id when none matches
+    may_need_quotes = _MAY_NEED_QUOTES(panel.ids.text) is not None
     yield _csv_text([CSV_HEADER])
     # one expression, so that a suspended piece keeps nothing but its text
     for start in range(0, len(panel.ids), _PIECE_ROWS):
         yield "".join(chain.from_iterable(zip(
-            _csv_ids(panel.ids[start:start + _PIECE_ROWS]),
+            _csv_ids(panel.ids[start:start + _PIECE_ROWS], may_need_quotes),
             map(texts.__getitem__, panel.kind[start:start + _PIECE_ROWS].tolist()),
         )))
 
@@ -544,10 +637,13 @@ def la_truncate(r, transitions):
 
 
 def filter_subgroup(records, spec):
-    """The rows that match spec, as a Panel of only the kinds they hold."""
+    """The rows that match spec, as a Panel of only the kinds they hold: the
+    panel itself when every kind matches."""
     panel = Panel.from_records(records)
     keep = np.array([spec.matches(r) for r in panel.kinds], dtype=bool)
+    if keep.all():
+        return panel
     rows = keep[panel.kind]
     renumber = np.cumsum(keep, dtype=np.intp) - 1
-    return Panel(list(compress(panel.ids, rows.tolist())), renumber[panel.kind[rows]],
+    return Panel(panel.ids[rows], renumber[panel.kind[rows]],
                  list(compress(panel.kinds, keep)))

@@ -129,6 +129,23 @@ def identical_graduates(n=30):
     ]
 
 
+class FailingFirst(TraditionalEstimator):
+    """TraditionalEstimator(2013, 2021) that fails the first `fail`
+    replicates of a run of at most one block; the first call of rates is
+    the fit on the original records."""
+
+    def __init__(self, fail):
+        super().__init__(2013, 2021)
+        self.fail, self.fitted = fail, False
+
+    def rates(self, tallies):
+        values, ok = super().rates(tallies)
+        if self.fitted:
+            ok[:self.fail] = False
+        self.fitted = True
+        return values, ok
+
+
 class TestBootstrap:
     def test_zero_variance_population(self):
         cfg = BootstrapConfig(seed=1, replicates=100)
@@ -219,6 +236,15 @@ class TestBootstrap:
                 MarkovFullEstimator(2021),
                 BootstrapConfig(seed=7, replicates=200),
             )
+
+    def test_failure_ceiling_is_ten_percent(self):
+        # B = 100: 10 failed replicates are summarised, 11 raise
+        cfg = BootstrapConfig(seed=1, replicates=100)
+        (s,) = bootstrap_each(identical_graduates(), [FailingFirst(10)], cfg)
+        assert s.n_failed == 10
+        np.testing.assert_array_equal(s.replicate_ids, np.arange(11, 101))
+        with pytest.raises(TooManyFailedReplicates):
+            bootstrap_each(identical_graduates(), [FailingFirst(11)], cfg)
 
     @pytest.mark.parametrize("n", [1, 20, 1500, 4056])
     @pytest.mark.parametrize("replicates", [2, 127, 128, 129, 300])

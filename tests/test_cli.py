@@ -94,7 +94,9 @@ class TestSynth:
         # The run's traced peak, less that of generate_panel alone, over the
         # panel text's size on these 20,004 students: 3.26 holding a string
         # per row, the joined text and its encoded copy at once; 1.32
-        # writing the text in pieces of _PIECE_ROWS (16,384) rows.
+        # writing the text in pieces of 16,384 rows. With the ids packed a
+        # piece builds a str per id: 2.66 in pieces of 16,384 rows, 0.18 in
+        # pieces of _PIECE_ROWS (4,096).
         spec_path = tmp_path / "large.spec"
         spec_path.write_text(LARGE_SPEC)
         synth = ["synth", "--spec", str(spec_path), "--out"]

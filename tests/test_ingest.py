@@ -1,9 +1,11 @@
 import csv
 import gc
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
-from itertools import product
+from itertools import compress, product
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from conftest import format_records_by_record, make_record, parse_records_by_row, traced_peak
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from cohortchain import (
     parse_records,
 )
 from cohortchain import records as records_module
-from cohortchain.cli import _load_inputs
+from cohortchain.cli import _load_inputs, _select
 from cohortchain.errors import (
     CohortChainError,
     DuplicateId,
@@ -31,7 +33,7 @@ from cohortchain.errors import (
     MissingExposure,
     ParseError,
 )
-from cohortchain.records import format_records, load_records
+from cohortchain.records import Panel, _Ids, format_records, load_records
 from cohortchain.states import ALLOWED_CELLS
 
 S = AcademicState
@@ -329,6 +331,36 @@ class TestLinePath:
             parse_records(csv_bytes(*rows), seen)
         assert seen == {"z"}
 
+    @pytest.mark.parametrize("first", [PLAIN[0], '"a",2013,true,false,SCI,2,G,4'])
+    def test_seen_is_only_read(self, first):
+        seen = {"z"}
+        panel = parse_records(csv_bytes(first, *PLAIN[1:]), seen)
+        assert len(panel) == 4
+        assert seen == {"z"}
+
+    @pytest.fixture
+    def one_hash(self, monkeypatch):
+        # every id, and "", hashes alike: every panel's hashes tie, and a
+        # set of its ids decides
+        monkeypatch.setattr(records_module, "hash", lambda _: 7, raising=False)
+
+    def test_tied_hashes_of_distinct_ids_stay_on_the_line_path(self, monkeypatch, one_hash):
+        expected = parse_records_by_row(csv_bytes(*PLAIN))
+        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
+        assert list(parse_records(csv_bytes(*PLAIN))) == expected
+
+    @pytest.mark.parametrize("rows", [
+        ["s1,2013,true,false,SCI,,G,4", "s1,2014,false,false,SCI,,D,1"],
+        [PLAIN[0], ",2013,true,false,SCI,2,G,4"],
+    ])
+    def test_tied_hashes_still_find_repeated_and_empty_ids(self, request, rows):
+        with pytest.raises(CohortChainError) as expected:
+            parse_records(csv_bytes(*rows))
+        request.getfixturevalue("one_hash")
+        with pytest.raises(type(expected.value)) as exc:
+            parse_records(csv_bytes(*rows))
+        assert str(exc.value) == str(expected.value)
+
     def test_leading_blank_line_fails_the_header_check(self):
         with pytest.raises(ParseError) as exc:
             parse_records(b"\n" + csv_bytes(*PLAIN))
@@ -342,8 +374,20 @@ class TestLinePath:
             _load_inputs([first, second])
         assert str(exc.value) == f"{second}: duplicate student_id 'b' at row 3"
 
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_id_of_the_first_of_three_files_names_the_third_files_row(self, tmp_path, quoted):
+        # the third file goes to the line path, or with a quoted row to csv.reader
+        paths = [tmp_path / f"{name}.csv" for name in ("first", "second", "third")]
+        paths[0].write_bytes(csv_bytes(*PLAIN[:2]))
+        paths[1].write_bytes(csv_bytes("x,2013,true,false,SCI,2,G,4"))
+        paths[2].write_bytes(csv_bytes('"y",2013,true,false,SCI,2,G,4' if quoted else
+                                       "y,2013,true,false,SCI,2,G,4", PLAIN[0]))
+        with pytest.raises(CohortChainError) as exc:
+            _load_inputs(paths)
+        assert str(exc.value) == f"{paths[2]}: duplicate student_id 'a' at row 3"
+
     def test_peak_memory_bounded_by_text_size(self):
-        # Traced peak over text size on these 20k rows: 6.4 with the line
+        # Traced peak over text size on these 20k rows: 3.9 with the line
         # path, and 5.7 with csv.reader (the same rows with one quoted
         # field). Both decode the bytes a piece at a time.
         data = plain_rows(20_000)
@@ -360,6 +404,22 @@ class TestLinePath:
         panel, peak = traced_peak(lambda: load_records(path))
         assert len(panel) == 100_000
         assert peak < 5 * path.stat().st_size
+
+    def test_selected_panel_holds_less_than_its_text(self, tmp_path):
+        # Memory held by the panel over the file's size on these 20k rows:
+        # 2.07 with a str per id and a set of them; 0.74 with the ids packed
+        # and the lone, unfiltered panel read once.
+        path = tmp_path / "panel.csv"
+        path.write_bytes(plain_rows(20_000))
+        _select(_load_inputs([path]), SubgroupSpec())  # one-time set-up is not held
+        tracemalloc.start()
+        try:
+            panel = _select(_load_inputs([path]), SubgroupSpec())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(panel) == 20_000
+        assert held < 1.0 * path.stat().st_size
 
     @pytest.mark.parametrize("first", [PLAIN[0], '"a",2013,true,false,SCI,2,G,4'])
     def test_bad_byte_reports_its_file_offset(self, monkeypatch, tmp_path, first):
@@ -487,7 +547,41 @@ def test_format_matches_per_record_writer_in_pieces_of_3_rows(records):
     assert len(pieces) == 1 + -(-len(records) // 3)
 
 
+# Ids as csv.reader reads them: non-ASCII, and holding ',', '"' and line ends.
+ID_TEXT = st.text(alphabet=st.sampled_from(list('ab,"\r\n é✓中\U0001f600')), max_size=6)
+
+
+@given(ids=st.lists(ID_TEXT, max_size=20), cut=st.integers(0, 20), data=st.data())
+@settings(max_examples=300)
+def test_packed_ids_read_as_their_list(ids, cut, data):
+    # iterated 3 at a time, so that iteration crosses its chunks' ends;
+    # packed whole and as two columns joined
+    joined = _Ids.concat([_Ids.pack(ids[:cut]), _Ids.pack(iter(ids[cut:]))])
+    with patch.object(records_module, "_ITER_CHUNK", 3):
+        for column in (_Ids.pack(ids), joined):
+            assert len(column) == len(ids)
+            assert list(column) == ids
+            assert [column[i] for i in range(-len(ids), len(ids))] == ids + ids
+            for i in (len(ids), -len(ids) - 1):
+                with pytest.raises(IndexError):
+                    column[i]
+            for part in data.draw(st.lists(st.slices(len(ids)), max_size=4)):
+                assert column[part] == ids[part]
+            mask = data.draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+            assert column[np.array(mask, dtype=bool)] == list(compress(ids, mask))
+
+
 class TestPanel:
+    def test_lone_panel_and_all_rows_filter_return_the_panel(self):
+        panel = parse_records(csv_bytes(*PLAIN))
+        assert Panel.concat(iter([panel])) is panel
+        assert filter_subgroup(panel, SubgroupSpec()) is panel
+        # "02013" and "2013" are two kinds of one content, which merge
+        twins = parse_records(csv_bytes(*PLAIN[:3], "e,02013,true,false,SCI,2,G,4"))
+        merged = Panel.concat([twins])
+        assert merged.kind.tolist() == [0, 1, 0, 0]
+        assert list(merged.ids) == ["a", "b", "c", "e"]
+
     def test_iteration_copies_each_kind(self):
         panel = parse_records(csv_bytes(
             "a,2013,true,false,SCI,2,G,4", "b,2013,false,false,SCI,,D,2",
