@@ -6,12 +6,12 @@ bit-for-bit regardless of execution order. `bootstrap` computes the PCG64
 seed words of all its replicates in one vectorised pass of SeedSequence's
 algorithm (`_seed_words`) instead of hashing each replicate's
 `SeedSequence([seed, b])` in Python; `resample_indices` is the per-replicate
-reference. A resample of at most `_CHUNK_DRAWS` (16,384) records is drawn a
-chunk of replicates at a time from PCG64's raw words, by the bounded draw
-that `Generator.integers` makes (Lemire 2019), so that the chunk's draws,
-keys and counts are single numpy passes. A larger one, and one whose chunk
-draw rejects a word, is drawn by numpy's own `Generator.integers` on a PCG64
-seeded with the replicate's words. Both give exactly the
+reference. A resample of at most `_CHUNK_DRAWS` / 2 (8,192) records is
+drawn a chunk of replicates at a time from PCG64's raw words, by the bounded
+draw that `Generator.integers` makes (Lemire 2019), so that the chunk's
+draws, keys and counts are single numpy passes. A larger one, and one whose
+chunk draw rejects a word, is drawn by numpy's own `Generator.integers` on a
+PCG64 seeded with the replicate's words. Both give exactly the
 `default_rng([seed, b]).integers(0, n, size=n)` streams.
 A replicate is kept only as the counts of its records' `Panel` kinds; a
 block of replicates' pooled tallies are their kind counts times each
@@ -42,8 +42,8 @@ FAILURE_CEILING = 0.10
 # however many replicates are drawn, while still amortizing its per-call cost.
 REPLICATE_BLOCK = 128
 # Index draws made per numpy pass of the block draw: a chunk's raw words take
-# 64 KB, and the arrays computed afresh from them 320 KB. A larger resample,
-# which no chunk holds whole, is drawn one replicate at a time.
+# 64 KB, and the arrays computed afresh from them 320 KB. A resample of more
+# than half a chunk is drawn one replicate at a time, by numpy, faster there.
 _CHUNK_DRAWS = 2**14
 KDE_GRID_POINTS = 256
 
@@ -243,7 +243,7 @@ def _kind_counts(kind, n_kinds, words):
     offsets = np.arange(rows)[:, None] * n_kinds
     for s in range(0, len(words), REPLICATE_BLOCK):
         block = words[s:s + REPLICATE_BLOCK]
-        if not rows:
+        if rows < 2:
             yield np.array([drawn(w) for w in block])
             continue
         counts = np.empty((len(block), n_kinds), dtype=np.int64)

@@ -115,8 +115,8 @@ def _read(path, load):
 
 def _load_inputs(paths):
     """One panel of the rows of every input in turn, one row per student
-    across them all; a data error names its file. A lone input's panel is
-    returned as it was read."""
+    across them all, each input keeping the kinds it was read with; a data
+    error names its file. A lone input's panel is returned as it was read."""
     seen, panels = set(), []
     for n, path in enumerate(paths, start=1):
         panels.append(_read(path, partial(load_records, seen=seen)))

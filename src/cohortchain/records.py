@@ -159,8 +159,6 @@ class _Ids(Sequence):
     @classmethod
     def concat(cls, columns):
         """One column of the strings of each column in turn."""
-        if len(columns) == 1:
-            return columns[0]
         offsets = np.cumsum([0] + [len(c.text) for c in columns[:-1]])
         return cls("".join(c.text for c in columns), np.concatenate(
             [np.zeros(1, dtype=np.intp), *(c.bounds[1:] + o for c, o in zip(columns, offsets))]))
@@ -188,8 +186,10 @@ class _Ids(Sequence):
 
 class Panel:
     """Student rows stored by kind: the rows of one kind share every field
-    but the student_id. `parse_records` keys a kind by the row text after
-    the id, `synth.generate_panel` by the row's content.
+    but the student_id. Each reader keys its kinds once: `parse_records` by
+    the row text after the id, `synth.generate_panel` and `from_records` by
+    the content. Two kinds may share content, as cohorts "2013" and "02013"
+    do; every estimate reads tallies summed over kinds, which are exact.
 
     `ids` holds the student ids in row order, as one packed read-only
     sequence of str (any other iterable of ids given is packed), `kind` an
@@ -210,37 +210,35 @@ class Panel:
 
     @classmethod
     def from_records(cls, records):
-        """The panel of an iterable of records; a Panel is returned as it is."""
+        """The panel of an iterable of records, one kind per content; a Panel
+        is returned as it is."""
         if isinstance(records, Panel):
             return records
-        records = list(records)
-        each_its_own_kind = cls([r.student_id for r in records],
-                                np.arange(len(records), dtype=np.intp), records)
-        return cls.concat([each_its_own_kind])
+        index, ids, kind, kinds = {}, [], [], []
+        for r in records:
+            # all that estimates and subgroups read of a record
+            key = (r.cohort_year, r.aalana, r.first_gen, r.college, r.la_year, r.outcome,
+                   r.outcome_year)
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(kinds)
+                kinds.append(r)
+            ids.append(r.student_id)
+            kind.append(k)
+        return cls(ids, np.array(kind, dtype=np.intp), kinds)
 
     @classmethod
     def concat(cls, panels):
-        """One panel of the rows of one or more panels in turn; kinds of
-        equal content merge into the first of them. A lone panel whose
-        kinds all differ in content is returned as it is. The panels are
-        drawn one at a time, so an iterator of them need not hold them all."""
-        index, kinds, ids, columns = {}, [], [], []
+        """One panel of the rows of one or more panels in turn, each keeping
+        its kinds: a later panel's kind indices are shifted past the kinds
+        before it. A lone panel is returned as it is. The panels are drawn
+        one at a time, so an iterator of them need not hold them all."""
+        kinds, ids, columns = [], [], []
         for panel in panels:
-            renumber = []
-            for r in panel.kinds:
-                # all that estimates and subgroups read of a record
-                key = (r.cohort_year, r.aalana, r.first_gen, r.college, r.la_year, r.outcome,
-                       r.outcome_year)
-                if key not in index:
-                    index[key] = len(kinds)
-                    kinds.append(r)
-                renumber.append(index[key])
+            columns.append(panel.kind + len(kinds) if kinds else panel.kind)
             ids.append(panel.ids)
-            if renumber == list(range(len(renumber))):  # each kind keeps its index
-                columns.append(panel.kind)
-            else:
-                columns.append(np.array(renumber, dtype=np.intp)[panel.kind])
-        if len(columns) == 1 and columns[0] is panel.kind:
+            kinds.extend(panel.kinds)
+        if len(columns) == 1:
             return panel
         return cls(_Ids.concat(ids), np.concatenate(columns), kinds)
 

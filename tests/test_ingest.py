@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from cohortchain import (
     AcademicState,
+    BootstrapConfig,
     LaGroup,
+    MarkovFullEstimator,
     Outcome,
     SubgroupSpec,
     TraditionalEstimator,
     Transition,
+    bootstrap_each,
     derive_transitions,
     filter_subgroup,
     la_truncate,
@@ -311,6 +314,19 @@ class TestLinePath:
         assert list(parse_records(data)) == expected
         assert len(calls) == 1
 
+    def test_blank_rows_of_csv_reader_text_are_skipped(self):
+        # csv.reader reads a blank line as an empty row: one after the header
+        # and one between rows read as their plain copy, and a later row's
+        # number counts them
+        quoted = ['"a",2013,true,false,SCI,2,G,4', *PLAIN[1:]]
+        panel = parse_records(csv_bytes("", quoted[0], "", *quoted[1:]))
+        plain = parse_records(csv_bytes(*PLAIN))
+        assert list(panel) == list(plain)
+        assert panel.kind.tolist() == plain.kind.tolist()
+        with pytest.raises(ParseError) as exc:
+            parse_records(csv_bytes("", quoted[0], "", *quoted[1:], "e,2013,maybe,false,SCI,2,G,4"))
+        assert (exc.value.row, exc.value.column) == (8, "aalana")
+
     @pytest.mark.parametrize("rows", [
         ["a,2013,true,false,SCI,2,G,4", "b,2013,true,false,SCI,2,G,4", "a,2014,true,false,SCI,,G,4"],
         ["a,2013,true,false,SCI,2,G,4", "z,2013,true,false,SCI,2,G,4"],
@@ -576,11 +592,45 @@ class TestPanel:
         panel = parse_records(csv_bytes(*PLAIN))
         assert Panel.concat(iter([panel])) is panel
         assert filter_subgroup(panel, SubgroupSpec()) is panel
-        # "02013" and "2013" are two kinds of one content, which merge
+        # "02013" and "2013" are two kinds of one content: a lone panel keeps
+        # them, and only records keyed by content merge them
         twins = parse_records(csv_bytes(*PLAIN[:3], "e,02013,true,false,SCI,2,G,4"))
-        merged = Panel.concat([twins])
+        assert twins.kind.tolist() == [0, 1, 0, 2]
+        assert Panel.concat([twins]) is twins
+        merged = Panel.from_records(list(twins))
         assert merged.kind.tolist() == [0, 1, 0, 0]
         assert list(merged.ids) == ["a", "b", "c", "e"]
+        assert list(merged) == list(twins)
+
+    def test_kinds_of_one_content_give_the_same_estimates(self):
+        # cohorts written "2013" and "02013" in turn: twice the kinds of the
+        # merged panel, and the same tallies, points and ensembles
+        rows = [f"s{i},{'0' * (i % 2)}{2013 + i % 3},false,false,SCI,,{'GDE'[i % 7 % 3]},"
+                f"{1 + i % 11 % 6}" for i in range(500)]
+        twins = parse_records(csv_bytes(*rows))
+        merged = Panel.from_records(list(twins))
+        assert len(twins.kinds) == 2 * len(merged.kinds)
+        estimators = [MarkovFullEstimator(2021), TraditionalEstimator(2013, 2021)]
+        cfg = BootstrapConfig(seed=3, replicates=300)
+        for a, b in zip(bootstrap_each(twins, estimators, cfg),
+                        bootstrap_each(merged, estimators, cfg), strict=True):
+            assert a.point == b.point
+            np.testing.assert_array_equal(a.tally, b.tally)
+            np.testing.assert_array_equal(a.ensemble, b.ensemble)
+            np.testing.assert_array_equal(a.replicate_ids, b.replicate_ids)
+
+    @pytest.mark.parametrize("cuts", [[2], [1, 3], [0, 0, 4], [2, 2, 4]])
+    def test_concat_of_consecutive_parts_reads_as_the_whole(self, cuts):
+        # each part read on its own, as one --input file of several; an
+        # empty part holds no kinds
+        rows = [*PLAIN, "e,2014,false,false,ENG,,D,2", "f,2013,true,false,SCI,2,G,4"]
+        whole = parse_records(csv_bytes(*rows))
+        bounds = [0, *cuts, len(rows)]
+        parts = [parse_records(csv_bytes(*rows[a:b])) for a, b in zip(bounds, bounds[1:])]
+        joined = Panel.concat(iter(parts))
+        assert list(joined) == list(whole)
+        assert list(joined.ids) == list(whole.ids)
+        assert joined.kinds == [k for part in parts for k in part.kinds]
 
     def test_iteration_copies_each_kind(self):
         panel = parse_records(csv_bytes(
