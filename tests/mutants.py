@@ -33,7 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-m", "not slow", "-p", "no:cacheprovider",
           "--hypothesis-seed=0"]
-# a surviving mutant runs the whole non-slow suite, about half a minute
+# a surviving mutant runs the whole non-slow suite, under a minute
 TIMEOUT_S = 600
 
 
@@ -47,6 +47,10 @@ class Mutant(NamedTuple):
 
 RECORDS = "src/cohortchain/records.py"
 BOOTSTRAP = "src/cohortchain/bootstrap.py"
+MARKOV = "src/cohortchain/markov.py"
+ESTIMATE = "src/cohortchain/estimate.py"
+SYNTH = "src/cohortchain/synth.py"
+CLI = "src/cohortchain/cli.py"
 
 MUTANTS = [
     Mutant(RECORDS, "    elif c < obs:", "    elif c <= obs:",
@@ -55,20 +59,20 @@ MUTANTS = [
            "an la_year of 7 passes the record invariants"),
     Mutant(RECORDS, "if t.frm >= first]", "if t.frm > first]",
            "la_truncate drops the exposure year's own step"),
-    Mutant("src/cohortchain/markov.py", "    reachable[..., _Y1] = True\n", "",
+    Mutant(MARKOV, "    reachable[..., _Y1] = True\n", "",
            "normalise fills an empty Y1 row with drop-out instead of failing"),
     Mutant(BOOTSTRAP, ".min(axis=1) < threshold", ".min(axis=1) < 0",
            "the block draw never redraws a replicate that rejects a word"),
-    Mutant("src/cohortchain/cli.py", "return 3 if any_fail else 0, files", "return 0, files",
+    Mutant(CLI, "return 3 if any_fail else 0, files", "return 0, files",
            "validate exits 0 on FAIL"),
-    Mutant("src/cohortchain/cli.py", "arm = replace(spec, la_group=la_group)",
+    Mutant(CLI, "arm = replace(spec, la_group=la_group)",
            "arm = replace(spec, la_group=la_group, aalana_only=False)",
            "compare's arms drop --aalana"),
     Mutant("src/cohortchain/estimate.py",
            "r.outcome is Outcome.GRADUATED and r.outcome_year <= 6",
            "r.outcome is Outcome.GRADUATED",
            "the traditional estimate counts graduates after year 6"),
-    Mutant("src/cohortchain/synth.py", "exposed & (la_years <= year)", "exposed & (la_years < year)",
+    Mutant(SYNTH, "exposed & (la_years <= year)", "exposed & (la_years < year)",
            "the generator applies the effect from the year after la_year"),
     Mutant(BOOTSTRAP, "FAILURE_CEILING = 0.10", "FAILURE_CEILING = 0.20",
            "the failed-replicate ceiling doubles"),
@@ -88,14 +92,43 @@ MUTANTS = [
     Mutant(RECORDS, '    if not _INTEGER(raw):\n        raise ParseError(row, column, '
            'f"expected an integer, got {raw!r}")\n', "",
            "an integer field reads by int(), so '+4', ' 4' and '1_0' pass"),
-    Mutant("src/cohortchain/synth.py", "(ly <= outcome_year + slack)", "(ly <= outcome_year)",
+    Mutant(SYNTH, "(ly <= outcome_year + slack)", "(ly <= outcome_year)",
            "the generator drops an enrolled student's exposure in the year after the last"),
     Mutant(BOOTSTRAP, "[seed & _MASK32, seed >> 32] if seed >> 32 else [seed]", "[seed & _MASK32]",
            "_seed_words drops a 64-bit seed's high word"),
     Mutant(BOOTSTRAP, "            keys += offsets[:r]\n", "",
            "the block draw counts every replicate of a chunk into its first row"),
-    Mutant(BOOTSTRAP, 'kind.take(idx, mode="clip", out=idx)', 'kind.take(idx, mode="clip", out=kind)',
+    Mutant(BOOTSTRAP, 'kind.take(idx, mode="clip", out=idx)',
+           'kind.take(idx, mode="clip", out=kind)',
            "numpy's per-replicate draw overwrites the panel's kind column"),
+    Mutant(BOOTSTRAP, 'raw.astype("<u8", copy=False).view("<u4")',
+           'raw.astype(">u8", copy=False).view(">u4")',
+           "the block draw reads each raw word's high half first"),
+    Mutant(BOOTSTRAP, "_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715",
+           "_MIX_MULT_L, _MIX_MULT_R = 0x4973F715, 0xCA01F9DD",
+           "_seed_words swaps SeedSequence's two mix multipliers"),
+    Mutant(MARKOV, "out_of_range, forbidden, bad_sum, totals = _violation_masks(a)",
+           "forbidden, out_of_range, bad_sum, totals = _violation_masks(a)",
+           "validate_structure reports an entry out of range as forbidden, and back"),
+    Mutant(MARKOV, "    return p, empty & reachable\n", "    return p, empty\n",
+           "normalise fails on an empty row that the chain never reaches"),
+    Mutant(ESTIMATE, "if counts[k - 1].any() else None", "if True else None",
+           "persistence_rates reports an unobserved year as the chain's imputed 0"),
+    Mutant(ESTIMATE, "InsufficientData(AcademicState(int(np.argmax(gaps))))",
+           "InsufficientData(AcademicState(int(len(gaps) - 1 - np.argmax(gaps[::-1]))))",
+           "a point estimate names the last state without observations, not the first"),
+    Mutant(RECORDS, "        if self._rows is None:", "        if True:",
+           "each iteration of a Panel builds its rows again"),
+    Mutant(RECORDS, "        if seen and not seen.isdisjoint(ids):\n            break\n", "",
+           "the line path accepts an id of an earlier file"),
+    Mutant(RECORDS, 'if len(distinct) != len(ids) or "" in distinct:',
+           "if len(distinct) != len(ids):",
+           "the line path accepts an empty id"),
+    Mutant(RECORDS, "if not (may_need_quotes and any(map(_MAY_NEED_QUOTES, ids))):", "if True:",
+           "the CSV writer writes an id holding ',' or '\"' unquoted"),
+    Mutant(SYNTH, "any(not 1 <= y <= 6 for y in self.la_year_dist)",
+           "any(not 1 <= y <= 7 for y in self.la_year_dist)",
+           "a generator spec accepts an la_year_dist key of 7"),
 ]
 
 

@@ -138,6 +138,19 @@ class TestMarkovFull:
         with pytest.raises(InsufficientData, match="^no observed transitions out of state Y2$"):
             MarkovFullEstimator(2021).point([record])
 
+    def test_first_of_two_gaps_is_named(self):
+        # from each student's LA year: one reaches Y2 and is censored there,
+        # the other enters at Y3 and is censored in Y4, so neither Y2 nor Y4
+        # has an observed exit; the point estimate names the first, Y2
+        records = [
+            make_record(sid="a", cohort_year=2019, la_year=1, outcome=Outcome.ENROLLED,
+                        outcome_year=2),
+            make_record(sid="b", cohort_year=2017, la_year=3, outcome=Outcome.ENROLLED,
+                        outcome_year=4),
+        ]
+        with pytest.raises(InsufficientData, match="^no observed transitions out of state Y2$"):
+            MarkovFullEstimator(2021, from_la_year=True).point(records)
+
     def test_no_records(self):
         with pytest.raises(NoRecords):
             MarkovFullEstimator(2021).point([])

@@ -327,8 +327,9 @@ class TestGeneratorSpecValidation:
             basic_spec(la_rate=1.5)
 
     def test_bad_la_year_dist(self):
-        with pytest.raises(ValueError):
-            basic_spec(la_year_dist={0: 1.0})
+        for year in (0, 7):
+            with pytest.raises(ValueError, match="keys must be years of study 1..6"):
+                basic_spec(la_year_dist={year: 1.0})
 
     @pytest.mark.parametrize("overrides", [
         {"la_year_dist": {1: 1.5, 2: -0.5}},
