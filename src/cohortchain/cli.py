@@ -10,10 +10,14 @@ Each `cmd_<command>` only computes: it returns (exit code, files, stdout
 text), files mapping output names to their text, and `main` alone creates
 --out and writes the files and then stdout once the command has returned.
 A file's text is a str, or an iterable of str pieces that `main` writes in
-order as it draws them: synth's panel comes as pieces, so that no one holds
-its whole text. Formatting a validated panel cannot raise, so drawing the
-pieces only once --out exists keeps the rule that a run that fails creates
-no --out; validate's FAIL (exit 3) still writes its report.
+order as it draws them: synth's panel comes as pieces, each cohort walked
+and encoded only when its pieces are drawn, so that no one holds its whole
+text or the whole panel. So synth generates its panel after --out exists.
+That keeps the rule that a run that fails creates no --out, because a spec
+that parses cannot fail to generate, short of memory: GeneratorSpec checks
+every size, rate and distribution the walk reads, and the encoding writes
+only records that hold their invariants, as the generator's tests check.
+validate's FAIL (exit 3) still writes its report.
 
 Exit codes: 0 success, 1 usage error, 2 data or estimation error or an
 unwritable --out, 3 validation failure.
@@ -50,7 +54,7 @@ from .records import (
     load_records,
 )
 from .svgplot import render_line_chart
-from .synth import brute_force_sygr, format_generator_spec, generate_panel, load_generator_spec
+from .synth import _cohort_panels, brute_force_sygr, format_generator_spec, load_generator_spec
 
 POSITIVE_CONTROL_TOL = 1e-9
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -332,14 +336,16 @@ def cmd_synth(args):
     if args.spec is None:
         raise UsageError("synth requires --spec")
     spec = _read(args.spec, load_generator_spec)
-    panel = generate_panel(spec)
-    extra = [("students", len(panel)), ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix)))]
+    # each cohort's panel has exactly its size in rows
+    students = sum(spec.cohort_sizes.values())
+    extra = [("students", students), ("true_sygr", _fmt(brute_force_sygr(spec.true_matrix)))]
     if spec.effect_matrix is not None:
         extra.append(("true_effect_sygr", _fmt(brute_force_sygr(spec.effect_matrix))))
     extra.append(("generator_seed", spec.seed))
     extra.append(("generator_spec", repr(format_generator_spec(spec))))
-    files = {"panel.csv": _format_pieces(panel), "metadata.txt": _metadata(args, extra)}
-    return 0, files, f"wrote {len(panel)} records to {Path(args.out) / 'panel.csv'}\n"
+    files = {"panel.csv": _format_pieces(_cohort_panels(spec)),
+             "metadata.txt": _metadata(args, extra)}
+    return 0, files, f"wrote {students} records to {Path(args.out) / 'panel.csv'}\n"
 
 
 def _read_ensemble_csv(path):

@@ -543,17 +543,26 @@ def _csv_ids(ids, may_need_quotes):
 _PIECE_ROWS = 2**12
 
 
-def _format_pieces(records):
-    """The CSV text of records in pieces, in order: the header, then the
-    rows in blocks of _PIECE_ROWS.
+def _format_pieces(panels):
+    """The CSV text of the rows of panels, an iterable of Panels, in pieces
+    and in order: the header once, then each panel's rows in blocks of
+    _PIECE_ROWS.
 
     Writes by kind: the text after the id is written once per kind, and a
     block is one join of its ids interleaved with their kinds' texts, so no
     row has a string of its own. A piece is built only when it is drawn,
-    and leaves nothing behind but its text, so a writer that writes each
-    piece as it comes holds one block's text at a time.
+    and leaves nothing behind but its text. A panel is drawn once the pieces
+    of the one before are all drawn, and is dropped with its last piece. So
+    a writer that writes each piece as it comes holds one block's text and
+    one panel at a time, and the panels may come from an iterator that
+    builds each when it is drawn.
     """
-    panel = Panel.from_records(records)
+    yield _csv_text([CSV_HEADER])
+    yield from chain.from_iterable(map(_panel_pieces, panels))
+
+
+def _panel_pieces(panel):
+    """The CSV rows of one panel, in blocks of _PIECE_ROWS."""
     texts = [
         "," + _csv_text([[
             r.cohort_year,
@@ -568,7 +577,6 @@ def _format_pieces(records):
     ]
     # one search of the joined ids spares a search of each id when none matches
     may_need_quotes = _MAY_NEED_QUOTES(panel.ids.text) is not None
-    yield _csv_text([CSV_HEADER])
     # one expression, so that a suspended piece keeps nothing but its text
     for start in range(0, len(panel.ids), _PIECE_ROWS):
         yield "".join(chain.from_iterable(zip(
@@ -580,8 +588,8 @@ def _format_pieces(records):
 def format_records(records):
     """Serialize records back to the CSV schema (LF endings, UTF-8 safe):
     the pieces of _format_pieces joined into one str. The CLI writes synth's
-    panel from the pieces themselves."""
-    return "".join(_format_pieces(records))
+    panel from the pieces themselves, cohort by cohort."""
+    return "".join(_format_pieces([Panel.from_records(records)]))
 
 
 def derive_transitions(r, horizon_year):

@@ -16,6 +16,7 @@ rate, kept deliberately free of matrix multiplication.
 
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -219,10 +220,19 @@ def _cohort_panel(spec, cohort_year, walk):
     return Panel(ids, kind_of_key[key], kinds)
 
 
+def _cohort_panels(spec):
+    """Each cohort's Panel, in year order. Nothing between draws holds a
+    walk or a panel, so a caller that drops each panel before it draws the
+    next holds one cohort at a time."""
+    return starmap(partial(_cohort_panel, spec), _walks(spec))
+
+
 def generate_panel(spec):
     """The spec's panel, rows in cohort then id order: each cohort walked
-    with its own seeded generator, in year order, and encoded by kind."""
-    return Panel.concat(_cohort_panel(spec, year, walk) for year, walk in _walks(spec))
+    with its own seeded generator, in year order, and encoded by kind. It
+    holds every cohort's panel and then their join; `synth` writes the
+    cohorts' panels one at a time instead, to the same text."""
+    return Panel.concat(_cohort_panels(spec))
 
 
 def _parse_pairs(cast_key, raw, line_no):

@@ -129,6 +129,19 @@ MUTANTS = [
     Mutant(SYNTH, "any(not 1 <= y <= 6 for y in self.la_year_dist)",
            "any(not 1 <= y <= 7 for y in self.la_year_dist)",
            "a generator spec accepts an la_year_dist key of 7"),
+    Mutant(RECORDS, "    yield _csv_text([CSV_HEADER])\n"
+           "    yield from chain.from_iterable(map(_panel_pieces, panels))\n",
+           "    for panel in panels:\n        yield _csv_text([CSV_HEADER])\n"
+           "        yield from _panel_pieces(panel)\n",
+           "the panel writer writes the header once per cohort"),
+    Mutant(CLI, "students = sum(spec.cohort_sizes.values())",
+           "students = spec.cohort_sizes[min(spec.cohort_sizes)]",
+           "synth's metadata counts only the first cohort's students"),
+    Mutant(MARKOV, "    return p, empty & reachable\n", "    return p, np.zeros_like(empty)\n",
+           "normalise finds no gap, so no empty row fails"),
+    Mutant(BOOTSTRAP, "    ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)\n",
+           "    ok[:] = ok.all(axis=0)\n    ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)\n",
+           "bootstrap_each drops a replicate from every estimator when one fails on it"),
 ]
 
 

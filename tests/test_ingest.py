@@ -553,14 +553,17 @@ def test_format_matches_per_record_writer(records):
     assert format_records(records) == format_records_by_record(records)
 
 
-@given(records=st.lists(awkward_record(), max_size=12))
+@given(records=st.lists(awkward_record(), max_size=12), cut=st.integers(0, 12))
 @settings(max_examples=300)
-def test_format_matches_per_record_writer_in_pieces_of_3_rows(records):
-    # piece boundaries fall inside the panel, next to quoted and plain ids
+def test_format_matches_per_record_writer_in_pieces_of_3_rows(records, cut):
+    # piece boundaries fall inside a panel, next to quoted and plain ids; the
+    # rows split into two panels, as synth writes its cohorts, give one text
+    halves = [Panel.from_records(records[:cut]), Panel.from_records(records[cut:])]
     with patch.object(records_module, "_PIECE_ROWS", 3):
         assert format_records(records) == format_records_by_record(records)
-        pieces = list(records_module._format_pieces(records))
-    assert len(pieces) == 1 + -(-len(records) // 3)
+        pieces = list(records_module._format_pieces(halves))
+    assert "".join(pieces) == format_records_by_record(records)
+    assert len(pieces) == 1 + sum(-(-len(half) // 3) for half in halves)
 
 
 # Ids as csv.reader reads them: non-ASCII, and holding ',', '"' and line ends.
