@@ -46,6 +46,10 @@ REPLICATE_BLOCK = 128
 # than half a chunk is drawn one replicate at a time, by numpy, faster there.
 _CHUNK_DRAWS = 2**14
 KDE_GRID_POINTS = 256
+# Elements of each matrix one block of kde's grid points builds, 512 KB of
+# float64. An ensemble of more values takes one grid point a block: 8 MB a
+# matrix for a million values, against 2 GB for all 256 points at once.
+_KDE_BLOCK_ELEMENTS = 2**16
 
 # NumPy's SeedSequence (numpy/random/bit_generator.pyx), whose algorithm NumPy
 # keeps fixed so that seeded streams reproduce: a pool of four 32-bit words,
@@ -338,6 +342,12 @@ def kde(ensemble, bandwidth=None):
     Grid spans [min - 3h, max + 3h] clipped to [0, 1]. Returns (xs,
     densities) arrays; the density integrates to ~1 over the grid when the
     mass sits inside the unit interval.
+
+    The densities are computed a block of grid points at a time, each block
+    at least one point and its matrices of at most _KDE_BLOCK_ELEMENTS
+    elements where the ensemble allows, never one 256 x n matrix. Each
+    point's sum runs along its own row, as it would in that one matrix, so
+    the densities are the same bits.
     """
     values = np.asarray(ensemble, dtype=float)
     if values.size < 2:
@@ -352,6 +362,10 @@ def kde(ensemble, bandwidth=None):
     lo = max(0.0, values.min() - 3 * h)
     hi = min(1.0, values.max() + 3 * h)
     xs = np.linspace(lo, hi, KDE_GRID_POINTS)
-    z = (xs[:, None] - values[None, :]) / h
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (values.size * h * np.sqrt(2 * np.pi))
+    dens = np.empty(KDE_GRID_POINTS)
+    step = max(1, _KDE_BLOCK_ELEMENTS // values.size)
+    for start in range(0, KDE_GRID_POINTS, step):
+        z = (xs[start:start + step, None] - values[None, :]) / h
+        np.exp(-0.5 * z**2).sum(axis=1, out=dens[start:start + step])
+    dens /= values.size * h * np.sqrt(2 * np.pi)
     return xs, dens

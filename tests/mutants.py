@@ -142,6 +142,26 @@ MUTANTS = [
     Mutant(BOOTSTRAP, "    ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)\n",
            "    ok[:] = ok.all(axis=0)\n    ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)\n",
            "bootstrap_each drops a replicate from every estimator when one fails on it"),
+    Mutant(RECORDS, """if '"' in piece or "\\0" in piece or (""", """if "\\0" in piece or (""",
+           "the line path reads a quoted field as it stands"),
+    Mutant(RECORDS, '"\\r" in text and text.count("\\r") - text.endswith("\\r") != text.count("\\r\\n")',
+           "False", "the line path reads a lone carriage return as part of a field"),
+    Mutant(RECORDS, "            if len(tail) > limit or max(map(len, lines), default=0) > limit:\n"
+           "                break\n", "",
+           "the line path accepts a field longer than csv.field_size_limit()"),
+    Mutant(RECORDS, "text = tail + piece", "text = piece",
+           "the line path drops the partial line carried from the piece before"),
+    Mutant(RECORDS, "        if tie:\n", "        if False:\n",
+           "the line path accepts a repeated id when hashes tie"),
+    Mutant(RECORDS, "        del hashes\n", "",
+           "the line path holds the hash column while it joins the ids"),
+    Mutant(RECORDS, "_PIECE_CHARS = 2**14", "_PIECE_CHARS = 2**18",
+           "ingest reads the text in pieces of 2**18 characters"),
+    Mutant(BOOTSTRAP, "for start in range(0, KDE_GRID_POINTS, step):",
+           "for start in range(0, KDE_GRID_POINTS - 1, step):",
+           "kde drops the last grid point when it begins a block"),
+    Mutant(BOOTSTRAP, "z = (xs[start:start + step, None]", "z = (xs[start:start + step + 1, None]",
+           "kde's block repeats the next block's first grid point"),
 ]
 
 

@@ -29,6 +29,7 @@ from cohortchain import (
 )
 from cohortchain.bootstrap import (
     _CHUNK_DRAWS,
+    _KDE_BLOCK_ELEMENTS,
     _percentiles,
     _seed_words,
     _kind_counts,
@@ -583,6 +584,22 @@ class TestKde:
     def test_zero_iqr_falls_back_to_sd(self):
         values = np.array([0.5] * 30 + [0.2, 0.8])
         assert silverman_bandwidth(values) > 0
+
+    @pytest.mark.parametrize("budget", [1, 7 * 300, 32 * 300, _KDE_BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("n", [2, 257, 300, 4099])
+    @pytest.mark.parametrize("bandwidth", [None, 0.004, 0.3])
+    def test_blocks_give_the_one_matrix_densities(self, monkeypatch, rng, budget, n, bandwidth):
+        # blocks of one grid point, of a few, with a short last block, and
+        # the whole grid at once: each point's sum runs along its own row,
+        # so the densities are the same bits as the one-matrix formula's
+        monkeypatch.setattr(sys.modules["cohortchain.bootstrap"], "_KDE_BLOCK_ELEMENTS", budget)
+        values = rng.beta(40, 20, n)
+        xs, dens = kde(values, bandwidth)
+        h = silverman_bandwidth(values) if bandwidth is None else bandwidth
+        z = (xs[:, None] - values[None, :]) / h
+        expected = np.exp(-0.5 * z**2).sum(axis=1) / (values.size * h * np.sqrt(2 * np.pi))
+        assert np.array_equal(dens, expected)
+        assert len(dens) == len(xs) == 256
 
 
 class TestBootstrapConfig:

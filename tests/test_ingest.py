@@ -403,23 +403,26 @@ class TestLinePath:
         assert str(exc.value) == f"{paths[2]}: duplicate student_id 'a' at row 3"
 
     def test_peak_memory_bounded_by_text_size(self):
-        # Traced peak over text size on these 20k rows: 3.9 with the line
-        # path, and 5.7 with csv.reader (the same rows with one quoted
+        # Traced peak over text size on these 20k rows with the line path:
+        # 3.9 in pieces of 2**18 characters, 1.31 in pieces of 2**14, and
+        # 1.19 in pieces of 2**14 with the hashes freed before the ids are
+        # joined. csv.reader reads 5.7 (the same rows with one quoted
         # field). Both decode the bytes a piece at a time.
         data = plain_rows(20_000)
         panel, peak = traced_peak(lambda: parse_records(data))
         assert len(panel) == 20_000
-        assert peak < 9 * len(data)
+        assert peak < 2 * len(data)
 
     def test_load_peak_memory_bounded_by_file_size(self, tmp_path):
-        # Traced peak over file size on these 100k rows: 3.8 streaming the
-        # file in pieces; 6.5 holding its bytes, its text and its lines at
-        # once.
+        # Traced peak over file size on these 100k rows: 1.59 in pieces of
+        # 2**18 characters, 1.24 in pieces of 2**14, and 1.03 in pieces of
+        # 2**14 with the hashes freed before the ids are joined; 6.5
+        # holding the file's bytes, its text and its lines at once.
         path = tmp_path / "panel.csv"
         path.write_bytes(plain_rows(100_000))
         panel, peak = traced_peak(lambda: load_records(path))
         assert len(panel) == 100_000
-        assert peak < 5 * path.stat().st_size
+        assert peak < 1.2 * path.stat().st_size
 
     def test_selected_panel_holds_less_than_its_text(self, tmp_path):
         # Memory held by the panel over the file's size on these 20k rows:
