@@ -43,7 +43,10 @@ FAILURE_CEILING = 0.10
 REPLICATE_BLOCK = 128
 # Index draws made per numpy pass of the block draw: a chunk's raw words take
 # 64 KB, and the arrays computed afresh from them 320 KB. A resample of more
-# than half a chunk is drawn one replicate at a time, by numpy, faster there.
+# than half a chunk is drawn one replicate at a time, by numpy. Which draw is
+# faster from 8,193 to 16,384 records depends on the machine: the block draw
+# read 4-5% faster at 16,384 on one 2-core VM, numpy 5-14% faster at 10,002
+# to 16,384 on another. No benchmark workload draws that many.
 _CHUNK_DRAWS = 2**14
 KDE_GRID_POINTS = 256
 # Elements of each matrix one block of kde's grid points builds, 512 KB of

@@ -18,17 +18,18 @@ a columnar `Panel`: the ids packed into one text, a kind index per row, and
 the kinds.
 
 Plain text, holding no '"' or NUL and no carriage return but in a CRLF
-line ending, is read by its lines: each line is split at its first comma
-into the id and the kind's text, and the field count is checked once per
-kind. Any other text (quoted fields, a NUL, a lone carriage return), and
-any plain text with a row the line path would not accept, is read by
-`csv.reader`, row by row, which raises every ingest error. A row's validity
-depends only on its kind and its id, so every error still names the first
-offending row in file order. Both paths read the source, bytes or a
-binary file, as one decoded text stream, and neither holds a file's text
-or its list of lines; `parse_records` gives the order of the two passes
-and where a non-UTF-8 byte raises. The input may start with a byte-order
-mark, as spreadsheet programs write it.
+line ending or at the text's end, is read by its lines: each line is
+split at its first comma into the id and the kind's text, and the field
+count is checked once per kind. Any other text (quoted fields, a NUL, a
+carriage return in a line), and any plain text with a row the line path
+would not accept, is read by `csv.reader`, row by row, which raises
+every ingest error. A row's validity depends only on its kind and its
+id, so every error still names the first offending row in file order.
+Both paths read the source, bytes or a binary file, as one decoded text
+stream, and neither holds a file's text or its list of lines;
+`parse_records` gives the order of the two passes and where a non-UTF-8
+byte raises. The input may start with a byte-order mark, as spreadsheet
+programs write it.
 """
 
 import csv
@@ -332,51 +333,48 @@ _PIECE_CHARS = 2**14
 
 def _parse_lines(pieces, seen):
     """The Panel of plain CSV text, given in successive str pieces and read
-    line by line, or None to leave the text to csv.reader.
+    line by line, or None to leave the text to csv.reader: a screen that
+    decides no fault. It accepts only text that csv.reader reads to the same
+    Panel and declines any other, raising nothing, so that csv.reader names
+    every ingest error. It draws every piece even then, so that a non-UTF-8
+    byte anywhere raises here.
 
     Each piece is split into its lines, less their LF or CRLF endings; a
-    line cut by the piece's end is carried over to the next. With no '"' or
-    NUL in the text, and each CR followed by LF, csv.reader yields exactly
-    each line split on commas, and an empty row for a blank line, which both
-    paths skip after the header. On any text or row this path would not
-    accept, a line longer than csv.field_size_limit() too, it declines,
-    raising nothing. It draws every piece even then, so that a non-UTF-8
-    byte anywhere raises here.
+    line cut by the piece's end is carried over to the next, and a last
+    piece of one LF ends the last line as csv.reader ends it, after a lone
+    CR too. With no '"' or NUL in the text, and every other CR followed by
+    LF, csv.reader yields exactly each line split on commas, and an empty
+    row for a blank line, which both paths skip after the header. A line is
+    at most the line carried into its piece plus the piece, so a carried
+    line longer than csv.field_size_limit() - _PIECE_CHARS declines, and
+    no line read is longer than that limit.
 
     A piece's ids are packed as it is read: joined into one text, with an
     array of their lengths and one of their hashes, so no id's str outlives
-    its piece. A repeated or empty id shows as a tie among the sorted
-    hashes, or as the hash of "", and only such a candidate builds a set of
-    the ids to decide. An id in seen, or a repeated or empty one, declines.
-    At the end the hashes are sorted, checked for such a candidate and
-    freed; only then are the pieces' texts joined into the ids' one text
-    and the lengths summed into its bounds, and only then is the set built.
-    So the end holds one copy of the id text beside the pieces' texts, and
-    never the hashes with it.
+    its piece. An id in seen declines, and so do an id of length 0 and a tie
+    among the sorted hashes: a repeated id, or distinct ids at odds of about
+    n**2 / 2**65 for n rows. At the end the hashes are sorted, checked and
+    freed; only then are the pieces' texts joined into the ids' one text and
+    the lengths summed into its bounds. So the end holds one copy of the id
+    text beside the pieces' texts, and never the hashes with it.
     """
-    limit = csv.field_size_limit()
+    bound = csv.field_size_limit() - _PIECE_CHARS
     # lengths starts with the 0 that becomes the first id's start
     texts, lengths, hashes, kind = [], array("q", [0]), array("q"), array("q")
     index, first = {}, []  # first: the id and row index of each kind's first row
     header = False
     tail = ""  # the text after the last LF so far
-    pieces = chain(pieces, [None])  # None: the text's end
-    for piece in pieces:
-        if piece is None:  # the text after the last LF is its last line
-            if "\r" in tail:
-                break
-            lines = [tail]
-        else:
-            text = tail + piece
-            # a CR ending the text may meet its LF in the next piece
-            if '"' in piece or "\0" in piece or (
-                "\r" in text and text.count("\r") - text.endswith("\r") != text.count("\r\n")
-            ):
-                break
-            lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
-            tail = lines.pop()
-            if len(tail) > limit or max(map(len, lines), default=0) > limit:
-                break
+    for piece in chain(pieces, ["\n"]):
+        text = tail + piece
+        # a CR ending the text may meet its LF in the next piece
+        if '"' in piece or "\0" in piece or (
+            "\r" in text and text.count("\r") - text.endswith("\r") != text.count("\r\n")
+        ):
+            break
+        lines = (text.replace("\r\n", "\n") if "\r" in text else text).split("\n")
+        tail = lines.pop()
+        if len(tail) > bound:
+            break
         if not header and lines:
             if lines[0] != _HEADER_LINE:
                 break
@@ -412,20 +410,14 @@ def _parse_lines(pieces, seen):
         # once joined, to lower the peak
         hashes = np.frombuffer(hashes, dtype=np.int64)
         hashes.sort()
-        empty = hashes.searchsorted(hash(""))
-        tie = (hashes[1:] == hashes[:-1]).any() or (
-            empty < len(hashes) and hashes[empty] == hash("")
-        )
+        bounds = np.frombuffer(lengths, dtype=np.int64)
+        if (hashes[1:] == hashes[:-1]).any() or not bounds[1:].all():
+            return None
         del hashes
         # the lengths become the bounds in place
-        bounds = np.frombuffer(lengths, dtype=np.int64)
         np.cumsum(bounds, out=bounds)
         ids = _Ids("".join(texts), bounds.astype(np.intp, copy=False))
         del texts
-        if tie:
-            distinct = set(ids)
-            if len(distinct) != len(ids) or "" in distinct:
-                return None
         return Panel(ids, np.frombuffer(kind, dtype=np.int64).astype(np.intp, copy=False), kinds)
     for _ in pieces:  # declined before the end: decode the rest all the same
         pass

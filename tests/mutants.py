@@ -121,8 +121,7 @@ MUTANTS = [
            "each iteration of a Panel builds its rows again"),
     Mutant(RECORDS, "        if seen and not seen.isdisjoint(ids):\n            break\n", "",
            "the line path accepts an id of an earlier file"),
-    Mutant(RECORDS, 'if len(distinct) != len(ids) or "" in distinct:',
-           "if len(distinct) != len(ids):",
+    Mutant(RECORDS, " or not bounds[1:].all():", ":",
            "the line path accepts an empty id"),
     Mutant(RECORDS, "if not (may_need_quotes and any(map(_MAY_NEED_QUOTES, ids))):", "if True:",
            "the CSV writer writes an id holding ',' or '\"' unquoted"),
@@ -146,13 +145,12 @@ MUTANTS = [
            "the line path reads a quoted field as it stands"),
     Mutant(RECORDS, '"\\r" in text and text.count("\\r") - text.endswith("\\r") != text.count("\\r\\n")',
            "False", "the line path reads a lone carriage return as part of a field"),
-    Mutant(RECORDS, "            if len(tail) > limit or max(map(len, lines), default=0) > limit:\n"
-           "                break\n", "",
+    Mutant(RECORDS, "        if len(tail) > bound:\n            break\n", "",
            "the line path accepts a field longer than csv.field_size_limit()"),
     Mutant(RECORDS, "text = tail + piece", "text = piece",
            "the line path drops the partial line carried from the piece before"),
-    Mutant(RECORDS, "        if tie:\n", "        if False:\n",
-           "the line path accepts a repeated id when hashes tie"),
+    Mutant(RECORDS, "(hashes[1:] == hashes[:-1]).any() or ", "",
+           "the line path accepts a repeated id, whose hashes tie"),
     Mutant(RECORDS, "        del hashes\n", "",
            "the line path holds the hash column while it joins the ids"),
     Mutant(RECORDS, "_PIECE_CHARS = 2**14", "_PIECE_CHARS = 2**18",
@@ -162,6 +160,40 @@ MUTANTS = [
            "kde drops the last grid point when it begins a block"),
     Mutant(BOOTSTRAP, "z = (xs[start:start + step, None]", "z = (xs[start:start + step + 1, None]",
            "kde's block repeats the next block's first grid point"),
+    Mutant(RECORDS, 'chain(pieces, ["\\n"])', 'chain(pieces, [""])',
+           "the line path drops a last line that no LF ends"),
+    Mutant(RECORDS, "bound = csv.field_size_limit() - _PIECE_CHARS", "bound = csv.field_size_limit()",
+           "the line path carries a line up to the limit, and the next piece makes it longer"),
+    Mutant(RECORDS, "            if sid in own or sid in seen:\n                raise DuplicateId(sid, row_no)\n"
+           "            own.add(sid)\n            ids.append(sid)\n            key = tuple(row[1:])\n"
+           "            k = index.get(key)\n            if k is None:\n"
+           "                k = index[key] = len(kinds)\n"
+           "                kinds.append(_parse_kind(row, row_no))\n",
+           "            key = tuple(row[1:])\n            k = index.get(key)\n            if k is None:\n"
+           "                k = index[key] = len(kinds)\n"
+           "                kinds.append(_parse_kind(row, row_no))\n"
+           "            if sid in own or sid in seen:\n                raise DuplicateId(sid, row_no)\n"
+           "            own.add(sid)\n            ids.append(sid)\n",
+           "csv.reader's path validates a row's new kind before its duplicate id"),
+    Mutant(RECORDS, "return Panel(ids, np.frombuffer(kind, dtype=np.int64).astype(np.intp, copy=False), kinds)",
+           "return None", "the line path always declines"),
+    Mutant(RECORDS, 'text).split("\\n")', "text).splitlines()",
+           "the line path splits lines at every line break str knows"),
+    Mutant(RECORDS, '        texts.append("".join(ids))\n',
+           '        seen |= set(ids)\n        texts.append("".join(ids))\n',
+           "the line path adds its ids to seen"),
+    Mutant(SYNTH, "if not 0.0 <= v <= 1.0:", "if not 0.0 <= v <= 2.0:",
+           "a generator spec accepts a rate of up to 2"),
+    Mutant(SYNTH, "> 1e-9:", "> 1e-3:",
+           "a generator spec accepts a distribution summing to 1 within 1e-3"),
+    Mutant(SYNTH, "            if n < 1:\n", "            if n < 0:\n",
+           "a generator spec accepts a cohort of 0 students"),
+    Mutant(SYNTH, "max(self.cohort_sizes) + 1:", "max(self.cohort_sizes):",
+           "a generator spec accepts a horizon at its last cohort's year"),
+    Mutant(SYNTH, "if any(not p >= 0 for p in dist.values()):", "if any(p < 0 for p in dist.values()):",
+           "a generator spec accepts a NaN probability"),
+    Mutant(SYNTH, "if self.seed < 0:", "if self.seed < -1:",
+           "a generator spec accepts a seed of -1"),
 ]
 
 

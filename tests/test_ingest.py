@@ -177,8 +177,8 @@ def mutated_csv(draw):
     odd value, a quoted field, a stray carriage return, a blank line, one
     field too few or too many. Half the files have distinct ids and break at
     most one row, so that more of them parse. Lines end in LF or CRLF, the
-    last one maybe in nothing, and a quarter of the files start with a
-    byte-order mark."""
+    last one maybe in nothing, a CR or two, and a quarter of the files start
+    with a byte-order mark."""
     header = draw(st.sampled_from([HEADER] * 4 + [_quote("student_id") + HEADER[10:]]))
     lines = [header]
     n = draw(st.integers(0, 8))
@@ -206,7 +206,7 @@ def mutated_csv(draw):
             fields.append("x")
         lines.append("" if mutation == "blank" else ",".join(fields))
     newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
-    text = (newline.join(lines) + draw(st.sampled_from([newline, ""]))).encode("utf-8")
+    text = (newline.join(lines) + draw(st.sampled_from([newline, "", "\r", "\r\r"]))).encode("utf-8")
     return draw(st.sampled_from([b"", b"", b"", BOM])) + text
 
 
@@ -253,6 +253,15 @@ def _no_csv_reader(*args, **kwargs):
     raise _CsvReaderCalled
 
 
+def _count_csv_reader(monkeypatch):
+    """A list that gains an entry at each csv.reader call from now on."""
+    calls = []
+    reader = records_module.csv.reader
+    monkeypatch.setattr(records_module.csv, "reader",
+                        lambda *args: calls.append(args) or reader(*args))
+    return calls
+
+
 PLAIN = ["a,2013,true,false,SCI,2,G,4", "b,2014,false,false,ENG,,D,2",
          "c,2013,true,false,SCI,2,G,4", "d\u2028\x85,2019,false,true,E\x0bN\x1cG,1,E,1"]
 
@@ -286,10 +295,12 @@ class TestLinePath:
 
     def test_plain_text_skips_csv_reader(self, monkeypatch, tmp_path):
         # LF or CRLF line endings, with or without a blank line between rows
-        # or at the end, as bytes or as a file, in pieces of any size:
-        # pieces of 79 characters end between the header's CR and LF
+        # or at the end, the last row ended by a lone CR too, as bytes or as
+        # a file, in pieces of any size: pieces of 79 characters end between
+        # the header's CR and LF
         path = tmp_path / "panel.csv"
-        texts = [csv_bytes(*PLAIN), csv_bytes(PLAIN[0], "", *PLAIN[1:]), csv_bytes(*PLAIN, "")]
+        texts = [csv_bytes(*PLAIN), csv_bytes(PLAIN[0], "", *PLAIN[1:]), csv_bytes(*PLAIN, ""),
+                 csv_bytes(*PLAIN)[:-1] + b"\r"]
         for data, piece in product(texts + [text.replace(b"\n", b"\r\n") for text in texts],
                                    [records_module._PIECE_CHARS, 1, 79]):
             expected = parse_records_by_row(data)
@@ -304,13 +315,11 @@ class TestLinePath:
 
     @pytest.mark.parametrize("data", [
         csv_bytes('"a",2013,true,false,SCI,2,G,4'),
+        csv_bytes(*PLAIN)[:-1] + b"\r\r",
     ])
     def test_other_text_reaches_csv_reader(self, monkeypatch, data):
         expected = parse_records_by_row(data)
-        calls = []
-        reader = records_module.csv.reader
-        monkeypatch.setattr(records_module.csv, "reader",
-                            lambda *args: calls.append(args) or reader(*args))
+        calls = _count_csv_reader(monkeypatch)
         assert list(parse_records(data)) == expected
         assert len(calls) == 1
 
@@ -356,14 +365,15 @@ class TestLinePath:
 
     @pytest.fixture
     def one_hash(self, monkeypatch):
-        # every id, and "", hashes alike: every panel's hashes tie, and a
-        # set of its ids decides
+        # every id hashes alike: the hashes of any two rows tie, and the
+        # line path declines the panel
         monkeypatch.setattr(records_module, "hash", lambda _: 7, raising=False)
 
-    def test_tied_hashes_of_distinct_ids_stay_on_the_line_path(self, monkeypatch, one_hash):
+    def test_tied_hashes_of_distinct_ids_reach_csv_reader(self, monkeypatch, one_hash):
         expected = parse_records_by_row(csv_bytes(*PLAIN))
-        monkeypatch.setattr(records_module.csv, "reader", _no_csv_reader)
+        calls = _count_csv_reader(monkeypatch)
         assert list(parse_records(csv_bytes(*PLAIN))) == expected
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("rows", [
         ["s1,2013,true,false,SCI,,G,4", "s1,2014,false,false,SCI,,D,1"],
@@ -376,6 +386,27 @@ class TestLinePath:
         with pytest.raises(type(expected.value)) as exc:
             parse_records(csv_bytes(*rows))
         assert str(exc.value) == str(expected.value)
+
+    @pytest.mark.parametrize("length, calls, raises", [(92, 0, False), (100, 1, False),
+                                                        (125, 1, True)])
+    def test_carried_line_bound(self, monkeypatch, length, calls, raises):
+        # In pieces of 8 characters and with fields of at most 100, a line
+        # is carried into the next piece whole only up to 100 - 8 = 92
+        # characters: one of 92 stays on the line path, and a longer one,
+        # wherever the pieces cut it, reaches csv.reader, which reads a line
+        # of 100 as the reference does, and raises its error on a college
+        # of 101 in a line of 125.
+        data = csv_bytes(*PLAIN, f"e,2013,true,false,{'S' * (length - 24)},2,G,4")
+        limit = csv.field_size_limit(100)
+        try:
+            expected = _outcome(parse_records_by_row, data)
+            monkeypatch.setattr(records_module, "_PIECE_CHARS", 8)
+            read = _count_csv_reader(monkeypatch)
+            assert _outcome(parse_records, data) == expected
+        finally:
+            csv.field_size_limit(limit)
+        assert len(read) == calls
+        assert isinstance(expected, tuple) == raises
 
     def test_leading_blank_line_fails_the_header_check(self):
         with pytest.raises(ParseError) as exc:

@@ -339,3 +339,12 @@ class TestGeneratorSpecValidation:
     def test_probabilities_must_be_non_negative(self, overrides):
         with pytest.raises(ValueError, match="must be non-negative"):
             basic_spec(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"la_year_dist": {1: 0.6, 2: 0.4 + 1e-6}},
+        {"colleges": {"A": 0.5, "B": 0.5 - 1e-6}},
+    ])
+    def test_probabilities_must_sum_to_one(self, overrides):
+        # within 1e-9: a share off by a millionth is a typo, not rounding
+        with pytest.raises(ValueError, match="must sum to 1"):
+            basic_spec(**overrides)
