@@ -13,10 +13,11 @@ draws, keys and counts are single numpy passes. A larger one, and one whose
 chunk draw rejects a word, is drawn by numpy's own `Generator.integers` on a
 PCG64 seeded with the replicate's words. Both give exactly the
 `default_rng([seed, b]).integers(0, n, size=n)` streams.
-A replicate is kept only as the counts of its records' `Panel` kinds; a
-block of replicates' pooled tallies are their kind counts times each
-estimator's float64 table, one BLAS product, and each estimator reads them
-in one stacked pass (`rates`), so no replicate builds a matrix of its own.
+A replicate is kept only as the counts of its records' tally classes, the
+kinds every estimator reads alike (`records._tally_classes`); a block of
+replicates' pooled tallies are their class counts times each estimator's
+float64 table, one BLAS product, and each estimator reads them in one
+stacked pass (`rates`), so no replicate builds a matrix of its own.
 `bootstrap_each` draws each replicate once for several estimators, so every
 estimator of one command reads the same resamples; `bootstrap` is its
 one-estimator case. Each estimator is fitted once on the original records,
@@ -34,7 +35,7 @@ from itertools import cycle
 import numpy as np
 
 from .errors import DegenerateEnsemble, EnsembleTooSmall, TooManyFailedReplicates
-from .records import Panel
+from .records import Panel, _tally_classes
 
 FAILURE_CEILING = 0.10
 # Replicates read per stacked pass. The readout holds about 3 KB of stacked
@@ -299,8 +300,10 @@ def bootstrap_each(records, estimators, cfg):
     replicates are counted, and the ceiling checked, per estimator, in order.
     """
     panel = Panel.from_records(records)
-    original = np.bincount(panel.kind, minlength=len(panel.kinds))
-    fits = [(estimator, *estimator.fit(panel.kinds, original)) for estimator in estimators]
+    classes, class_of_kind = _tally_classes(panel.kinds)
+    # whole numbers in float64, so each fit's tally is the same exact sum
+    original = np.bincount(class_of_kind, weights=np.bincount(panel.kind, minlength=len(class_of_kind)))
+    fits = [(estimator, *estimator.fit(classes, original)) for estimator in estimators]
     if not fits:
         return []
 
@@ -308,11 +311,13 @@ def bootstrap_each(records, estimators, cfg):
     words = _seed_words(cfg.seed, np.arange(1, cfg.replicates + 1))
     values = np.empty((len(fits), cfg.replicates))
     ok = np.empty((len(fits), cfg.replicates), dtype=bool)
-    blocks = _kind_counts(panel.kind, len(panel.kinds), words)
-    for start, kind_counts in zip(range(0, cfg.replicates, REPLICATE_BLOCK), blocks):
-        block = slice(start, start + len(kind_counts))
+    # where each kind is its own class, the kind column itself is drawn, not a copy
+    column = panel.kind if len(classes) == len(panel.kinds) else class_of_kind[panel.kind]
+    blocks = _kind_counts(column, len(classes), words)
+    for start, class_counts in zip(range(0, cfg.replicates, REPLICATE_BLOCK), blocks):
+        block = slice(start, start + len(class_counts))
         for k, (estimator, _point, _tally, table) in enumerate(fits):
-            values[k, block], ok[k, block] = estimator.rates(kind_counts @ table)
+            values[k, block], ok[k, block] = estimator.rates(class_counts @ table)
 
     ids = np.arange(1, cfg.replicates + 1, dtype=np.int64)
     summaries = []

@@ -7,18 +7,17 @@ pooled chain that also absorbs partial-cohort evidence.
 All three read their estimate off pooled tallies of whole numbers, held in
 float64 (exact below 2**53). A chain estimator's tally is its 8x8 count
 grid, flattened: each step (frm, to) counts into cell frm * 8 + to. A
-record's tally depends only on its fields other than the id, so the rows of
-one `Panel` kind share one tally, and each estimator derives one tally row
-per kind (`table`, by the reference rules `derive_transitions` and
-`la_truncate`). Any resample's pooled tally is then its kind counts times
-the table, one BLAS product that is exactly the sum of its records'
-tallies, so the bootstrap counts each resample's kinds once for every
-estimator and re-derives nothing. `rates` is the one readout: it reads a
-whole stack of tallies at once (`sygr_markov_stack`), and the point
-estimate is the original tally read as a stack of one. Where that estimate
-is undefined, `fit` names the state without observations from the
-normaliser's gaps. `fit` also returns that tally, and `persistence_rates`
-reads a fitted tally. The tests hold `rates` to a per-row reference.
+record's tally depends only on (cohort_year, outcome, outcome_year,
+la_year), the key of its tally class (`records._tally_classes`); an
+estimator that reads another field must add it to that key. Each estimator
+derives one tally row per class (`table`, by the reference rules
+`derive_transitions` and `la_truncate`), and a resample's pooled tally is
+its class counts times the table: one BLAS product, exactly the sum of its
+records' tallies. `rates` is the one readout: it reads a stack of tallies
+at once (`sygr_markov_stack`), and the point estimate is the original
+tally read as a stack of one; where that is undefined, `fit` names the
+state without observations. `fit` also returns the tally, which
+`persistence_rates` reads. The tests hold `rates` to a per-row reference.
 """
 
 import numpy as np
@@ -41,8 +40,8 @@ def persistence_rates(tally):
 
 
 class _Estimator:
-    """A check, a tally table over a panel's kinds, and the readout of
-    pooled tallies.
+    """A check, a tally table over a panel's tally classes, and the readout
+    of pooled tallies.
 
     Subclasses supply `_steps`, one record's observable chain steps, and
     may override `_check`; an estimator of another tally overrides `table`
@@ -61,8 +60,8 @@ class _Estimator:
         return sygr_markov_stack(np.reshape(tallies, (-1, N_STATES, N_STATES)))
 
     def table(self, kinds):
-        """One float64 tally row per kind. Runs after `_check`, which raises
-        on no kinds."""
+        """One float64 tally row per kind or class representative. Runs
+        after `_check`, which raises on none."""
         width = N_STATES * N_STATES
         cells = [k * width + frm * N_STATES + to
                  for k, r in enumerate(kinds) for frm, to in self._steps(r)]
@@ -70,9 +69,9 @@ class _Estimator:
         return counts.reshape(len(kinds), width).astype(float)
 
     def fit(self, kinds, kind_counts):
-        """(point estimate, pooled tally, table) on the original records,
-        given as their panel's kinds and each kind's row count; raises an
-        EstimationError where the estimate is undefined on them."""
+        """(point estimate, pooled tally, table) on the original records:
+        class representatives (or kinds) and the rows each stands for. Raises
+        an EstimationError where the estimate is undefined on them."""
         self._check(kinds)
         table = self.table(kinds)
         tally = kind_counts @ table

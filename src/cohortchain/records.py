@@ -637,6 +637,17 @@ def derive_transitions(r, horizon_year):
     return steps
 
 
+def _tally_classes(kinds):
+    """(representatives, np.intp class of each kind) of a panel's kinds. Kinds
+    share a class when they agree on every field an estimator's tally reads
+    (estimate.py); class c's representative, its first kind, is entry c."""
+    keys = [(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]
+    index = {}
+    for key, r in zip(keys, kinds):
+        index.setdefault(key, (len(index), r))
+    return [r for _c, r in index.values()], np.array([index[k][0] for k in keys], dtype=np.intp)
+
+
 def la_truncate(r, transitions):
     """Keep only the steps from the first LA-supported year onward.
 

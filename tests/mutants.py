@@ -9,10 +9,15 @@ occur exactly once in its file, by the new text, and runs
 
     python -m pytest -x -q -m "not slow" -p no:cacheprovider --hypothesis-seed=0
 
-there. The mutant is killed when that run fails. pyproject.toml comes along
-because its `pythonpath = ["src"]` resolves against the copy: a copy of src/
-alone would test the checkout's code. The unmutated copy runs first and must
-pass, or every mutant would read as killed.
+there: first on the test file of the mutated module (OWN_TESTS), then, only
+if that passes, on the rest of the suite. The mutant is killed when either
+run fails, so a killed mutant mostly costs one file, and a survivor has
+faced the whole non-slow suite. pyproject.toml comes along because its
+`pythonpath = ["src"]` resolves against the copy: a copy of src/ alone would
+test the checkout's code. The unmutated copy runs first, the whole suite at
+once, and must pass, or every mutant would read as killed. Each mutant's
+line, with its time, is also appended to the file that $GITHUB_STEP_SUMMARY
+names, when it is set.
 
 A mutant that survives is mended by a test, or kept with `gap` saying why
 the suite misses it; it is never dropped from the list to pass. The run
@@ -33,7 +38,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-m", "not slow", "-p", "no:cacheprovider",
           "--hypothesis-seed=0"]
-# a surviving mutant runs the whole non-slow suite, under a minute
+# each run of the non-slow suite, or of a part of it, takes under a minute
 TIMEOUT_S = 600
 
 
@@ -51,6 +56,15 @@ MARKOV = "src/cohortchain/markov.py"
 ESTIMATE = "src/cohortchain/estimate.py"
 SYNTH = "src/cohortchain/synth.py"
 CLI = "src/cohortchain/cli.py"
+# the test file a mutant of each module runs first
+OWN_TESTS = {
+    RECORDS: "tests/test_ingest.py",
+    BOOTSTRAP: "tests/test_bootstrap.py",
+    MARKOV: "tests/test_markov.py",
+    ESTIMATE: "tests/test_estimate.py",
+    SYNTH: "tests/test_synth.py",
+    CLI: "tests/test_cli.py",
+}
 
 MUTANTS = [
     Mutant(RECORDS, "    elif c < obs:", "    elif c <= obs:",
@@ -194,6 +208,19 @@ MUTANTS = [
            "a generator spec accepts a NaN probability"),
     Mutant(SYNTH, "if self.seed < 0:", "if self.seed < -1:",
            "a generator spec accepts a seed of -1"),
+    Mutant(RECORDS, "(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]",
+           "(r.cohort_year, r.outcome, r.outcome_year) for r in kinds]",
+           "the tally class key drops la_year, so the LA estimator merges exposure years"),
+    Mutant(RECORDS, "(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]",
+           "(r.cohort_year, r.outcome, r.la_year) for r in kinds]",
+           "the tally class key drops outcome_year"),
+    Mutant(BOOTSTRAP, "column = panel.kind if len(classes) == len(panel.kinds) else "
+           "class_of_kind[panel.kind]", "column = panel.kind",
+           "the bootstrap draws kinds where fewer classes than kinds are tallied"),
+    Mutant(BOOTSTRAP, "original = np.bincount(class_of_kind, weights=np.bincount(panel.kind, "
+           "minlength=len(class_of_kind)))",
+           "original = np.bincount(panel.kind, minlength=len(class_of_kind))",
+           "each estimator is fitted on kind counts in place of class counts"),
 ]
 
 
@@ -212,8 +239,10 @@ def check_texts(mutants):
 
 def run_suite(mutant=None):
     """(passed, seconds) of the non-slow suite on a fresh copy, with the
-    mutant applied; a run past TIMEOUT_S counts as failed."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    mutant applied: its own tests first, and the rest only if those pass. A
+    run past TIMEOUT_S counts as failed."""
+    # a mutant's acceptance report is not the program's: keep it out of the summary
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "GITHUB_STEP_SUMMARY")}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="mutant-") as work:
         work = Path(work)
@@ -225,13 +254,29 @@ def run_suite(mutant=None):
             path = work / mutant.path
             path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                             encoding="utf-8")
+        parts = [[]]
+        if mutant is not None:
+            own = OWN_TESTS[mutant.path]
+            parts = [[own], ["--ignore", own]]
         start = time.perf_counter()
-        try:
-            run = subprocess.run(PYTEST, cwd=work, env=env, capture_output=True, text=True,
-                                 timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return False, time.perf_counter() - start
-        return run.returncode == 0, time.perf_counter() - start
+        for part in parts:
+            try:
+                run = subprocess.run(PYTEST + part, cwd=work, env=env, capture_output=True,
+                                     text=True, timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                return False, time.perf_counter() - start
+            if run.returncode != 0:
+                return False, time.perf_counter() - start
+        return True, time.perf_counter() - start
+
+
+def report(line):
+    """Print a line, and append it to the CI job's summary when there is one."""
+    print(line, flush=True)
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        with open(summary, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n\n")
 
 
 def main():
@@ -240,21 +285,22 @@ def main():
         print("\n".join(problems))
         return 2
     passed, seconds = run_suite()
-    print(f"unmutated: {'passed' if passed else 'FAILED'} in {seconds:.1f} s", flush=True)
+    report(f"unmutated: {'passed' if passed else 'FAILED'} in {seconds:.1f} s")
     if not passed:
         return 1
-    wrong = 0
+    wrong, total = 0, seconds
     for n, m in enumerate(MUTANTS, start=1):
         survived, seconds = run_suite(m)
+        total += seconds
         if survived:
             verdict = "known gap, survived" if m.gap else "SURVIVED"
         else:
             verdict = "KILLED, but listed as a gap" if m.gap else "killed"
         wrong += survived != bool(m.gap)
-        print(f"{n:2}. {verdict} in {seconds:.1f} s: {m.path}: {m.breaks}", flush=True)
+        report(f"{n:2}. {verdict} in {seconds:.1f} s: {m.path}: {m.breaks}")
         if m.gap:
-            print(f"    gap: {m.gap}")
-    print(f"{len(MUTANTS)} mutants, {wrong} not as listed")
+            report(f"    gap: {m.gap}")
+    report(f"{len(MUTANTS)} mutants, {wrong} not as listed, {total:.0f} s of test runs")
     return 1 if wrong else 0
 
 

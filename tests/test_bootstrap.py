@@ -1,5 +1,8 @@
+import math
 import subprocess
 import sys
+from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +44,10 @@ from cohortchain.errors import (
     EmptyCohort,
     EnsembleTooSmall,
     EstimationError,
+    MissingExposure,
     TooManyFailedReplicates,
 )
+from cohortchain.records import _tally_classes
 
 
 class TestPercentileCi:
@@ -253,11 +258,21 @@ class TestBootstrap:
         # blocks of REPLICATE_BLOCK = 128: one short block, one exact, one
         # spilling by a replicate, and a partial third block. 1500 records
         # are drawn 10 replicates a chunk, so chunks end inside each block;
-        # with 4056 records, replicates 103 and 272 reject a word
-        records = (identical_graduates(n // 2) + [
-            make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1 + i % 5)
-            for i in range(n - n // 2)
-        ])[:n]
+        # with 4056 records, replicates 103 and 272 reject a word. With two
+        # colleges taken in turn, the kinds merge into half as many classes
+        for colleges in (["SCI"], ["SCI", "ENG"]):
+            records = (identical_graduates(n // 2) + [
+                make_record(sid=f"d{i}", outcome=Outcome.DROPPED_OUT, outcome_year=1 + i % 5)
+                for i in range(n - n // 2)
+            ])[:n]
+            records = [replace(r, college=colleges[i % len(colleges)])
+                       for i, r in enumerate(records)]
+            kinds = Panel.from_records(records).kinds
+            assert (len(_tally_classes(kinds)[0]) < len(kinds)) == (len(colleges) == 2 and n > 1)
+            self.check_block_seeding(records, replicates, monkeypatch)
+
+    def check_block_seeding(self, records, replicates, monkeypatch):
+        n = len(records)
         estimator = MarkovFullEstimator(2021)
         tallies = []
         rates = estimator.rates
@@ -453,6 +468,11 @@ class TestBootstrapEach:
             MarkovReducedEstimator(2015, 2021),
         ]
         cfg = BootstrapConfig(seed=5, replicates=600)
+        # aalana taken in turn splits kinds, but not the classes they merge into
+        for merged in (records, [replace(r, aalana=i % 2 == 1) for i, r in enumerate(records)]):
+            self.check_shared_draw(merged, estimators, cfg)
+
+    def check_shared_draw(self, records, estimators, cfg):
         summaries = bootstrap_each(records, estimators, cfg)
         assert len(summaries) == 3
         failed_ids = []
@@ -509,6 +529,75 @@ class TestBootstrapEach:
         estimators = [MarkovFullEstimator(2021), TraditionalEstimator(1999, 2021)]
         with pytest.raises(EmptyCohort, match="1999"):
             bootstrap_each(identical_graduates(), estimators, BootstrapConfig(seed=1))
+
+    def test_missing_exposure_names_the_first_unexposed_kind(self):
+        # b and c share a class and a's trajectory; b, its first kind and
+        # the panel's first kind without an la_year, is named, as on kinds
+        records = [
+            make_record(sid="a", la_year=1),
+            make_record(sid="b", college="ENG"),
+            make_record(sid="c"),
+            make_record(sid="d", la_year=1),
+        ]
+        estimator = MarkovFullEstimator(2021, from_la_year=True)
+        with pytest.raises(MissingExposure, match="^student 'b' has"):
+            estimator.point(records)
+        with pytest.raises(MissingExposure, match="^student 'b' has"):
+            bootstrap_each(records, [MarkovFullEstimator(2021), estimator],
+                           BootstrapConfig(seed=1))
+
+
+class ClassCounts(MarkovFullEstimator):
+    """An estimator whose tally is a replicate's count of each class (the
+    identity table) and whose rate encodes those counts as one number, the
+    counts' digits in base 7: exact for up to 6 rows in any number of
+    classes."""
+
+    def table(self, kinds):
+        return np.eye(len(kinds))
+
+    def rates(self, tallies):
+        values = np.asarray(tallies) @ 7.0 ** np.arange(np.shape(tallies)[1])
+        return values, np.ones(len(values), dtype=bool)
+
+
+# chi-square critical value at 75 degrees of freedom for a false alarm of
+# 1e-3 per seed (scipy.stats.chi2.isf(1e-3, 75)), so at most 3e-3 for the
+# three seeds on a correct draw
+CHI2_75_CRITICAL = 118.599
+
+
+class TestDrawDistribution:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_class_counts_are_multinomial(self, seed):
+        """The class counts of 20,000 replicates of 6 rows in classes of 3,
+        1, 1 and 1 fit Multinomial(6, (1/2, 1/6, 1/6, 1/6)) by Pearson's
+        test: 84 outcomes, those of expected count below 5 pooled into one
+        cell, 76 cells. Read 78.5, 87.0 and 85.2 for seeds 0-2. The test
+        reads only bootstrap_each's ensemble, so it holds for any draw of
+        that distribution."""
+        records = [make_record(sid=f"g{i}") for i in range(3)] + [
+            make_record(sid="d1", outcome=Outcome.DROPPED_OUT, outcome_year=1),
+            make_record(sid="d2", outcome=Outcome.DROPPED_OUT, outcome_year=2),
+            make_record(sid="g5", outcome_year=5),
+        ]
+        replicates, shares = 20_000, np.array([3, 1, 1, 1]) / 6
+        s = bootstrap(records, ClassCounts(2021), BootstrapConfig(seed=seed, replicates=replicates))
+        assert s.n_failed == 0
+
+        outcomes = [c for c in product(range(7), repeat=4) if sum(c) == 6]
+        codes = {sum(n * 7**k for k, n in enumerate(c)): i for i, c in enumerate(outcomes)}
+        observed = np.bincount([codes[v] for v in s.ensemble.astype(int).tolist()],
+                               minlength=len(outcomes))
+        expected = replicates * np.array([
+            math.factorial(6) / math.prod(map(math.factorial, c)) * np.prod(shares ** c)
+            for c in outcomes
+        ])
+        small = expected < 5
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+        assert len(expected) - 1 == 75
+        assert ((observed - expected) ** 2 / expected).sum() < CHI2_75_CRITICAL
 
 
 class TestSeedWords:

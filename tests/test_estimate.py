@@ -30,6 +30,7 @@ from cohortchain.errors import (
     InsufficientData,
     NoRecords,
 )
+from cohortchain.records import _tally_classes
 from cohortchain.states import ALLOWED_CELLS, N_STATES
 
 N_CELLS = len(ALLOWED_CELLS)
@@ -320,6 +321,60 @@ def test_type_tally_equals_per_record_sum(panel, horizon, cohort, lag):
             r for r in starters if r.outcome is Outcome.GRADUATED and r.outcome_year <= 6
         ]
         assert list(kind_tally(trad, records, rows)) == [len(starters), len(graduates)]
+
+
+@st.composite
+def panels_of_many_kinds(draw):
+    """Valid records over four colleges, both flags and LA years, some
+    unexposed: far more kinds than tally classes."""
+    records = []
+    for i in range(draw(st.integers(1, 40))):
+        outcome = draw(st.sampled_from(Outcome))
+        outcome_year = draw(st.integers(1, 7))
+        slack = 1 if outcome is Outcome.ENROLLED else 0
+        records.append(make_record(
+            sid=f"s{i}",
+            cohort_year=draw(st.integers(2013, 2016)),
+            aalana=draw(st.booleans()),
+            first_gen=draw(st.booleans()),
+            college=draw(st.sampled_from(["SCI", "ENG", "ART", "BUS"])),
+            la_year=draw(st.none() | st.integers(1, min(6, outcome_year + slack))),
+            outcome=outcome,
+            outcome_year=outcome_year,
+        ))
+    return records
+
+
+@given(
+    records=panels_of_many_kinds(),
+    horizon=st.integers(2013, 2024),
+    cohort=st.integers(2013, 2016),
+    lag=st.integers(0, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_kinds_of_one_class_share_a_table_row(records, horizon, cohort, lag):
+    """Every kind's row in each estimator's table equals its class
+    representative's: the contract the bootstrap's class tables rest on. A
+    representative is its class's first kind, and classes are numbered in
+    order of first appearance. The LA estimator reads the exposed kinds."""
+    kinds = Panel.from_records(records).kinds
+    exposed = [r for r in kinds if r.la_year is not None]
+    cases = [
+        (TraditionalEstimator(cohort, cohort + 6 + lag), kinds),
+        (MarkovReducedEstimator(cohort, cohort + 6 + lag), kinds),
+        (MarkovFullEstimator(horizon), kinds),
+        (MarkovFullEstimator(horizon, from_la_year=True), exposed),
+    ]
+    for estimator, of in cases:
+        if not of:
+            continue
+        representatives, class_of_kind = _tally_classes(of)
+        first = np.unique(class_of_kind, return_index=True)[1]
+        np.testing.assert_array_equal(class_of_kind[first], np.arange(len(representatives)))
+        assert representatives == [of[k] for k in first]
+        np.testing.assert_array_equal(
+            estimator.table(of), estimator.table(representatives)[class_of_kind]
+        )
 
 
 def reference_rates(estimator, tallies):
