@@ -311,7 +311,7 @@ def bootstrap_each(records, estimators, cfg):
     words = _seed_words(cfg.seed, np.arange(1, cfg.replicates + 1))
     values = np.empty((len(fits), cfg.replicates))
     ok = np.empty((len(fits), cfg.replicates), dtype=bool)
-    # where each kind is its own class, the kind column itself is drawn, not a copy
+    # where each kind is its own class, draw the kind column itself: a copy would set the peak
     column = panel.kind if len(classes) == len(panel.kinds) else class_of_kind[panel.kind]
     blocks = _kind_counts(column, len(classes), words)
     for start, class_counts in zip(range(0, cfg.replicates, REPLICATE_BLOCK), blocks):
