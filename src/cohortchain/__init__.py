@@ -19,9 +19,13 @@ from .estimate import (
     MarkovFullEstimator,
     MarkovReducedEstimator,
     TraditionalEstimator,
+    Transition,
+    derive_transitions,
+    la_truncate,
     persistence_rates,
 )
 from .markov import (
+    AcademicState,
     TransitionMatrix,
     validate_structure,
 )
@@ -31,13 +35,9 @@ from .records import (
     Panel,
     StudentRecord,
     SubgroupSpec,
-    Transition,
-    derive_transitions,
     filter_subgroup,
-    la_truncate,
     parse_records,
 )
-from .states import AcademicState
 from .synth import (
     GeneratorSpec,
     brute_force_sygr,

@@ -14,7 +14,7 @@ chunk draw rejects a word, is drawn by numpy's own `Generator.integers` on a
 PCG64 seeded with the replicate's words. Both give exactly the
 `default_rng([seed, b]).integers(0, n, size=n)` streams.
 A replicate is kept only as the counts of its records' tally classes, the
-kinds every estimator reads alike (`records._tally_classes`); a block of
+kinds every estimator reads alike (`estimate._tally_classes`); a block of
 replicates' pooled tallies are their class counts times each estimator's
 float64 table, one BLAS product, and each estimator reads them in one
 stacked pass (`rates`), so no replicate builds a matrix of its own.
@@ -35,7 +35,8 @@ from itertools import cycle
 import numpy as np
 
 from .errors import DegenerateEnsemble, EnsembleTooSmall, TooManyFailedReplicates
-from .records import Panel, _tally_classes
+from .estimate import _tally_classes
+from .records import Panel
 
 FAILURE_CEILING = 0.10
 # Replicates read per stacked pass. The readout holds about 3 KB of stacked

@@ -420,8 +420,9 @@ def build_parser():
     parser = _Parser(prog="cohortchain", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, bootstrap_flags=True):
-        p.add_argument("--input", action="append", default=None, help="input CSV (repeatable)")
+    def common(p, bootstrap_flags=True, inputs=True):
+        if inputs:
+            p.add_argument("--input", action="append", default=None, help="input CSV (repeatable)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--config", action=_Once, help="key = value config file, given once; "
                        "flags override")
@@ -462,7 +463,7 @@ def build_parser():
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("synth", help="generate a synthetic panel from a generator spec")
-    common(p, bootstrap_flags=False)
+    common(p, bootstrap_flags=False, inputs=False)
     p.add_argument("--spec", default=None, help="generator spec file")
     p.set_defaults(func=cmd_synth)
 

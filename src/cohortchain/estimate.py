@@ -1,4 +1,6 @@
-"""Six-year graduation rate estimators over parsed student records.
+"""Six-year graduation rate estimators over parsed student records. This
+module alone decides what a record tallies: the chain steps it adds
+(`derive_transitions`, `la_truncate`) and its tally class (`_tally_classes`).
 
 Three estimators: the traditional cohort ratio, the reduced-form chain
 restricted to one complete cohort (the positive control), and the full
@@ -8,24 +10,94 @@ All three read their estimate off pooled tallies of whole numbers, held in
 float64 (exact below 2**53). A chain estimator's tally is its 8x8 count
 grid, flattened: each step (frm, to) counts into cell frm * 8 + to. A
 record's tally depends only on (cohort_year, outcome, outcome_year,
-la_year), the key of its tally class (`records._tally_classes`); an
-estimator that reads another field must add it to that key. Each estimator
-derives one tally row per class (`table`, by the reference rules
-`derive_transitions` and `la_truncate`), and a resample's pooled tally is
-its class counts times the table: one BLAS product, exactly the sum of its
-records' tallies. `rates` is the one readout: it reads a stack of tallies
-at once (`sygr_markov_stack`), and the point estimate is the original
-tally read as a stack of one; where that is undefined, `fit` names the
-state without observations. `fit` also returns the tally, which
-`persistence_rates` reads. The tests hold `rates` to a per-row reference.
+la_year), the key of its tally class; an estimator that reads another
+field must add it to that key. Each estimator derives one tally row per
+class (`table`, by the reference rules `derive_transitions` and
+`la_truncate`), and a resample's pooled tally is its class counts times the
+table: one BLAS product, exactly the sum of its records' tallies. `rates`
+is the one readout: it reads a stack of tallies at once
+(`sygr_markov_stack`), and the point estimate is the original tally read
+as a stack of one; where that is undefined, `fit` names the state without
+observations. `fit` also returns the tally, which `persistence_rates`
+reads. The tests hold `rates` to a per-row reference.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyCohort, HorizonTooEarly, InsufficientData, NoRecords
-from .markov import normalise, sygr_markov_stack
-from .records import Outcome, Panel, derive_transitions, la_truncate
-from .states import N_STATES, AcademicState
+from .errors import EmptyCohort, HorizonTooEarly, InsufficientData, MissingExposure, NoRecords
+from .markov import N_STATES, AcademicState, normalise, sygr_markov_stack
+from .records import Outcome, Panel
+
+
+class Transition(NamedTuple):
+    """One completed year-to-year step: the chain cell (frm, to) it counts
+    into. As a tuple it equals its cell's (row, column) indices."""
+
+    frm: AcademicState
+    to: AcademicState
+
+
+def derive_transitions(r, horizon_year):
+    """Completed transitions for one student, as observable at the horizon.
+
+    Let obs = horizon_year - cohort_year be the number of elapsed academic
+    years and c = min(outcome_year, 6, obs) the observable completed years.
+    The student contributes the persistence steps up to year c, then:
+
+      * absorption within both the horizon and the six-year window is
+        emitted as the final step into DROP_OUT or GRADUATED;
+      * a student known to have completed year 6 without graduating within
+        six years is assigned Y6 -> DROP_OUT (six-calendar-year censoring);
+      * otherwise the outgoing step from year c is emitted only if the
+        start of year c+1 was itself observed, else it is censored.
+    """
+    obs = horizon_year - r.cohort_year
+    if obs < 1:
+        return []
+    c = min(r.outcome_year, 6, obs)
+    steps = [Transition(AcademicState.year(k), AcademicState.year(k + 1)) for k in range(1, c)]
+    absorbed_in_window = (
+        r.outcome is not Outcome.ENROLLED and r.outcome_year <= min(6, obs)
+    )
+    if absorbed_in_window:
+        to = (
+            AcademicState.GRADUATED
+            if r.outcome is Outcome.GRADUATED
+            else AcademicState.DROP_OUT
+        )
+        steps.append(Transition(AcademicState.year(c), to))
+    elif c == 6:
+        # Completed year 6 still enrolled (or absorbed after year 6):
+        # indistinguishable from a non-completer for the six-year statistic.
+        steps.append(Transition(AcademicState.Y6, AcademicState.DROP_OUT))
+    elif c < obs:
+        steps.append(Transition(AcademicState.year(c), AcademicState.year(c + 1)))
+    return steps
+
+
+def la_truncate(r, transitions):
+    """Keep only the steps from the first LA-supported year onward.
+
+    Applied when the student contributes to an LA-group estimate; the full
+    trajectory is still used in any all-students analysis.
+    """
+    if r.la_year is None:
+        raise MissingExposure(r.student_id)
+    first = AcademicState.year(r.la_year)
+    return [t for t in transitions if t.frm >= first]
+
+
+def _tally_classes(kinds):
+    """(representatives, np.intp class of each kind) of a panel's kinds. Kinds
+    share a class when they agree on every field an estimator's tally reads
+    (estimate.py); class c's representative, its first kind, is entry c."""
+    keys = [(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]
+    index = {}
+    for key, r in zip(keys, kinds):
+        index.setdefault(key, (len(index), r))
+    return [r for _c, r in index.values()], np.array([index[k][0] for k in keys], dtype=np.intp)
 
 
 def persistence_rates(tally):

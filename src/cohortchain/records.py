@@ -1,4 +1,5 @@
-"""Student records: parsing, transition derivation, and subgroup selection.
+"""Student records: the panel format. This module reads, writes and selects
+panels; what a record tallies is decided in estimate.py.
 
 The input schema is one row per student:
 
@@ -43,12 +44,10 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain, compress
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DuplicateId, InvariantViolation, MissingExposure, ParseError
-from .states import AcademicState
+from .errors import DuplicateId, InvariantViolation, ParseError
 
 CSV_HEADER = [
     "student_id",
@@ -265,14 +264,6 @@ class Panel:
                     gc.enable()
             self._rows = rows
         return iter(self._rows)
-
-
-class Transition(NamedTuple):
-    """One completed year-to-year step: the chain cell (frm, to) it counts
-    into. As a tuple it equals its cell's (row, column) indices."""
-
-    frm: AcademicState
-    to: AcademicState
 
 
 def _parse_bool(raw, row, column):
@@ -597,67 +588,6 @@ def format_records(records):
     the pieces of _format_pieces joined into one str. The CLI writes synth's
     panel from the pieces themselves, cohort by cohort."""
     return "".join(_format_pieces([Panel.from_records(records)]))
-
-
-def derive_transitions(r, horizon_year):
-    """Completed transitions for one student, as observable at the horizon.
-
-    Let obs = horizon_year - cohort_year be the number of elapsed academic
-    years and c = min(outcome_year, 6, obs) the observable completed years.
-    The student contributes the persistence steps up to year c, then:
-
-      * absorption within both the horizon and the six-year window is
-        emitted as the final step into DROP_OUT or GRADUATED;
-      * a student known to have completed year 6 without graduating within
-        six years is assigned Y6 -> DROP_OUT (six-calendar-year censoring);
-      * otherwise the outgoing step from year c is emitted only if the
-        start of year c+1 was itself observed, else it is censored.
-    """
-    obs = horizon_year - r.cohort_year
-    if obs < 1:
-        return []
-    c = min(r.outcome_year, 6, obs)
-    steps = [Transition(AcademicState.year(k), AcademicState.year(k + 1)) for k in range(1, c)]
-    absorbed_in_window = (
-        r.outcome is not Outcome.ENROLLED and r.outcome_year <= min(6, obs)
-    )
-    if absorbed_in_window:
-        to = (
-            AcademicState.GRADUATED
-            if r.outcome is Outcome.GRADUATED
-            else AcademicState.DROP_OUT
-        )
-        steps.append(Transition(AcademicState.year(c), to))
-    elif c == 6:
-        # Completed year 6 still enrolled (or absorbed after year 6):
-        # indistinguishable from a non-completer for the six-year statistic.
-        steps.append(Transition(AcademicState.Y6, AcademicState.DROP_OUT))
-    elif c < obs:
-        steps.append(Transition(AcademicState.year(c), AcademicState.year(c + 1)))
-    return steps
-
-
-def _tally_classes(kinds):
-    """(representatives, np.intp class of each kind) of a panel's kinds. Kinds
-    share a class when they agree on every field an estimator's tally reads
-    (estimate.py); class c's representative, its first kind, is entry c."""
-    keys = [(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]
-    index = {}
-    for key, r in zip(keys, kinds):
-        index.setdefault(key, (len(index), r))
-    return [r for _c, r in index.values()], np.array([index[k][0] for k in keys], dtype=np.intp)
-
-
-def la_truncate(r, transitions):
-    """Keep only the steps from the first LA-supported year onward.
-
-    Applied when the student contributes to an LA-group estimate; the full
-    trajectory is still used in any all-students analysis.
-    """
-    if r.la_year is None:
-        raise MissingExposure(r.student_id)
-    first = AcademicState.year(r.la_year)
-    return [t for t in transitions if t.frm >= first]
 
 
 def filter_subgroup(records, spec):

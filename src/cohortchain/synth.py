@@ -21,9 +21,8 @@ from itertools import starmap
 import numpy as np
 
 from .errors import SpecFileError
-from .markov import TransitionMatrix
+from .markov import N_STATES, AcademicState, TransitionMatrix
 from .records import Outcome, Panel, StudentRecord, _key_value_lines, _utf8_text
-from .states import N_STATES, AcademicState
 
 
 def brute_force_sygr(p):

@@ -16,7 +16,7 @@ from cohortchain import (
     la_truncate,
 )
 from cohortchain.errors import DuplicateId, InsufficientData, InvariantViolation, ParseError
-from cohortchain.states import ABSORBING, N_STATES, TRANSIENT
+from cohortchain.markov import ABSORBING, N_STATES, TRANSIENT
 from cohortchain.synth import _walks
 
 S = AcademicState

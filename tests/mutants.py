@@ -9,17 +9,18 @@ occur exactly once in its file, by the new text, and runs
 
     python -m pytest -x -q -m "not slow" -p no:cacheprovider --hypothesis-seed=0
 
-there: first on the test file of the mutated module (OWN_TESTS), then, only
-if that passes, on the rest of the suite. The mutant is killed when either
-run fails, so a killed mutant mostly costs one file, and a survivor has
-faced the whole non-slow suite. pyproject.toml comes along because its
+there: first on the test file of the mutated module (OWN_TESTS), or on the
+mutant's `first` file where that one kills it sooner, then, only if that
+passes, on the rest of the suite. The mutant is killed when either run
+fails, so a killed mutant mostly costs one file, and a survivor has faced
+the whole non-slow suite. pyproject.toml comes along because its
 `pythonpath = ["src"]` resolves against the copy: a copy of src/ alone would
 test the checkout's code. The unmutated copy runs first and must pass, or
 every mutant would read as killed: the whole suite at once, then each
-OWN_TESTS file alone, the exact first run of every mutant, so a test file
-that fails only when run by itself fails here. Each mutant's line, with its
-time, is also appended to the file that $GITHUB_STEP_SUMMARY names, when it
-is set.
+OWN_TESTS and `first` file alone, the exact first run of every mutant, so
+a test file that fails only when run by itself fails here. Each mutant's
+line, with its time, is also appended to the file that $GITHUB_STEP_SUMMARY
+names, when it is set.
 
 A mutant that survives is mended by a test, or kept with `gap` saying why
 the suite misses it; it is never dropped from the list to pass. The run
@@ -50,6 +51,7 @@ class Mutant(NamedTuple):
     new: str
     breaks: str
     gap: str | None = None  # why the suite misses it, for a known survivor
+    first: str | None = None  # the test file run first, where it dies sooner than in OWN_TESTS
 
 
 RECORDS = "src/cohortchain/records.py"
@@ -69,11 +71,11 @@ OWN_TESTS = {
 }
 
 MUTANTS = [
-    Mutant(RECORDS, "    elif c < obs:", "    elif c <= obs:",
+    Mutant(ESTIMATE, "    elif c < obs:", "    elif c <= obs:",
            "derive_transitions counts a persistence out of the last observed year"),
     Mutant(RECORDS, "if not 1 <= r.la_year <= 6:", "if not 1 <= r.la_year <= 7:",
            "an la_year of 7 passes the record invariants"),
-    Mutant(RECORDS, "if t.frm >= first]", "if t.frm > first]",
+    Mutant(ESTIMATE, "if t.frm >= first]", "if t.frm > first]",
            "la_truncate drops the exposure year's own step"),
     Mutant(MARKOV, "    reachable[..., _Y1] = True\n", "",
            "normalise fills an empty Y1 row with drop-out instead of failing"),
@@ -84,7 +86,7 @@ MUTANTS = [
     Mutant(CLI, "arm = replace(spec, la_group=la_group)",
            "arm = replace(spec, la_group=la_group, aalana_only=False)",
            "compare's arms drop --aalana"),
-    Mutant("src/cohortchain/estimate.py",
+    Mutant(ESTIMATE,
            "r.outcome is Outcome.GRADUATED and r.outcome_year <= 6",
            "r.outcome is Outcome.GRADUATED",
            "the traditional estimate counts graduates after year 6"),
@@ -210,12 +212,13 @@ MUTANTS = [
            "a generator spec accepts a NaN probability"),
     Mutant(SYNTH, "if self.seed < 0:", "if self.seed < -1:",
            "a generator spec accepts a seed of -1"),
-    Mutant(RECORDS, "(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]",
+    Mutant(ESTIMATE, "(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]",
            "(r.cohort_year, r.outcome, r.outcome_year) for r in kinds]",
-           "the tally class key drops la_year, so the LA estimator merges exposure years"),
-    Mutant(RECORDS, "(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]",
+           "the tally class key drops la_year, so the LA estimator merges exposure years",
+           first="tests/test_bootstrap.py"),
+    Mutant(ESTIMATE, "(r.cohort_year, r.outcome, r.outcome_year, r.la_year) for r in kinds]",
            "(r.cohort_year, r.outcome, r.la_year) for r in kinds]",
-           "the tally class key drops outcome_year"),
+           "the tally class key drops outcome_year", first="tests/test_bootstrap.py"),
     Mutant(BOOTSTRAP, "column = panel.kind if len(classes) == len(panel.kinds) else "
            "class_of_kind[panel.kind]", "column = panel.kind",
            "the bootstrap draws kinds where fewer classes than kinds are tallied"),
@@ -288,14 +291,15 @@ def main():
     if problems:
         print("\n".join(problems))
         return 2
-    failed, seconds = run_parts([[]] + [[own] for own in sorted(set(OWN_TESTS.values()))])
+    firsts = set(OWN_TESTS.values()) | {m.first for m in MUTANTS if m.first}
+    failed, seconds = run_parts([[]] + [[own] for own in sorted(firsts)])
     verdict = "passed" if failed is None else f"FAILED on {' '.join(failed) or 'the whole suite'}"
     report(f"unmutated: {verdict} in {seconds:.1f} s")
     if failed is not None:
         return 1
     wrong, total = 0, seconds
     for n, m in enumerate(MUTANTS, start=1):
-        own = OWN_TESTS[m.path]
+        own = m.first or OWN_TESTS[m.path]
         failed, seconds = run_parts([[own], ["--ignore", own]], m)
         survived = failed is None
         total += seconds

@@ -32,8 +32,7 @@ from cohortchain import (
     random_transition_matrix,
 )
 from cohortchain.cli import main, run_comparison
-from cohortchain.markov import normalise, sygr_markov_stack
-from cohortchain.states import ALLOWED_CELLS
+from cohortchain.markov import ALLOWED_CELLS, normalise, sygr_markov_stack
 from cohortchain.synth import format_generator_spec
 
 BASE_MATRIX = matrix_from_rows({

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import chain_09, make_record, per_record_grid, per_row_matrix
+from conftest import chain_09, make_record, path_enumeration_sygr, per_record_grid, per_row_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,10 +44,11 @@ from cohortchain.errors import (
     EmptyCohort,
     EnsembleTooSmall,
     EstimationError,
+    InsufficientData,
     MissingExposure,
     TooManyFailedReplicates,
 )
-from cohortchain.records import _tally_classes
+from cohortchain.estimate import _tally_classes
 
 
 class TestPercentileCi:
@@ -598,6 +599,61 @@ class TestDrawDistribution:
         expected = np.append(expected[~small], expected[small].sum())
         assert len(expected) - 1 == 75
         assert ((observed - expected) ** 2 / expected).sum() < CHI2_75_CRITICAL
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interval_matches_exact_distribution(self, seed):
+        """The full chain's bootstrap of 8 rows in 5 tally classes, against
+        the exact distribution of its estimate over all 495 resample outcomes,
+        each weighed by its multinomial probability and read by the reference
+        tally, chain and readout. A resample that draws the censored student
+        (cohort 2019, whose Y2 step is censored) but no Y2 exit leaves Y2
+        reachable and empty: it fails with probability (5/8)**8 - (1/2)**8.
+        At B = 2,000 the failed share must lie within 4 binomial standard
+        errors of that, and the kept ensemble's empirical CDF within the
+        Dvoretzky-Kiefer-Wolfowitz band (alpha = 1e-3) of the exact CDF given
+        success. Read 35, 34 and 37 failures (the exact share is 1.94%, 38.8
+        of 2,000) and CDF distances of 0.010, 0.021 and 0.017 against a band
+        of 0.044 for seeds 0-2. The test reads only bootstrap_each's output,
+        so it holds for any draw of that distribution."""
+        classes = [
+            (2, make_record(outcome=Outcome.DROPPED_OUT, outcome_year=1)),
+            (2, make_record(outcome_year=1)),
+            (2, make_record(outcome_year=2)),
+            (1, make_record(outcome=Outcome.DROPPED_OUT, outcome_year=2)),
+            (1, make_record(cohort_year=2019, outcome=Outcome.ENROLLED, outcome_year=2)),
+        ]
+        records = [replace(r, student_id=f"c{c}_{i}")
+                   for c, (n, r) in enumerate(classes) for i in range(n)]
+        shares = np.array([n for n, _r in classes]) / len(records)
+        p_fail, rates = 0.0, {}
+        for counts in product(range(9), repeat=len(classes)):
+            if sum(counts) != len(records):
+                continue
+            prob = (math.factorial(8) / math.prod(map(math.factorial, counts))
+                    * np.prod(shares ** counts))
+            resample = [r for n, (_n, r) in zip(counts, classes) for _ in range(n)]
+            try:
+                rate = path_enumeration_sygr(per_row_matrix(per_record_grid(resample, 2021)))
+            except InsufficientData:
+                p_fail += prob
+                continue
+            rates[round(rate, 12)] = rates.get(round(rate, 12), 0.0) + prob
+        assert p_fail == pytest.approx((5 / 8) ** 8 - (1 / 2) ** 8, rel=1e-12)
+        support = np.array(sorted(rates))
+        exact_cdf = np.cumsum([rates[x] for x in support]) / (1 - p_fail)
+
+        replicates = 2_000
+        (s,) = bootstrap_each(records, [MarkovFullEstimator(2021)],
+                              BootstrapConfig(seed=seed, replicates=replicates))
+        se = math.sqrt(p_fail * (1 - p_fail) / replicates)
+        assert abs(s.n_failed / replicates - p_fail) <= 4 * se
+        kept = np.sort(s.ensemble)
+        # every kept estimate is one of the exact outcomes' rates
+        nearest = np.abs(kept[:, None] - support[None, :]).min(axis=1)
+        assert nearest.max() < 1e-9
+        empirical_cdf = np.searchsorted(kept, support + 1e-9, side="right") / len(kept)
+        dkw = math.sqrt(math.log(2 / 1e-3) / (2 * len(kept)))
+        assert np.abs(empirical_cdf - exact_cdf).max() <= dkw
 
 
 class TestSeedWords:

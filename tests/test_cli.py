@@ -145,6 +145,26 @@ class TestSynth:
     def test_missing_spec_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path)]) == 1
 
+    def test_input_is_usage_error(self, tmp_path, capsys):
+        spec_path = tmp_path / "gen.spec"
+        spec_path.write_text(GEN_SPEC)
+        missing = tmp_path / "missing.csv"
+        code = main(["synth", "--spec", str(spec_path), "--input", str(missing),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: unrecognized arguments: --input {missing}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_config_input_is_ignored(self, tmp_path):
+        spec_path = tmp_path / "gen.spec"
+        spec_path.write_text(GEN_SPEC)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = {tmp_path / 'missing.csv'}\n")
+        synth = ["synth", "--spec", str(spec_path), "--out"]
+        assert main([*synth, str(tmp_path / "a"), "--config", str(cfg)]) == 0
+        assert main([*synth, str(tmp_path / "b")]) == 0
+        assert filecmp.cmp(tmp_path / "a/panel.csv", tmp_path / "b/panel.csv", shallow=False)
+
     def test_bad_spec_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.spec"
         bad.write_text("seed = 1\n")

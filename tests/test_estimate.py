@@ -30,8 +30,8 @@ from cohortchain.errors import (
     InsufficientData,
     NoRecords,
 )
-from cohortchain.records import _tally_classes
-from cohortchain.states import ALLOWED_CELLS, N_STATES
+from cohortchain.estimate import _tally_classes
+from cohortchain.markov import ALLOWED_CELLS, N_STATES
 
 N_CELLS = len(ALLOWED_CELLS)
 

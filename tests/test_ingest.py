@@ -36,8 +36,8 @@ from cohortchain.errors import (
     MissingExposure,
     ParseError,
 )
+from cohortchain.markov import ALLOWED_CELLS
 from cohortchain.records import Panel, _Ids, format_records, load_records
-from cohortchain.states import ALLOWED_CELLS
 
 S = AcademicState
 

@@ -21,11 +21,12 @@ from cohortchain import (
 )
 from cohortchain.errors import InsufficientData
 from cohortchain.markov import (
+    ABSORBING,
+    ALLOWED_CELLS,
     ROW_SUM_TOL,
     normalise,
     sygr_markov_stack,
 )
-from cohortchain.states import ABSORBING, ALLOWED_CELLS
 
 S = AcademicState
 
